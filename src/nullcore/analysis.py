@@ -172,8 +172,16 @@ def classify_vertices(g: Graph, basis: Optional[KernelBasis] = None) -> VertexPa
         else:
             # deleting a vertex outside every kernel support cannot lower
             # the nullity; reaching this line means the basis is wrong
-            raise AssertionError(
-                f"vertex {v}: nullity {eta} -> {eta_minus} contradicts supports"
+            raise TheoremViolationError(
+                f"vertex {v}: nullity {eta} -> {eta_minus} contradicts supports",
+                {
+                    "edges": g.edges(),
+                    "n": g.n,
+                    "vertex": v,
+                    "nullity": eta,
+                    "nullity_after_deletion": eta_minus,
+                    "basis": basis.vectors,
+                },
             )
     ncv = tuple(
         v
@@ -263,7 +271,17 @@ def core_labelling(
         cols=g.n,
     )
     # the zero regions of the block shape must really be zero in G
-    assert lab.assembled() == permuted
+    if lab.assembled() != permuted:
+        raise TheoremViolationError(
+            "an edge of G falls in a zero block of the core labelling",
+            {
+                "edges": g.edges(),
+                "n": g.n,
+                "cv": part.cv_set,
+                "ncv": part.ncv_set,
+                "cfvr": part.cfvr_set,
+            },
+        )
     return lab
 
 

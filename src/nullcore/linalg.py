@@ -1,16 +1,17 @@
-"""Exact integer/rational matrix kernel.
+"""Exact integer matrix kernel.
 
-Everything here is arbitrary-precision and tolerance-free: rank and
-determinant use fraction-free (Bareiss) elimination on Python ints, the
-nullspace basis comes from a rational RREF and is returned in a canonical
-integer form, and the characteristic polynomial uses the Faddeev-LeVerrier
+Everything here is arbitrary-precision and tolerance-free.  One
+fraction-free (Bareiss) elimination on Python ints serves rank,
+determinant and nullspace: the nullspace basis is read off the echelon
+rows by exact integer back-substitution and returned in a canonical
+integer form.  The characteristic polynomial uses the Faddeev-LeVerrier
 recurrence (whose divisions are exact for integer matrices).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -91,25 +92,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols})"
-
-
-@dataclass(frozen=True)
-class RatVector:
-    """Vector of exact rationals (Fraction keeps entries in lowest terms)."""
-
-    entries: tuple
-
-    def __init__(self, entries):
-        object.__setattr__(
-            self, "entries", tuple(Fraction(e) for e in entries)
-        )
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
 
 
 @dataclass(frozen=True)
@@ -210,64 +192,44 @@ def is_nonsingular(m: IntMatrix) -> bool:
     return det(m) != 0
 
 
-def _rref_fractions(m: IntMatrix):
-    """Rational reduced row echelon form; returns (rows, pivot_columns)."""
-    data = [[Fraction(x) for x in row] for row in m.data]
-    pivots = []
-    r = 0
-    for col in range(m.cols):
-        pivot_row = None
-        for i in range(r, m.rows):
-            if data[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        data[r], data[pivot_row] = data[pivot_row], data[r]
-        inv = data[r][col]
-        data[r] = [x / inv for x in data[r]]
-        for i in range(m.rows):
-            if i != r and data[i][col] != 0:
-                factor = data[i][col]
-                data[i] = [a - factor * b for a, b in zip(data[i], data[r])]
-        pivots.append(col)
-        r += 1
-    return data, pivots
-
-
-def _primitive_int_vector(fracs) -> tuple:
-    """Scale a non-zero rational vector to a primitive integer vector
-    whose first non-zero entry is positive."""
-    lcm = 1
-    for f in fracs:
-        d = f.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(f * lcm) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
-
-
 def nullspace_basis(m: IntMatrix) -> KernelBasis:
-    """Canonical basis of {x : m @ x = 0}; empty iff m has full column rank."""
-    rref, pivots = _rref_fractions(m)
+    """Canonical basis of {x : m @ x = 0}; empty iff m has full column rank.
+
+    For each free column f of the echelon form, the kernel vector with
+    x_f = 1 and every other free entry 0 is unique; back-substitution
+    builds an integer multiple of it, scaling the partial vector by
+    pivot / gcd(sum, pivot) at each row so every division is exact.  The
+    new entry -sum / gcd is coprime to that scale, so the vector stays
+    primitive throughout and only its sign is left to normalise.
+    """
+    data = [list(r) for r in m.data]
+    r, _, _ = _echelon_int(data, m.rows, m.cols)
+    echelon = data[:r]
+    pivots = []
+    for row in echelon:
+        col = pivots[-1] + 1 if pivots else 0
+        while row[col] == 0:
+            col += 1
+        pivots.append(col)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
     vectors = []
-    for free in free_cols:
-        vec = [Fraction(0)] * m.cols
-        vec[free] = Fraction(1)
-        for i, piv_col in enumerate(pivots):
-            vec[piv_col] = -rref[i][free]
-        vectors.append(_primitive_int_vector(vec))
+    for free in range(m.cols):
+        if free in pivot_set:
+            continue
+        vec = [0] * m.cols
+        vec[free] = 1
+        # pivot entries right of the free column stay 0
+        for i in range(bisect_left(pivots, free) - 1, -1, -1):
+            row, p = echelon[i], pivots[i]
+            s = sum(row[j] * vec[j] for j in range(p + 1, free + 1))
+            g = gcd(s, row[p])
+            scale = row[p] // g
+            if scale != 1:
+                vec = [x * scale for x in vec]
+            vec[p] = -s // g
+        if next(x for x in vec if x != 0) < 0:
+            vec = [-x for x in vec]
+        vectors.append(tuple(vec))
     return KernelBasis(ambient=m.cols, vectors=tuple(vectors))
 
 
@@ -298,12 +260,3 @@ def char_poly(m: IntMatrix) -> CharPoly:
             for i in range(n)
         ]
     return CharPoly(coefficients=tuple(coeffs))
-
-
-def mat_vec(m: IntMatrix, v: RatVector) -> RatVector:
-    """Exact matrix-vector product."""
-    if m.cols != v.dim:
-        raise ValueError("dimension mismatch")
-    return RatVector(
-        sum(a * x for a, x in zip(row, v.entries)) for row in m.data
-    )

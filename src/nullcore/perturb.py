@@ -16,7 +16,7 @@ from .analysis import (
 )
 from .errors import PreconditionError, TheoremViolationError
 from .graphs import Graph, add_edge, delete_edge, adjacency_matrix
-from .linalg import KernelBasis, RatVector, mat_vec, nullspace_basis
+from .linalg import KernelBasis, nullspace_basis
 
 # Tag components in display order; joining order below never changes.
 _PART_ORDER = {"CV": 0, "NCV": 1, "CFVR": 2}
@@ -116,6 +116,11 @@ def _labelling_preserved(
     )
 
 
+def _replay(report: PerturbationReport, g: Graph, **extra) -> dict:
+    """TheoremViolationError payload: the report plus the base graph."""
+    return report.to_json() | {"edges": list(g.edges()), "n": g.n} | extra
+
+
 def _build_report(
     g: Graph,
     h: Graph,
@@ -145,10 +150,21 @@ def _build_report(
     )
     # A single symmetric edge flip is a rank-2 update, so eta moves by
     # at most 2 in either direction.
-    assert abs(report.eta_after - report.eta_before) <= 2
+    if abs(report.eta_after - report.eta_before) > 2:
+        raise TheoremViolationError(
+            "edge flip (%d, %d) moved the nullity from %d to %d"
+            % (edge.u, edge.w, report.eta_before, report.eta_after),
+            report=_replay(report, g, operation=operation),
+        )
     # Identical bases force identical supports and dimensions.
-    if preserved["nullspace"]:
-        assert preserved["cv_set"] and preserved["nullity"]
+    if preserved["nullspace"] and not (
+        preserved["cv_set"] and preserved["nullity"]
+    ):
+        raise TheoremViolationError(
+            "edge flip (%d, %d) kept the kernel basis but not its core "
+            "set or dimension" % (edge.u, edge.w),
+            report=_replay(report, g, operation=operation),
+        )
     return report
 
 
@@ -190,7 +206,7 @@ def apply_and_report(
             raise TheoremViolationError(
                 "core-forbidden edge addition broke the nullity/core "
                 "biconditional on (%d, %d)" % (e.u, e.w),
-                report=report.to_json() | {"edges": list(g.edges())},
+                report=_replay(report, g),
             )
         if flags["nullity"] and not (
             flags["nullspace"] and flags["core_labelling"]
@@ -199,7 +215,7 @@ def apply_and_report(
                 "nullity-preserving core-forbidden addition (%d, %d) "
                 "failed to preserve the nullspace and labelling"
                 % (e.u, e.w),
-                report=report.to_json() | {"edges": list(g.edges())},
+                report=_replay(report, g),
             )
     return report
 
@@ -237,11 +253,19 @@ class CvNcvReport:
     y_witness: Optional[tuple]
 
 
-def _kernel_vector_hitting(basis: KernelBasis, v: int) -> tuple:
+def _kernel_vector_hitting(basis: KernelBasis, v: int, replay: dict) -> tuple:
     for vec in basis.vectors:
         if vec[v] != 0:
             return vec
-    raise AssertionError("no kernel vector is non-zero at %d" % v)
+    raise TheoremViolationError(
+        "no kernel vector is non-zero at core vertex %d" % v,
+        report=replay | {"vertex": v, "basis": basis.vectors},
+    )
+
+
+def _in_kernel(g: Graph, x: tuple) -> bool:
+    """Whether A(g) x = 0, row by row over the adjacency lists."""
+    return all(sum(x[w] for w in row) == 0 for row in g.adjacency)
 
 
 def verify_cv_ncv_theorem(
@@ -261,34 +285,34 @@ def verify_cv_ncv_theorem(
             "expected a CV-NCV candidate, got %s" % e.type_pair
         )
     report = apply_and_report(g, e, part)
-    after = classify_vertices(add_edge(g, e.u, e.w), report.kernel_after)
+    h = add_edge(g, e.u, e.w)
+    after = classify_vertices(h, report.kernel_after)
     if not _labelling_preserved(part, after):
         return CvNcvReport(report, False, None, None)
 
+    replay = _replay(report, g)
     if not report.preserved["nullity"]:
         raise TheoremViolationError(
             "labelling-preserving CV-NCV addition (%d, %d) changed the "
             "nullity from %d to %d"
             % (e.u, e.w, report.eta_before, report.eta_after),
-            report=report.to_json() | {"edges": list(g.edges())},
+            report=replay,
         )
 
     cv_end = e.u if e.u in part.cv_set else e.w
-    a_before = adjacency_matrix(g)
-    a_after = adjacency_matrix(add_edge(g, e.u, e.w))
-    x = _kernel_vector_hitting(report.kernel_before, cv_end)
-    y = _kernel_vector_hitting(report.kernel_after, cv_end)
+    x = _kernel_vector_hitting(report.kernel_before, cv_end, replay)
+    y = _kernel_vector_hitting(report.kernel_after, cv_end, replay)
     # The new row at the non-core end picks up the core entry, so each
     # witness must leave the other graph's kernel.
-    if mat_vec(a_after, RatVector(x)).is_zero():
+    if _in_kernel(h, x):
         raise TheoremViolationError(
             "old kernel vector unexpectedly survived the addition",
-            report=report.to_json() | {"edges": list(g.edges())},
+            report=replay | {"x_witness": x},
         )
-    if mat_vec(a_before, RatVector(y)).is_zero():
+    if _in_kernel(g, y):
         raise TheoremViolationError(
             "new kernel vector unexpectedly lies in the old kernel",
-            report=report.to_json() | {"edges": list(g.edges())},
+            report=replay | {"y_witness": y},
         )
     return CvNcvReport(report, True, x, y)
 
@@ -345,9 +369,22 @@ def greedy_densify(g: Graph, preserve: str):
         now_basis = nullspace_basis(adjacency_matrix(current))
         now = classify_vertices(current, now_basis)
         if preserve == "nullity":
-            assert now.nullity == base.nullity
+            before, after = base.nullity, now.nullity
         elif preserve == "cv_set":
-            assert now.cv_set == base.cv_set
+            before, after = base.cv_set, now.cv_set
         else:
-            assert now_basis.vectors == basis0.vectors
+            before, after = basis0.vectors, now_basis.vectors
+        if before != after:
+            raise TheoremViolationError(
+                "densification step (%d, %d) lost the %s property"
+                % (first.u, first.w, preserve),
+                report={
+                    "edges": list(g.edges()),
+                    "n": g.n,
+                    "preserve": preserve,
+                    "added": added,
+                    "before": before,
+                    "after": after,
+                },
+            )
     return current, tuple(added)

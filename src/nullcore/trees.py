@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .analysis import classify_vertices, nullity
+from .analysis import classify_vertices, core_labelling, nullity
 from .errors import PreconditionError
 from .graphs import (
     Graph,
@@ -24,7 +24,7 @@ from .graphs import (
     is_tree,
     subdivision,
 )
-from .linalg import IntMatrix, char_poly, rank
+from .linalg import char_poly, rank
 from . import minimal
 
 
@@ -204,14 +204,8 @@ def is_mc_tree(g: Graph) -> McTreeReport:
     ncv_count = len(part.ncv_set)
     q_full = None
     if part.nullity > 0:
-        q = IntMatrix(
-            [
-                [1 if g.has_edge(u, w) else 0 for w in part.ncv_set]
-                for u in part.cv_set
-            ],
-            cols=ncv_count,
-        )
-        q_full = rank(q) == ncv_count
+        # tree core vertices are independent, so the labelling exists
+        q_full = rank(core_labelling(g, part).cv_to_ncv) == ncv_count
     return McTreeReport(
         is_mc=mc.is_mc and inv is not None,
         by_definition=mc.is_mc,

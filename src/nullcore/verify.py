@@ -2,14 +2,10 @@
 
 Each suite draws reproducible random graphs, evaluates every guarantee
 that applies, and tallies exact pass/fail counts, keeping failing
-graphs for replay.  Trials may run on a thread pool sized by the
-NULLCORE_THREADS environment variable; per-trial seeds are fixed up
-front and results merge in trial order, so equal inputs and seeds give
-identical summaries at any thread count.
+graphs for replay.  Per-trial seeds are fixed up front, so equal inputs
+and seeds give identical summaries.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .analysis import (
@@ -260,14 +256,6 @@ def _run_trial(suite: str, index: int, seed: int, max_n: int) -> list:
     return _trial_perturbations(seed, max_n, index)
 
 
-def thread_count() -> int:
-    raw = os.environ.get("NULLCORE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_suite(config: VerifySuiteConfig) -> SuiteResult:
     suites = SUITES if config.suite == "all" else (config.suite,)
     master = SplitMix64(config.seed)
@@ -281,12 +269,7 @@ def run_suite(config: VerifySuiteConfig) -> SuiteResult:
         suite, index, seed = task
         return suite, _run_trial(suite, index, seed, config.max_n)
 
-    workers = thread_count()
-    if workers == 1:
-        produced = map(run_one, tasks)
-    else:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        produced = pool.map(run_one, tasks)
+    produced = map(run_one, tasks)
 
     tallies = {}
     counterexamples = []
@@ -297,6 +280,4 @@ def run_suite(config: VerifySuiteConfig) -> SuiteResult:
             cell[0 if ok else 1] += 1
             if not ok and len(counterexamples) < _COUNTEREXAMPLE_CAP:
                 counterexamples.append((key, graph))
-    if workers != 1:
-        pool.shutdown()
     return SuiteResult(config, tallies, tuple(counterexamples))

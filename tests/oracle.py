@@ -2,7 +2,8 @@
 
 Everything here works on plain (n, edges) data with stdlib imports only.
 The algorithms deliberately differ from the package's: row-swap Gaussian
-elimination over Fraction instead of fraction-free echelon, evaluation
+elimination over Fraction (and the kernel read off its reduced form)
+instead of fraction-free echelon and back-substitution, evaluation
 plus Lagrange interpolation instead of a trace recurrence for the
 characteristic polynomial, and exhaustive search instead of greedy
 reductions for matchings.
@@ -10,6 +11,7 @@ reductions for matchings.
 
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 
 def adjacency_rows(n, edges):
@@ -20,11 +22,17 @@ def adjacency_rows(n, edges):
     return rows
 
 
-def gauss_eliminate(rows):
-    """Returns (rank, swap_sign, pivot_product) of a copied matrix."""
+def rref(rows, n_cols=None):
+    """Reduced row echelon form over Fraction of a copied matrix.
+
+    Returns (reduced rows, pivot columns, swap_sign, pivot_product).
+    n_cols is needed only when rows is empty.
+    """
     m = [[Fraction(x) for x in row] for row in rows]
     n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
+    if n_cols is None:
+        n_cols = len(m[0]) if m else 0
+    pivots = []
     r = 0
     sign = 1
     pivot_product = Fraction(1)
@@ -42,8 +50,42 @@ def gauss_eliminate(rows):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
         r += 1
-    return r, sign, pivot_product
+    return m, pivots, sign, pivot_product
+
+
+def gauss_eliminate(rows):
+    """Returns (rank, swap_sign, pivot_product) of a copied matrix."""
+    _, pivots, sign, pivot_product = rref(rows)
+    return len(pivots), sign, pivot_product
+
+
+def kernel_basis(rows, n_cols=None):
+    """Nullspace basis in the package's canonical form.
+
+    One vector per free column of the RREF (that entry 1, the other
+    free entries 0, pivot entries read off the reduced rows), scaled to
+    a primitive integer vector whose first non-zero entry is positive.
+    """
+    if n_cols is None:
+        n_cols = len(rows[0]) if rows else 0
+    m, pivots, _, _ = rref(rows, n_cols)
+    out = []
+    for free in range(n_cols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * n_cols
+        vec[free] = Fraction(1)
+        for i, p in enumerate(pivots):
+            vec[p] = -m[i][free]
+        scale = lcm(*(x.denominator for x in vec))
+        ints = [int(x * scale) for x in vec]
+        g = gcd(*ints)
+        if next(x for x in ints if x != 0) < 0:
+            g = -g
+        out.append(tuple(x // g for x in ints))
+    return tuple(out)
 
 
 def gauss_rank(rows):

@@ -4,6 +4,7 @@ import pytest
 
 from nullcore.analysis import (
     VertexClass,
+    VertexPartition,
     analyze,
     classify_vertices,
     core_labelling,
@@ -33,7 +34,7 @@ from nullcore.graphs import (
     gen_random_tree,
     gen_star,
 )
-from nullcore.linalg import det, rank
+from nullcore.linalg import KernelBasis, det, rank
 from nullcore.rng import SplitMix64
 
 import oracle
@@ -148,6 +149,22 @@ def test_core_labelling_rejects_adjacent_cores():
         require_independent_cv(
             gen_cycle(4), classify_vertices(gen_cycle(4))
         )
+
+
+def test_wrong_inputs_trip_explicit_guards():
+    # An empty basis for P3 hides its core; deleting the middle vertex
+    # then raises the nullity by 2, which no correct basis allows.
+    with pytest.raises(TheoremViolationError, match="contradicts supports") as info:
+        classify_vertices(gen_path(3), KernelBasis(3, ()))
+    assert info.value.report["vertex"] == 1
+    assert info.value.report["nullity_after_deletion"] == 2
+    # A partition that puts the neighbour of a core vertex in the remote
+    # part leaves an edge in a zero block.
+    part = VertexPartition(1, (VertexClass.CV, VertexClass.CFV_MID), (0,),
+                           (), (1,), True)
+    with pytest.raises(TheoremViolationError, match="zero block") as info:
+        core_labelling(gen_path(2), part)
+    assert info.value.report["edges"] == ((0, 1),)
 
 
 def test_block_identities_on_singular_trees():

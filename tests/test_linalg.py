@@ -1,17 +1,16 @@
 """Exact linear algebra against an independent Fraction-based oracle."""
 
-from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nullcore.linalg import (
     CharPoly,
     IntMatrix,
-    RatVector,
     char_poly,
     det,
     is_nonsingular,
-    mat_vec,
     nullspace_basis,
     rank,
 )
@@ -113,13 +112,11 @@ def test_nullspace_vectors_are_exact_kernel_members():
         basis = nullspace_basis(m)
         assert basis.dimension == n - oracle.gauss_rank(m.to_lists())
         for vec in basis.vectors:
-            assert mat_vec(m, RatVector(vec)).is_zero()
+            assert all(
+                sum(a * x for a, x in zip(row, vec)) == 0 for row in m.data
+            )
             # primitive and sign-normalized
-            from math import gcd
-            g = 0
-            for x in vec:
-                g = gcd(g, abs(x))
-            assert g == 1
+            assert gcd(*vec) == 1
             first = next(x for x in vec if x != 0)
             assert first > 0
         if basis.dimension > 1:
@@ -138,6 +135,52 @@ def test_nullspace_spans_every_small_kernel_vector():
         basis = [list(v) for v in nullspace_basis(m).vectors]
         for vec in oracle.kernel_members_box(m.to_lists(), 2):
             assert oracle.in_span(basis, list(vec))
+
+
+@st.composite
+def int_matrices(draw):
+    """(rows, cols) of an integer matrix, either dimension possibly 0."""
+    n_rows = draw(st.integers(0, 7))
+    n_cols = draw(st.integers(0, 7))
+    row = st.lists(st.integers(-3, 3), min_size=n_cols, max_size=n_cols)
+    rows = draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    return rows, n_cols
+
+
+@st.composite
+def planted_twin_adjacency(draw):
+    """Adjacency rows of a random graph in which one vertex copies the
+    neighbourhood of another, so the pair spans a kernel vector."""
+    n = draw(st.integers(2, 14))
+    pairs = [(u, w) for u in range(n - 1) for w in range(u + 1, n - 1)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    edges = [pair for pair, kept in zip(pairs, keep) if kept]
+    source = draw(st.integers(0, n - 2))
+    edges += [(w if u == source else u, n - 1)
+              for u, w in edges if source in (u, w)]
+    order = draw(st.permutations(range(n)))
+    return oracle.adjacency_rows(n, [(order[u], order[w]) for u, w in edges])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(int_matrices())
+@example(([], 0))
+@example(([], 4))
+@example(([[], [], []], 0))
+def test_nullspace_matches_oracle_kernel_basis(case):
+    rows, n_cols = case
+    basis = nullspace_basis(IntMatrix(rows, cols=n_cols))
+    assert basis.ambient == n_cols
+    assert basis.vectors == oracle.kernel_basis(rows, n_cols)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(planted_twin_adjacency())
+def test_nullspace_matches_oracle_on_planted_twins(rows):
+    basis = nullspace_basis(IntMatrix(rows))
+    assert basis.dimension >= 1
+    assert basis.vectors == oracle.kernel_basis(rows)
 
 
 def test_nullspace_determinism():
@@ -176,14 +219,6 @@ def test_char_poly_constant_term_is_det_sign():
         m = random_int_matrix(rng, n, n, bound=2)
         cp = char_poly(m)
         assert cp.constant_term() == (-1) ** n * det(m)
-
-
-def test_mat_vec_exact():
-    m = IntMatrix([[1, 2], [3, 4]])
-    out = mat_vec(m, RatVector((Fraction(1, 2), Fraction(-1, 2))))
-    assert out.entries == (Fraction(-1, 2), Fraction(-1, 2))
-    assert not out.is_zero()
-    assert RatVector((0, 0)).is_zero()
 
 
 def test_charpoly_trailing_zeros_count_nullity_for_adjacency():

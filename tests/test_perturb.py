@@ -21,7 +21,9 @@ from nullcore.perturb import (
     safe_additions,
     verify_cv_ncv_theorem,
 )
+from nullcore.linalg import KernelBasis
 from nullcore.rng import SplitMix64
+import nullcore.perturb
 
 import oracle
 
@@ -264,3 +266,44 @@ def test_densify_sequences_are_deterministic():
     a = greedy_densify(gen_path(7), "cv_set")
     b = greedy_densify(gen_path(7), "cv_set")
     assert a == b
+
+
+# The guards below raise TheoremViolationError rather than assert, so
+# they hold under python -O; these tests use pytest.raises, not assert,
+# for the verdict and therefore keep checking under -O as well.
+
+
+def _unit_basis(m):
+    """A wrong kernel: every coordinate vector, so every vertex is core."""
+    return KernelBasis(
+        m.cols,
+        tuple(tuple(int(i == j) for j in range(m.cols)) for i in range(m.cols)),
+    )
+
+
+def test_build_report_guards_raise_theorem_violation(monkeypatch):
+    monkeypatch.setattr(nullcore.perturb, "nullspace_basis", _unit_basis)
+    # P4 is non-singular, so the fake nullity 4 is a jump of 4.
+    with pytest.raises(TheoremViolationError, match="moved the nullity") as info:
+        remove_and_report(gen_path(4), 0, 1)
+    assert info.value.report["n"] == 4
+    assert info.value.report["edges"] == [(0, 1), (1, 2), (2, 3)]
+    assert info.value.report["eta"] == [0, 4]
+    # P3 has nullity 1 and cores {0, 2}; the fake basis is the same on
+    # both sides but claims nullity 3 and every vertex as core.
+    with pytest.raises(TheoremViolationError, match="kept the kernel basis"):
+        apply_and_report(gen_path(3), EdgeCandidate(0, 2, "CV-CV"))
+
+
+def test_greedy_densify_guards_raise_theorem_violation(monkeypatch):
+    # Offer every non-edge as safe: on two isolated vertices the only
+    # addition drops the nullity from 2 to 0 and empties the core.
+    monkeypatch.setattr(
+        nullcore.perturb, "safe_additions",
+        lambda g, preserve: candidate_edges(g),
+    )
+    for preserve in ("nullity", "cv_set", "nullspace"):
+        with pytest.raises(TheoremViolationError, match=preserve) as info:
+            greedy_densify(Graph(2, []), preserve)
+        assert info.value.report["added"] == [(0, 1)]
+        assert info.value.report["edges"] == []

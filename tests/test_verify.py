@@ -1,4 +1,4 @@
-"""Randomized suite harness: determinism, tallies, thread behaviour."""
+"""Randomized suite harness: determinism and tallies."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from nullcore.verify import (
     SuiteResult,
     VerifySuiteConfig,
     run_suite,
-    thread_count,
 )
 
 
@@ -50,19 +49,6 @@ def test_different_seeds_differ():
     a = run_suite(VerifySuiteConfig("trees", 10, 25, 1)).tallies
     b = run_suite(VerifySuiteConfig("trees", 10, 25, 2)).tallies
     assert a != b  # singular-tree counts almost surely differ
-
-
-def test_thread_pool_keeps_results_identical(monkeypatch):
-    cfg = VerifySuiteConfig("perturbations", 7, 10, 31)
-    monkeypatch.delenv("NULLCORE_THREADS", raising=False)
-    serial = run_suite(cfg)
-    assert thread_count() == 1
-    monkeypatch.setenv("NULLCORE_THREADS", "4")
-    assert thread_count() == 4
-    threaded = run_suite(cfg)
-    assert serial.tallies == threaded.tallies
-    monkeypatch.setenv("NULLCORE_THREADS", "junk")
-    assert thread_count() == 1
 
 
 def test_suite_result_flags_failures():
