@@ -17,7 +17,7 @@ and verify the exact identities that the block shape forces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -40,6 +40,7 @@ from .linalg import (
     det,
     nullspace_basis,
     rank,
+    symmetric_kernel,
 )
 
 
@@ -54,7 +55,9 @@ class VertexPartition:
     """Per-vertex classification plus the derived three-part split.
 
     ncv_set holds the core-forbidden vertices with a core neighbour;
-    cfvr_set holds the rest of the core-forbidden vertices.
+    cfvr_set holds the rest of the core-forbidden vertices.  kernel is
+    the basis the classes were read from (None for a partition built by
+    hand); it does not take part in equality.
     """
 
     nullity: int
@@ -63,6 +66,7 @@ class VertexPartition:
     ncv_set: tuple
     cfvr_set: tuple
     independent_cv: bool
+    kernel: Optional[KernelBasis] = field(default=None, compare=False)
 
     def part_tag(self, v: int) -> str:
         """DOT/report tag.  With independent core vertices the three-part
@@ -154,9 +158,17 @@ def nullity(g: Graph) -> int:
 
 def classify_vertices(g: Graph, basis: Optional[KernelBasis] = None) -> VertexPartition:
     """Core vertices from the kernel-basis supports; the rest split by the
-    nullity of the one-vertex-deleted subgraph."""
+    nullity of the one-vertex-deleted subgraph.
+
+    One elimination of [A | I] gives every deleted nullity: it is
+    eta - 1 at a core vertex and, elsewhere, eta + 1 when the solutions
+    of A y = e_v have y_v = 0 and eta otherwise.  A given basis is
+    checked against those nullities instead of trusted.
+    """
+    sym = symmetric_kernel(adjacency_matrix(g))
     if basis is None:
-        basis = nullspace_basis(adjacency_matrix(g))
+        basis = sym.basis
+    true_eta = sym.basis.dimension
     eta = basis.dimension
     cv = set(basis.supports())
     class_of = [None] * g.n
@@ -164,7 +176,11 @@ def classify_vertices(g: Graph, basis: Optional[KernelBasis] = None) -> VertexPa
         if v in cv:
             class_of[v] = VertexClass.CV
             continue
-        eta_minus = nullity(delete_vertex(g, v)[0])
+        y_vanishes = sym.y_vanishes[v]
+        if y_vanishes is None:
+            eta_minus = true_eta - 1
+        else:
+            eta_minus = true_eta + 1 if y_vanishes else true_eta
         if eta_minus == eta:
             class_of[v] = VertexClass.CFV_MID
         elif eta_minus == eta + 1:
@@ -179,7 +195,7 @@ def classify_vertices(g: Graph, basis: Optional[KernelBasis] = None) -> VertexPa
                     "n": g.n,
                     "vertex": v,
                     "nullity": eta,
-                    "nullity_after_deletion": eta_minus,
+                    "nullity_after_deletion": nullity(delete_vertex(g, v)[0]),
                     "basis": basis.vectors,
                 },
             )
@@ -204,6 +220,7 @@ def classify_vertices(g: Graph, basis: Optional[KernelBasis] = None) -> VertexPa
         ncv_set=ncv,
         cfvr_set=cfvr,
         independent_cv=independent,
+        kernel=basis,
     )
 
 
@@ -474,8 +491,7 @@ def unicyclic_analysis(g: Graph) -> UnicyclicReport:
 def analyze(g: Graph) -> AnalysisReport:
     """Full report: kernel, partition, labelling when admissible, and every
     theorem check that applies to this graph."""
-    basis = nullspace_basis(adjacency_matrix(g))
-    part = classify_vertices(g, basis)
+    part = classify_vertices(g)
     checks = [no_single_core_neighbour_check(g, part)]
     labelling = None
     if part.independent_cv:
@@ -485,7 +501,7 @@ def analyze(g: Graph) -> AnalysisReport:
     return AnalysisReport(
         graph=g,
         partition=part,
-        kernel=basis,
+        kernel=part.kernel,
         labelling=labelling,
         checks=tuple(checks),
     )

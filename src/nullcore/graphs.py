@@ -22,6 +22,10 @@ from .errors import (
 from .linalg import IntMatrix
 from .rng import SplitMix64
 
+# Largest vertex count parse_edge_list accepts.  The header alone sizes
+# the adjacency lists, so a larger n is rejected before any allocation.
+MAX_VERTICES = 100_000
+
 
 class Graph:
     """Simple undirected graph: no loops, no multiple edges.
@@ -146,7 +150,8 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the "n m" edge-list format; '#' lines are comments.
 
     Raises a distinct error (with the offending line number) for a malformed
-    header, an out-of-range vertex, a self-loop, or a duplicate edge.
+    header, an out-of-range vertex, a self-loop, or a duplicate edge.  A
+    header n above MAX_VERTICES counts as malformed.
     """
     meaningful = []
     for idx, raw in enumerate(text.splitlines(), start=1):
@@ -166,6 +171,10 @@ def parse_edge_list(text: str) -> Graph:
         raise MalformedHeaderError(head_no, f"expected 'n m', got {head!r}")
     if n < 0 or m < 0:
         raise MalformedHeaderError(head_no, "counts must be non-negative")
+    if n > MAX_VERTICES:
+        raise MalformedHeaderError(
+            head_no, f"vertex count {n} exceeds the limit {MAX_VERTICES}"
+        )
     body = meaningful[1:]
     if len(body) != m:
         where = body[m][0] if len(body) > m else head_no

@@ -4,7 +4,10 @@ Everything here is arbitrary-precision and tolerance-free.  One
 fraction-free (Bareiss) elimination on Python ints serves rank,
 determinant and nullspace: the nullspace basis is read off the echelon
 rows by exact integer back-substitution and returned in a canonical
-integer form.  The characteristic polynomial uses the Faddeev-LeVerrier
+integer form.  For a symmetric matrix, a fraction-free Gauss-Jordan
+elimination of [A | I] gives the same basis and, in the same pass, which
+systems A y = e_v are solvable and whether their y_v vanishes.  The
+characteristic polynomial uses the Faddeev-LeVerrier
 recurrence (whose divisions are exact for integer matrices).
 """
 
@@ -170,6 +173,58 @@ def _echelon_int(rows_data: list[list[int]], n_rows: int, n_cols: int):
     return rank, sign, prev
 
 
+def _gauss_jordan_int(
+    rows_data: list[list[int]], n_rows: int, n_pivot_cols: int
+):
+    """In-place fraction-free reduced echelon; returns (pivots, last_pivot).
+
+    Pivots are sought in the first n_pivot_cols columns only, so an
+    augmented block to their right is carried along.  Bareiss one-step
+    division is applied to every row, above and below the pivot, so every
+    entry stays an integer (a minor of the input) and at the end every
+    pivot entry equals the last pivot.  pivots[i] is the pivot column of
+    row i; rows from len(pivots) on are zero in the pivot columns.
+    """
+    pivots = []
+    prev = 1
+    for col in range(n_pivot_cols):
+        rank = len(pivots)
+        pivot_row = None
+        for i in range(rank, n_rows):
+            if rows_data[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows_data[rank], rows_data[pivot_row] = (
+            rows_data[pivot_row],
+            rows_data[rank],
+        )
+        row_r = rows_data[rank]
+        piv = row_r[col]
+        if piv == prev:
+            # every other row only moves where the pivot row is non-zero
+            support = [j for j in range(col, len(row_r)) if row_r[j] != 0]
+        for i in range(n_rows):
+            row_i = rows_data[i]
+            factor = row_i[col]
+            if i == rank or (factor == 0 and piv == prev):
+                continue
+            if factor == 0:
+                rows_data[i] = [piv * a // prev for a in row_i]
+            elif piv == prev:
+                for j in support:
+                    row_i[j] -= factor * row_r[j] // prev
+            else:
+                rows_data[i] = [
+                    (piv * a - factor * b) // prev
+                    for a, b in zip(row_i, row_r)
+                ]
+        pivots.append(col)
+        prev = piv
+    return pivots, prev
+
+
 def rank(m: IntMatrix) -> int:
     """Exact rank over the rationals."""
     data = [list(r) for r in m.data]
@@ -231,6 +286,64 @@ def nullspace_basis(m: IntMatrix) -> KernelBasis:
             vec = [-x for x in vec]
         vectors.append(tuple(vec))
     return KernelBasis(ambient=m.cols, vectors=tuple(vectors))
+
+
+@dataclass(frozen=True)
+class SymmetricKernel:
+    """What one elimination of [A | I] tells about a symmetric matrix A.
+
+    basis is the canonical kernel basis, identical to nullspace_basis(A).
+    y_vanishes[v] is None when A y = e_v has no solution (some kernel
+    vector is non-zero at v); otherwise y_v is the same for every
+    solution, and the entry says whether it is zero.
+    """
+
+    basis: KernelBasis
+    y_vanishes: tuple
+
+
+def symmetric_kernel(m: IntMatrix) -> SymmetricKernel:
+    """Kernel basis and the A y = e_v diagonal test from one elimination.
+
+    Fraction-free Gauss-Jordan on [A | I] leaves [R | T] with T A = R, R
+    in reduced echelon form and every pivot equal to d.  For a free
+    column f the kernel vector has d at f and -R[i][f] at the pivot of
+    row i.  The rows below the rank of T span the left kernel, which is
+    the kernel because A is symmetric, so A y = e_v is solvable exactly
+    when they all vanish at column v; then v is a pivot column, and the
+    solution with zero free entries has d * y_v = T[i][v] for v's pivot
+    row i.
+    """
+    if not m.is_symmetric():
+        raise ValueError("symmetric_kernel requires a symmetric matrix")
+    n = m.rows
+    data = [list(row) + [0] * n for row in m.data]
+    for i in range(n):
+        data[i][n + i] = 1
+    pivots, d = _gauss_jordan_int(data, n, n)
+    r = len(pivots)
+    pivot_set = set(pivots)
+    vectors = []
+    for free in range(n):
+        if free in pivot_set:
+            continue
+        vec = [0] * n
+        vec[free] = d
+        for i, p in enumerate(pivots):
+            vec[p] = -data[i][free]
+        g = gcd(*vec)
+        if next(x for x in vec if x != 0) < 0:
+            g = -g
+        vectors.append(tuple(x // g for x in vec))
+    row_of = {p: i for i, p in enumerate(pivots)}
+    y_vanishes = tuple(
+        None
+        if any(data[i][n + v] != 0 for i in range(r, n))
+        else data[row_of[v]][n + v] == 0
+        for v in range(n)
+    )
+    basis = KernelBasis(ambient=n, vectors=tuple(vectors))
+    return SymmetricKernel(basis, y_vanishes)
 
 
 def char_poly(m: IntMatrix) -> CharPoly:

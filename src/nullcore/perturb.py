@@ -15,8 +15,8 @@ from .analysis import (
     require_independent_cv,
 )
 from .errors import PreconditionError, TheoremViolationError
-from .graphs import Graph, add_edge, delete_edge, adjacency_matrix
-from .linalg import KernelBasis, nullspace_basis
+from .graphs import Graph, add_edge, delete_edge
+from .linalg import KernelBasis
 
 # Tag components in display order; joining order below never changes.
 _PART_ORDER = {"CV": 0, "NCV": 1, "CFVR": 2}
@@ -116,6 +116,14 @@ def _labelling_preserved(
     )
 
 
+def _kernel_of(g: Graph, part: VertexPartition) -> KernelBasis:
+    """The kernel the partition was read from; a partition built by hand
+    carries none, so g is classified for it."""
+    if part.kernel is not None:
+        return part.kernel
+    return classify_vertices(g).kernel
+
+
 def _replay(report: PerturbationReport, g: Graph, **extra) -> dict:
     """TheoremViolationError payload: the report plus the base graph."""
     return report.to_json() | {"edges": list(g.edges()), "n": g.n} | extra
@@ -127,10 +135,10 @@ def _build_report(
     edge: EdgeCandidate,
     operation: str,
     part_before: VertexPartition,
-    basis_before: KernelBasis,
 ) -> PerturbationReport:
-    basis_after = nullspace_basis(adjacency_matrix(h))
-    part_after = classify_vertices(h, basis_after)
+    part_after = classify_vertices(h)
+    basis_before = _kernel_of(g, part_before)
+    basis_after = part_after.kernel
     preserved = {
         "nullity": part_before.nullity == part_after.nullity,
         "cv_set": part_before.cv_set == part_after.cv_set,
@@ -197,8 +205,7 @@ def apply_and_report(
             "candidate (%d, %d) tagged %s but the partition says %s"
             % (e.u, e.w, e.type_pair, expected)
         )
-    basis = nullspace_basis(adjacency_matrix(g))
-    report = _build_report(g, add_edge(g, e.u, e.w), e, "add", part, basis)
+    report = _build_report(g, add_edge(g, e.u, e.w), e, "add", part)
 
     if part.independent_cv and e.type_pair in CFV_FAMILY:
         flags = report.preserved
@@ -231,8 +238,7 @@ def remove_and_report(g: Graph, u: int, w: int) -> PerturbationReport:
     h = delete_edge(g, u, w)
     a, b = (u, w) if u < w else (w, u)
     edge = EdgeCandidate(a, b, _type_pair(a, b, part))
-    basis = nullspace_basis(adjacency_matrix(g))
-    return _build_report(g, h, edge, "remove", part, basis)
+    return _build_report(g, h, edge, "remove", part)
 
 
 @dataclass(frozen=True)
@@ -285,9 +291,7 @@ def verify_cv_ncv_theorem(
             "expected a CV-NCV candidate, got %s" % e.type_pair
         )
     report = apply_and_report(g, e, part)
-    h = add_edge(g, e.u, e.w)
-    after = classify_vertices(h, report.kernel_after)
-    if not _labelling_preserved(part, after):
+    if not report.preserved["core_labelling"]:
         return CvNcvReport(report, False, None, None)
 
     replay = _replay(report, g)
@@ -304,7 +308,7 @@ def verify_cv_ncv_theorem(
     y = _kernel_vector_hitting(report.kernel_after, cv_end, replay)
     # The new row at the non-core end picks up the core entry, so each
     # witness must leave the other graph's kernel.
-    if _in_kernel(h, x):
+    if _in_kernel(add_edge(g, e.u, e.w), x):
         raise TheoremViolationError(
             "old kernel vector unexpectedly survived the addition",
             report=replay | {"x_witness": x},
@@ -353,7 +357,6 @@ def greedy_densify(g: Graph, preserve: str):
     maximum-cardinality optimum.
     """
     base = classify_vertices(g)
-    basis0 = nullspace_basis(adjacency_matrix(g))
     current = g
     added = []
     while True:
@@ -366,14 +369,13 @@ def greedy_densify(g: Graph, preserve: str):
         # Per-step flags compare equalities, so preservation against
         # the previous graph chains back to the original; verify that
         # directly anyway.
-        now_basis = nullspace_basis(adjacency_matrix(current))
-        now = classify_vertices(current, now_basis)
+        now = classify_vertices(current)
         if preserve == "nullity":
             before, after = base.nullity, now.nullity
         elif preserve == "cv_set":
             before, after = base.cv_set, now.cv_set
         else:
-            before, after = basis0.vectors, now_basis.vectors
+            before, after = base.kernel.vectors, now.kernel.vectors
         if before != after:
             raise TheoremViolationError(
                 "densification step (%d, %d) lost the %s property"

@@ -45,8 +45,6 @@ from .trees import (
     tree_nullity_identity,
 )
 
-SUITES = ("trees", "bipartite", "subdivisions", "perturbations", "unicyclic")
-
 _COUNTEREXAMPLE_CAP = 100
 
 
@@ -88,7 +86,7 @@ def _size(rng: SplitMix64, lo: int, max_n: int) -> int:
     return lo + rng.below(max_n - lo + 1)
 
 
-def _trial_trees(seed: int, max_n: int) -> list:
+def _trial_trees(seed: int, max_n: int, index: int) -> list:
     if max_n < 2:
         return []
     rng = SplitMix64(seed)
@@ -142,7 +140,7 @@ def _trial_trees(seed: int, max_n: int) -> list:
     return out
 
 
-def _trial_bipartite(seed: int, max_n: int) -> list:
+def _trial_bipartite(seed: int, max_n: int, index: int) -> list:
     if max_n < 2:
         return []
     rng = SplitMix64(seed)
@@ -159,7 +157,7 @@ def _trial_bipartite(seed: int, max_n: int) -> list:
     return out
 
 
-def _trial_subdivisions(seed: int, max_n: int) -> list:
+def _trial_subdivisions(seed: int, max_n: int, index: int) -> list:
     rng = SplitMix64(seed)
     t = gen_random_tree(_size(rng, 1, max_n), rng.next_u64())
     s, _ = subdivision(t)
@@ -191,7 +189,7 @@ def _trial_subdivisions(seed: int, max_n: int) -> list:
     return out
 
 
-def _trial_unicyclic(seed: int, max_n: int) -> list:
+def _trial_unicyclic(seed: int, max_n: int, index: int) -> list:
     if max_n < 3:
         return []
     rng = SplitMix64(seed)
@@ -244,16 +242,17 @@ def _trial_perturbations(seed: int, max_n: int, index: int) -> list:
     return out
 
 
-def _run_trial(suite: str, index: int, seed: int, max_n: int) -> list:
-    if suite == "trees":
-        return _trial_trees(seed, max_n)
-    if suite == "bipartite":
-        return _trial_bipartite(seed, max_n)
-    if suite == "subdivisions":
-        return _trial_subdivisions(seed, max_n)
-    if suite == "unicyclic":
-        return _trial_unicyclic(seed, max_n)
-    return _trial_perturbations(seed, max_n, index)
+# Suite name -> trial(seed, max_n, index), in the order "all" runs them.
+# index is the trial's position within its suite; only the perturbation
+# suite uses it, to alternate trees and general graphs.
+_TRIALS = {
+    "trees": _trial_trees,
+    "bipartite": _trial_bipartite,
+    "subdivisions": _trial_subdivisions,
+    "perturbations": _trial_perturbations,
+    "unicyclic": _trial_unicyclic,
+}
+SUITES = tuple(_TRIALS)
 
 
 def run_suite(config: VerifySuiteConfig) -> SuiteResult:
@@ -267,7 +266,7 @@ def run_suite(config: VerifySuiteConfig) -> SuiteResult:
 
     def run_one(task):
         suite, index, seed = task
-        return suite, _run_trial(suite, index, seed, config.max_n)
+        return suite, _TRIALS[suite](seed, config.max_n, index)
 
     produced = map(run_one, tasks)
 

@@ -88,6 +88,21 @@ def kernel_basis(rows, n_cols=None):
     return tuple(out)
 
 
+def unit_solution_entry(rows, v):
+    """y_v for a solution of rows @ y = e_v, or None when there is none.
+
+    The solution read off the RREF of [rows | e_v] sets every free entry
+    to 0; y_v is that solution's entry at v (for a symmetric matrix every
+    solution has the same y_v).
+    """
+    n = len(rows)
+    augmented = [list(row) + [int(i == v)] for i, row in enumerate(rows)]
+    m, pivots, _, _ = rref(augmented, n + 1)
+    if n in pivots:
+        return None
+    return next((m[i][n] for i, p in enumerate(pivots) if p == v), Fraction(0))
+
+
 def gauss_rank(rows):
     return gauss_eliminate(rows)[0] if rows else 0
 

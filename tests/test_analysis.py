@@ -1,6 +1,7 @@
 """Vertex classification, core labelling, block identities, reductions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nullcore.analysis import (
     VertexClass,
@@ -116,6 +117,57 @@ def test_core_support_equals_core_deletion():
         n = 2 + rng.below(6)
         g = gen_random_graph(n, 1, 2, rng.next_u64())
         assert classify_vertices(g).cv_set == cv_by_deletion(g)
+
+
+@st.composite
+def drawn_graphs(draw):
+    """A tree, a planted-twin graph or a G(n, p) graph on at most 14
+    vertices, relabelled by a random permutation."""
+    kind = draw(st.sampled_from(("tree", "twin", "gnp")))
+    n = draw(st.integers(1 if kind != "twin" else 2, 14))
+    if kind == "tree":
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    else:
+        size = n - 1 if kind == "twin" else n
+        pairs = [(u, w) for u in range(size) for w in range(u + 1, size)]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                             max_size=len(pairs)))
+        edges = [pair for pair, kept in zip(pairs, keep) if kept]
+        if kind == "twin":
+            # vertex n - 1 copies the neighbourhood of source
+            source = draw(st.integers(0, n - 2))
+            edges += [(w if u == source else u, n - 1)
+                      for u, w in edges if source in (u, w)]
+    order = draw(st.permutations(range(n)))
+    return Graph(n, [(order[u], order[w]) for u, w in edges])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(drawn_graphs())
+def test_one_elimination_classes_match_deletion_routes(g):
+    part = classify_vertices(g)
+    assert part.class_tags() == oracle.vertex_classes(g.n, list(g.edges()))
+    assert part.cv_set == cv_by_deletion(g)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(drawn_graphs())
+def test_shared_kernel_matches_oracle(g):
+    expected = oracle.kernel_basis(oracle.adjacency_rows(g.n, g.edges()), g.n)
+    assert classify_vertices(g).kernel.vectors == expected
+    assert analyze(g).kernel.vectors == expected
+
+
+def test_forged_basis_trips_solvability_guard():
+    # The right dimension but the wrong support: no y solves A y = e_0 on
+    # P3, so vertex 0 is core whatever the basis claims.  The guard
+    # raises rather than asserts, so it also holds under python -O.
+    forged = KernelBasis(3, ((0, 1, 0),))
+    with pytest.raises(TheoremViolationError, match="contradicts supports") as info:
+        classify_vertices(gen_path(3), forged)
+    assert info.value.report["vertex"] == 0
+    assert info.value.report["nullity"] == 1
+    assert info.value.report["nullity_after_deletion"] == 0
 
 
 def test_core_labelling_block_shape():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import nullcore.graphs
 from nullcore.cli import main
 from nullcore.graphs import Graph, parse_edge_list
 from nullcore.verify import SuiteResult, VerifySuiteConfig
@@ -60,6 +61,15 @@ def test_analyze_parse_error_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", str(bad))
     assert code == 2
     assert "line 1" in err
+
+
+def test_analyze_oversized_header_exit_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(nullcore.graphs, "MAX_VERTICES", 3)
+    big = tmp_path / "big.g"
+    big.write_text("4 0\n")
+    code, out, err = run_cli(capsys, "analyze", str(big))
+    assert (code, out) == (2, "")
+    assert "exceeds the limit 3" in err
 
 
 def test_analyze_missing_file_exit_2(capsys, tmp_path):

@@ -35,6 +35,7 @@ from nullcore.graphs import (
     to_dot,
 )
 from nullcore.rng import SplitMix64
+import nullcore.graphs
 
 import oracle
 
@@ -105,6 +106,15 @@ def test_parse_error_classes_and_line_numbers():
     for exc in (MalformedHeaderError, VertexRangeError, SelfLoopError,
                 DuplicateEdgeError):
         assert issubclass(exc, EdgeListParseError)
+
+
+def test_header_vertex_count_is_capped(monkeypatch):
+    # A small cap stands in for the real one; nothing large is allocated.
+    monkeypatch.setattr(nullcore.graphs, "MAX_VERTICES", 5)
+    assert parse_edge_list("5 1\n0 4\n").n == 5
+    with pytest.raises(MalformedHeaderError, match="exceeds the limit") as info:
+        parse_edge_list("# comment\n6 0\n")
+    assert info.value.line_no == 2
 
 
 def test_add_delete_edge():

@@ -13,6 +13,7 @@ from nullcore.linalg import (
     is_nonsingular,
     nullspace_basis,
     rank,
+    symmetric_kernel,
 )
 from nullcore.rng import SplitMix64
 
@@ -181,6 +182,42 @@ def test_nullspace_matches_oracle_on_planted_twins(rows):
     basis = nullspace_basis(IntMatrix(rows))
     assert basis.dimension >= 1
     assert basis.vectors == oracle.kernel_basis(rows)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Rows of a symmetric integer matrix, n from 0 to 7, entries -2..2."""
+    n = draw(st.integers(0, 7))
+    upper = draw(st.lists(st.integers(-2, 2), min_size=n * (n + 1) // 2,
+                          max_size=n * (n + 1) // 2))
+    rows = [[0] * n for _ in range(n)]
+    cells = iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(cells)
+    return rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(symmetric_matrices(), planted_twin_adjacency()))
+@example([])
+@example([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+def test_symmetric_kernel_matches_oracle(rows):
+    n = len(rows)
+    m = IntMatrix(rows, cols=n)
+    sym = symmetric_kernel(m)
+    assert sym.basis == nullspace_basis(m)
+    assert sym.basis.vectors == oracle.kernel_basis(rows, n)
+    for v in range(n):
+        y_v = oracle.unit_solution_entry(rows, v)
+        assert sym.y_vanishes[v] == (None if y_v is None else y_v == 0)
+
+
+def test_symmetric_kernel_requires_symmetric():
+    with pytest.raises(ValueError):
+        symmetric_kernel(IntMatrix([[0, 1], [0, 0]]))
+    with pytest.raises(ValueError):
+        symmetric_kernel(IntMatrix([[0, 1, 0]]))
 
 
 def test_nullspace_determinism():

@@ -1,5 +1,7 @@
 """Edge perturbation reports, guarantees, and greedy densification."""
 
+import dataclasses
+
 import pytest
 
 from nullcore.analysis import classify_vertices, nullity
@@ -23,6 +25,7 @@ from nullcore.perturb import (
 )
 from nullcore.linalg import KernelBasis
 from nullcore.rng import SplitMix64
+import nullcore.analysis
 import nullcore.perturb
 
 import oracle
@@ -206,6 +209,20 @@ def test_verify_cv_ncv_sweep_random_trees():
     assert met > 0 and unmet > 0
 
 
+def test_safe_additions_eliminates_once_per_graph(monkeypatch):
+    # The base partition carries its kernel, so screening eliminates the
+    # base graph once and each candidate graph once.
+    calls = []
+    real = nullcore.analysis.symmetric_kernel
+    monkeypatch.setattr(nullcore.analysis, "symmetric_kernel",
+                        lambda m: calls.append(m) or real(m))
+    screened = [c for c in candidate_edges(T9)
+                if c.type_pair not in ("CV-CV", "CV-CFVR")]
+    calls.clear()
+    safe_additions(T9, "nullspace")
+    assert len(calls) == len(screened) + 1
+
+
 def test_safe_additions_fixtures():
     assert safe_additions(gen_cycle(4), "nullity") == []
     assert safe_additions(Graph(1), "nullity") == []
@@ -273,26 +290,34 @@ def test_densify_sequences_are_deterministic():
 # for the verdict and therefore keep checking under -O as well.
 
 
-def _unit_basis(m):
+def _unit_basis(n):
     """A wrong kernel: every coordinate vector, so every vertex is core."""
     return KernelBasis(
-        m.cols,
-        tuple(tuple(int(i == j) for j in range(m.cols)) for i in range(m.cols)),
+        n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     )
 
 
 def test_build_report_guards_raise_theorem_violation(monkeypatch):
-    monkeypatch.setattr(nullcore.perturb, "nullspace_basis", _unit_basis)
+    p3, p4 = gen_path(3), gen_path(4)
+    true_parts = {g: classify_vertices(g) for g in (p3, p4)}
+    # The base graphs keep their true partition; every edited graph is
+    # classified from the wrong all-core kernel.
+    monkeypatch.setattr(
+        nullcore.perturb, "classify_vertices",
+        lambda g: true_parts.get(g) or classify_vertices(g, _unit_basis(g.n)),
+    )
     # P4 is non-singular, so the fake nullity 4 is a jump of 4.
     with pytest.raises(TheoremViolationError, match="moved the nullity") as info:
-        remove_and_report(gen_path(4), 0, 1)
+        remove_and_report(p4, 0, 1)
     assert info.value.report["n"] == 4
     assert info.value.report["edges"] == [(0, 1), (1, 2), (2, 3)]
     assert info.value.report["eta"] == [0, 4]
-    # P3 has nullity 1 and cores {0, 2}; the fake basis is the same on
-    # both sides but claims nullity 3 and every vertex as core.
+    # P3 has nullity 1 and cores {0, 2}; its partition is handed the fake
+    # kernel too, so the basis is the same on both sides but the after
+    # side claims nullity 3 and every vertex as core.
+    forged = dataclasses.replace(true_parts[p3], kernel=_unit_basis(3))
     with pytest.raises(TheoremViolationError, match="kept the kernel basis"):
-        apply_and_report(gen_path(3), EdgeCandidate(0, 2, "CV-CV"))
+        apply_and_report(p3, EdgeCandidate(0, 2, "CV-CV"), forged)
 
 
 def test_greedy_densify_guards_raise_theorem_violation(monkeypatch):
