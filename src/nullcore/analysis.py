@@ -208,18 +208,14 @@ def classify_vertices(g: Graph, basis: Optional[KernelBasis] = None) -> VertexPa
     cfvr = tuple(
         v for v in range(g.n) if v not in cv and v not in ncv_set
     )
-    independent = True
-    for u in cv:
-        if any(w in cv for w in g.adjacency[u]):
-            independent = False
-            break
+    cv_sorted = tuple(sorted(cv))
     return VertexPartition(
         nullity=eta,
         class_of=tuple(class_of),
-        cv_set=tuple(sorted(cv)),
+        cv_set=cv_sorted,
         ncv_set=ncv,
         cfvr_set=cfvr,
-        independent_cv=independent,
+        independent_cv=_first_adjacent_core_pair(g, cv_sorted) is None,
         kernel=basis,
     )
 
@@ -326,7 +322,7 @@ def _block_checks(part: VertexPartition, lab: CoreLabelling) -> list:
     cv_count = len(lab.cv)
     ncv_count = len(lab.ncv)
     rank_q = rank(q)
-    # kernel of Q' computed independently of the rank routine
+    # Q' is eliminated separately from Q, so eta_qt is not read off rank_q
     eta_qt = nullspace_basis(q.transpose()).dimension
     det_m = det(lab.remote_inner)
     full_column_rank = rank_q == ncv_count

@@ -281,17 +281,7 @@ def subdivision(g: Graph) -> tuple:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in g.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    return _component_count(g) <= 1
 
 
 def is_tree(g: Graph) -> bool:

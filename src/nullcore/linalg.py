@@ -1,19 +1,19 @@
 """Exact integer matrix kernel.
 
 Everything here is arbitrary-precision and tolerance-free.  One
-fraction-free (Bareiss) elimination on Python ints serves rank,
-determinant and nullspace: the nullspace basis is read off the echelon
-rows by exact integer back-substitution and returned in a canonical
-integer form.  For a symmetric matrix, a fraction-free Gauss-Jordan
-elimination of [A | I] gives the same basis and, in the same pass, which
-systems A y = e_v are solvable and whether their y_v vanishes.  The
-characteristic polynomial uses the Faddeev-LeVerrier
-recurrence (whose divisions are exact for integer matrices).
+fraction-free Gauss-Jordan elimination on Python ints (Bareiss one-step
+division, applied above and below each pivot) serves every routine:
+rank is the number of pivots, the determinant is the last pivot times
+the row-swap sign, and the canonical integer nullspace basis is read
+directly off the reduced rows.  For a symmetric matrix the same
+elimination of [A | I] also tells which systems A y = e_v are solvable
+and whether their y_v vanishes.  The characteristic polynomial uses the
+Faddeev-LeVerrier recurrence (whose divisions are exact for integer
+matrices).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 
@@ -136,17 +136,26 @@ class CharPoly:
         return self.coefficients[-1]
 
 
-def _echelon_int(rows_data: list[list[int]], n_rows: int, n_cols: int):
-    """In-place fraction-free row echelon; returns (rank, sign, last_pivot).
+def _gauss_jordan_int(
+    rows_data: list[list[int]], n_rows: int, n_pivot_cols: int
+):
+    """In-place fraction-free reduced echelon; returns (pivots, sign, d).
 
-    Pivot choice is the first row with a non-zero entry in the current
-    column; Bareiss one-step division keeps every intermediate entry an
-    integer (a minor of the input).
+    Pivots are sought in the first n_pivot_cols columns only, so an
+    augmented block to their right is carried along.  The pivot is the
+    first row at or below the rank with a non-zero entry in the current
+    column; sign is the parity of the row swaps that brought it up.
+    Bareiss one-step division is applied to every row, above and below
+    the pivot, so every entry stays an integer (a minor of the input)
+    and at the end every pivot entry equals the last pivot d.  pivots[i]
+    is the pivot column of row i; rows from len(pivots) on are zero in
+    the pivot columns.
     """
-    rank = 0
+    pivots = []
     sign = 1
     prev = 1
-    for col in range(n_cols):
+    for col in range(n_pivot_cols):
+        rank = len(pivots)
         pivot_row = None
         for i in range(rank, n_rows):
             if rows_data[i][col] != 0:
@@ -160,46 +169,6 @@ def _echelon_int(rows_data: list[list[int]], n_rows: int, n_cols: int):
                 rows_data[rank],
             )
             sign = -sign
-        piv = rows_data[rank][col]
-        row_r = rows_data[rank]
-        for i in range(rank + 1, n_rows):
-            factor = rows_data[i][col]
-            row_i = rows_data[i]
-            for j in range(col + 1, n_cols):
-                row_i[j] = (piv * row_i[j] - factor * row_r[j]) // prev
-            row_i[col] = 0
-        prev = piv
-        rank += 1
-    return rank, sign, prev
-
-
-def _gauss_jordan_int(
-    rows_data: list[list[int]], n_rows: int, n_pivot_cols: int
-):
-    """In-place fraction-free reduced echelon; returns (pivots, last_pivot).
-
-    Pivots are sought in the first n_pivot_cols columns only, so an
-    augmented block to their right is carried along.  Bareiss one-step
-    division is applied to every row, above and below the pivot, so every
-    entry stays an integer (a minor of the input) and at the end every
-    pivot entry equals the last pivot.  pivots[i] is the pivot column of
-    row i; rows from len(pivots) on are zero in the pivot columns.
-    """
-    pivots = []
-    prev = 1
-    for col in range(n_pivot_cols):
-        rank = len(pivots)
-        pivot_row = None
-        for i in range(rank, n_rows):
-            if rows_data[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows_data[rank], rows_data[pivot_row] = (
-            rows_data[pivot_row],
-            rows_data[rank],
-        )
         row_r = rows_data[rank]
         piv = row_r[col]
         if piv == prev:
@@ -222,14 +191,37 @@ def _gauss_jordan_int(
                 ]
         pivots.append(col)
         prev = piv
-    return pivots, prev
+    return pivots, sign, prev
+
+
+def _kernel_from_reduced(data, pivots, d: int, n_cols: int) -> KernelBasis:
+    """Canonical kernel basis read off a fraction-free reduced echelon form.
+
+    For each free column f the kernel vector has d at f, -R[i][f] at the
+    pivot column of row i and 0 elsewhere; it is divided by its entry gcd
+    and signed so that its first non-zero entry is positive.
+    """
+    pivot_set = set(pivots)
+    vectors = []
+    for free in range(n_cols):
+        if free in pivot_set:
+            continue
+        vec = [0] * n_cols
+        vec[free] = d
+        for i, p in enumerate(pivots):
+            vec[p] = -data[i][free]
+        g = gcd(*vec)
+        if next(x for x in vec if x != 0) < 0:
+            g = -g
+        vectors.append(tuple(x // g for x in vec))
+    return KernelBasis(ambient=n_cols, vectors=tuple(vectors))
 
 
 def rank(m: IntMatrix) -> int:
     """Exact rank over the rationals."""
     data = [list(r) for r in m.data]
-    r, _, _ = _echelon_int(data, m.rows, m.cols)
-    return r
+    pivots, _, _ = _gauss_jordan_int(data, m.rows, m.cols)
+    return len(pivots)
 
 
 def det(m: IntMatrix) -> int:
@@ -237,10 +229,8 @@ def det(m: IntMatrix) -> int:
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
     data = [list(r) for r in m.data]
-    r, sign, last = _echelon_int(data, m.rows, m.cols)
-    if r < m.rows:
-        return 0
-    return sign * last
+    pivots, sign, d = _gauss_jordan_int(data, m.rows, m.cols)
+    return sign * d if len(pivots) == m.rows else 0
 
 
 def is_nonsingular(m: IntMatrix) -> bool:
@@ -250,42 +240,14 @@ def is_nonsingular(m: IntMatrix) -> bool:
 def nullspace_basis(m: IntMatrix) -> KernelBasis:
     """Canonical basis of {x : m @ x = 0}; empty iff m has full column rank.
 
-    For each free column f of the echelon form, the kernel vector with
-    x_f = 1 and every other free entry 0 is unique; back-substitution
-    builds an integer multiple of it, scaling the partial vector by
-    pivot / gcd(sum, pivot) at each row so every division is exact.  The
-    new entry -sum / gcd is coprime to that scale, so the vector stays
-    primitive throughout and only its sign is left to normalise.
+    The fraction-free reduced echelon form R of m has every pivot equal
+    to d, so for each free column f the kernel vector with every other
+    free entry 0 is d at f and -R[i][f] at the pivot of row i, made
+    primitive and sign-normalised.
     """
     data = [list(r) for r in m.data]
-    r, _, _ = _echelon_int(data, m.rows, m.cols)
-    echelon = data[:r]
-    pivots = []
-    for row in echelon:
-        col = pivots[-1] + 1 if pivots else 0
-        while row[col] == 0:
-            col += 1
-        pivots.append(col)
-    pivot_set = set(pivots)
-    vectors = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        vec = [0] * m.cols
-        vec[free] = 1
-        # pivot entries right of the free column stay 0
-        for i in range(bisect_left(pivots, free) - 1, -1, -1):
-            row, p = echelon[i], pivots[i]
-            s = sum(row[j] * vec[j] for j in range(p + 1, free + 1))
-            g = gcd(s, row[p])
-            scale = row[p] // g
-            if scale != 1:
-                vec = [x * scale for x in vec]
-            vec[p] = -s // g
-        if next(x for x in vec if x != 0) < 0:
-            vec = [-x for x in vec]
-        vectors.append(tuple(vec))
-    return KernelBasis(ambient=m.cols, vectors=tuple(vectors))
+    pivots, _, d = _gauss_jordan_int(data, m.rows, m.cols)
+    return _kernel_from_reduced(data, pivots, d, m.cols)
 
 
 @dataclass(frozen=True)
@@ -306,13 +268,12 @@ def symmetric_kernel(m: IntMatrix) -> SymmetricKernel:
     """Kernel basis and the A y = e_v diagonal test from one elimination.
 
     Fraction-free Gauss-Jordan on [A | I] leaves [R | T] with T A = R, R
-    in reduced echelon form and every pivot equal to d.  For a free
-    column f the kernel vector has d at f and -R[i][f] at the pivot of
-    row i.  The rows below the rank of T span the left kernel, which is
-    the kernel because A is symmetric, so A y = e_v is solvable exactly
-    when they all vanish at column v; then v is a pivot column, and the
-    solution with zero free entries has d * y_v = T[i][v] for v's pivot
-    row i.
+    in reduced echelon form and every pivot equal to d; the kernel basis
+    is read off R as in nullspace_basis.  The rows below the rank of T
+    span the left kernel, which is the kernel because A is symmetric, so
+    A y = e_v is solvable exactly when they all vanish at column v; then
+    v is a pivot column, and the solution with zero free entries has
+    d * y_v = T[i][v] for v's pivot row i.
     """
     if not m.is_symmetric():
         raise ValueError("symmetric_kernel requires a symmetric matrix")
@@ -320,21 +281,8 @@ def symmetric_kernel(m: IntMatrix) -> SymmetricKernel:
     data = [list(row) + [0] * n for row in m.data]
     for i in range(n):
         data[i][n + i] = 1
-    pivots, d = _gauss_jordan_int(data, n, n)
+    pivots, _, d = _gauss_jordan_int(data, n, n)
     r = len(pivots)
-    pivot_set = set(pivots)
-    vectors = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        vec = [0] * n
-        vec[free] = d
-        for i, p in enumerate(pivots):
-            vec[p] = -data[i][free]
-        g = gcd(*vec)
-        if next(x for x in vec if x != 0) < 0:
-            g = -g
-        vectors.append(tuple(x // g for x in vec))
     row_of = {p: i for i, p in enumerate(pivots)}
     y_vanishes = tuple(
         None
@@ -342,7 +290,7 @@ def symmetric_kernel(m: IntMatrix) -> SymmetricKernel:
         else data[row_of[v]][n + v] == 0
         for v in range(n)
     )
-    basis = KernelBasis(ambient=n, vectors=tuple(vectors))
+    basis = _kernel_from_reduced(data, pivots, d, n)
     return SymmetricKernel(basis, y_vanishes)
 
 

@@ -56,9 +56,8 @@ def is_minimal_configuration(g: Graph) -> MCReport:
     is excluded outright.
     """
     part = classify_vertices(g)
-    periphery = tuple(
-        v for v in range(g.n) if v not in set(part.cv_set)
-    )
+    cv = set(part.cv_set)
+    periphery = tuple(v for v in range(g.n) if v not in cv)
     periphery_set = set(periphery)
     independent = all(
         w not in periphery_set

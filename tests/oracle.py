@@ -3,7 +3,7 @@
 Everything here works on plain (n, edges) data with stdlib imports only.
 The algorithms deliberately differ from the package's: row-swap Gaussian
 elimination over Fraction (and the kernel read off its reduced form)
-instead of fraction-free echelon and back-substitution, evaluation
+instead of fraction-free integer Gauss-Jordan, evaluation
 plus Lagrange interpolation instead of a trace recurrence for the
 characteristic polynomial, and exhaustive search instead of greedy
 reductions for matchings.

@@ -75,11 +75,52 @@ def test_det_requires_square():
         det(IntMatrix([[1, 2, 3]], cols=3))
 
 
+def random_adjacency(rng, n):
+    edges = [(u, w) for u in range(n) for w in range(u + 1, n)
+             if rng.below(2) == 0]
+    return IntMatrix(oracle.adjacency_rows(n, edges), cols=n)
+
+
+def random_permutation(rng, n):
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def permutation_matrix(perm, n_rows=None):
+    n = len(perm)
+    rows = [[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+    return IntMatrix(rows[:n_rows], cols=n)
+
+
+def permutation_sign(perm):
+    inversions = sum(
+        perm[i] > perm[j]
+        for i in range(len(perm))
+        for j in range(i + 1, len(perm))
+    )
+    return -1 if inversions % 2 else 1
+
+
 def test_rank_and_det_match_oracle_on_random_matrices():
     rng = SplitMix64(2024)
+    cases = []
     for _ in range(250):
         n = 1 + rng.below(5)
-        m = random_int_matrix(rng, n, n)
+        cases.append(random_int_matrix(rng, n, n))
+    # 0/1 adjacency matrices: unit pivots take the sparse update branch,
+    # and a later pivot of 2 or more scales the rows it does not touch.
+    cases += [random_adjacency(rng, 1 + rng.below(8)) for _ in range(150)]
+    for n in range(2, 9):
+        # a single transposition guarantees an odd permutation, det -1
+        odd = [1, 0, *range(2, n)]
+        for perm in [odd] + [random_permutation(rng, n) for _ in range(6)]:
+            m = permutation_matrix(perm)
+            assert det(m) == permutation_sign(perm)
+            cases.append(m)
+    for m in cases:
         rows = m.to_lists()
         assert rank(m) == oracle.gauss_rank(rows)
         assert det(m) == oracle.gauss_det(rows)
@@ -87,10 +128,22 @@ def test_rank_and_det_match_oracle_on_random_matrices():
 
 def test_rank_on_rectangular_matches_oracle():
     rng = SplitMix64(77)
+    cases = []
     for _ in range(150):
         r = 1 + rng.below(5)
         c = 1 + rng.below(5)
-        m = random_int_matrix(rng, r, c)
+        cases.append(random_int_matrix(rng, r, c))
+    for _ in range(150):
+        r = 1 + rng.below(8)
+        c = 1 + rng.below(8)
+        cases.append(IntMatrix(
+            [[rng.below(2) for _ in range(c)] for _ in range(r)], cols=c
+        ))
+    for n in range(2, 9):
+        perm = random_permutation(rng, n)
+        cases.append(permutation_matrix(perm, n_rows=n - 1))
+        cases.append(permutation_matrix(perm).transpose())
+    for m in cases:
         assert rank(m) == oracle.gauss_rank(m.to_lists())
 
 
