@@ -17,9 +17,8 @@ and verify the exact identities that the block shape forces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     NonIndependentCoreError,
@@ -50,14 +49,13 @@ class VertexClass(Enum):
     CFV_UPP = "cfv_upp"
 
 
-@dataclass(frozen=True)
-class VertexPartition:
+class VertexPartition(NamedTuple):
     """Per-vertex classification plus the derived three-part split.
 
     ncv_set holds the core-forbidden vertices with a core neighbour;
     cfvr_set holds the rest of the core-forbidden vertices.  kernel is
     the basis the classes were read from (None for a partition built by
-    hand); it does not take part in equality.
+    hand); it takes part in neither equality nor the hash.
     """
 
     nullity: int
@@ -66,7 +64,20 @@ class VertexPartition:
     ncv_set: tuple
     cfvr_set: tuple
     independent_cv: bool
-    kernel: Optional[KernelBasis] = field(default=None, compare=False)
+    kernel: Optional[KernelBasis] = None
+
+    # kernel is the last field; self[:-1] is every other one
+    def __eq__(self, other):
+        if not isinstance(other, VertexPartition):
+            return NotImplemented
+        return self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return hash(self[:-1])
 
     def part_tag(self, v: int) -> str:
         """DOT/report tag.  With independent core vertices the three-part
@@ -81,15 +92,13 @@ class VertexPartition:
         return [c.value for c in self.class_of]
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     name: str
     holds: bool
     witness: dict
 
 
-@dataclass(frozen=True)
-class CoreLabelling:
+class CoreLabelling(NamedTuple):
     """Relabelling that lists core vertices first, their neighbours next,
     remote vertices last (original order kept inside each part), together
     with the non-trivial blocks of the permuted adjacency matrix."""
@@ -142,8 +151,7 @@ class CoreLabelling:
         }
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     graph: Graph
     partition: VertexPartition
     kernel: KernelBasis
@@ -423,8 +431,7 @@ def is_half_core(g: Graph) -> bool:
     return all((u in cv) != (w in cv) for u, w in g.edges())
 
 
-@dataclass(frozen=True)
-class UnicyclicReport:
+class UnicyclicReport(NamedTuple):
     cycle: tuple
     cycle_length: int
     length_mod_4: int

@@ -9,7 +9,7 @@ threads.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DuplicateEdgeError,
@@ -22,8 +22,8 @@ from .errors import (
 from .linalg import IntMatrix
 from .rng import SplitMix64
 
-# Largest vertex count parse_edge_list accepts.  The header alone sizes
-# the adjacency lists, so a larger n is rejected before any allocation.
+# Largest n that parse_edge_list and the generators accept; n alone
+# sizes the adjacency lists, so a larger n is refused before allocation.
 MAX_VERTICES = 100_000
 
 
@@ -98,23 +98,29 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
-@dataclass(frozen=True)
-class VertexProvenance:
+class VertexProvenance(NamedTuple("VertexProvenance", [
+        ("to_source", tuple)])):
     """Maps each vertex of a derived graph back to its source.
 
     Entries are ("vertex", old_label) for surviving vertices and
     ("edge", (u, w)) for vertices inserted on an edge.
     """
 
-    to_source: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, to_source):
         seen = set()
-        for tag in self.to_source:
+        for tag in to_source:
             if tag[0] == "vertex":
                 if tag[1] in seen:
                     raise ValueError("provenance not injective on vertices")
                 seen.add(tag[1])
+        return super().__new__(cls, to_source)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make; validate there too
+        return cls(*iterable)
 
     def source_vertex(self, v: int):
         tag = self.to_source[v]
@@ -133,8 +139,7 @@ class VertexProvenance:
         }
 
 
-@dataclass(frozen=True)
-class BipartiteDecomposition:
+class BipartiteDecomposition(NamedTuple):
     """A 2-colouring (V1, V2) plus the cross-edge matrix between the classes.
 
     cross(i, j) = 1 iff the i-th vertex of sorted V1 is adjacent to the j-th
@@ -401,26 +406,25 @@ def incidence_matrix(g: Graph) -> IntMatrix:
 
 
 def gen_path(n: int) -> Graph:
-    _positive(n)
+    _check_size(n)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def gen_cycle(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("a cycle needs n >= 3")
+    _check_size(n, 3, "a cycle")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def gen_star(n: int) -> Graph:
     """Star with centre 0 and n-1 leaves."""
-    _positive(n)
+    _check_size(n)
     return Graph(n, [(0, i) for i in range(1, n)])
 
 
 def gen_random_tree(n: int, seed: int) -> Graph:
     """Uniform random labelled tree: random Pruefer sequence, decoded with
     the smallest-leaf rule.  Same (n, seed) always gives the same tree."""
-    _positive(n)
+    _check_size(n)
     if n == 1:
         return Graph(1)
     if n == 2:
@@ -450,7 +454,7 @@ def gen_random_graph(
 ) -> Graph:
     """Each of the n(n-1)/2 possible edges is kept independently with
     probability p_numerator/p_denominator."""
-    _positive(n)
+    _check_size(n)
     if p_denominator <= 0 or not 0 <= p_numerator <= p_denominator:
         raise ValueError("edge probability must satisfy 0 <= num <= den")
     rng = SplitMix64(seed)
@@ -465,7 +469,7 @@ def gen_random_graph(
 def gen_random_bipartite(n: int, seed: int) -> Graph:
     """Random bipartite graph: vertices split by coin flips (both sides kept
     non-empty for n >= 2), each cross pair kept with probability 1/2."""
-    _positive(n)
+    _check_size(n)
     rng = SplitMix64(seed)
     side = [rng.below(2) for _ in range(n)]
     if n >= 2 and len(set(side)) == 1:
@@ -480,8 +484,7 @@ def gen_random_bipartite(n: int, seed: int) -> Graph:
 
 def gen_random_unicyclic(n: int, seed: int) -> Graph:
     """Random tree plus one uniformly chosen extra edge (needs n >= 3)."""
-    if n < 3:
-        raise ValueError("a unicyclic graph needs n >= 3")
+    _check_size(n, 3, "a unicyclic graph")
     rng = SplitMix64(seed)
     tree = gen_random_tree(n, rng.next_u64())
     non_edges = [
@@ -493,9 +496,11 @@ def gen_random_unicyclic(n: int, seed: int) -> Graph:
     return add_edge(tree, *non_edges[rng.below(len(non_edges))])
 
 
-def _positive(n: int):
-    if n < 1:
-        raise ValueError("generator needs n >= 1")
+def _check_size(n: int, least: int = 1, what: str = "generator"):
+    if n < least:
+        raise ValueError(f"{what} needs n >= {least}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit {MAX_VERTICES}")
 
 
 def to_dot(g: Graph, partition=None) -> str:

@@ -14,8 +14,8 @@ matrices).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 
 class IntMatrix:
@@ -97,8 +97,7 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
-class KernelBasis:
+class KernelBasis(NamedTuple):
     """Canonical integer basis of a nullspace.
 
     Vectors are the RREF free-variable parametrization, each scaled to a
@@ -122,8 +121,7 @@ class KernelBasis:
         return out
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(NamedTuple):
     """Monic characteristic polynomial det(tI - M), coefficients descending."""
 
     coefficients: tuple
@@ -250,8 +248,7 @@ def nullspace_basis(m: IntMatrix) -> KernelBasis:
     return _kernel_from_reduced(data, pivots, d, m.cols)
 
 
-@dataclass(frozen=True)
-class SymmetricKernel:
+class SymmetricKernel(NamedTuple):
     """What one elimination of [A | I] tells about a symmetric matrix A.
 
     basis is the canonical kernel basis, identical to nullspace_basis(A).

@@ -10,8 +10,7 @@ the reports here verify exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .analysis import (
     TheoremCheck,
@@ -28,8 +27,7 @@ from .graphs import (
 from .linalg import rank
 
 
-@dataclass(frozen=True)
-class MCReport:
+class MCReport(NamedTuple):
     is_mc: bool
     nullity: int
     core_subgraph: Graph
@@ -92,8 +90,7 @@ def is_minimal_configuration(g: Graph) -> MCReport:
     )
 
 
-@dataclass(frozen=True)
-class BipartiteNullity1Report:
+class BipartiteNullity1Report(NamedTuple):
     v1: tuple
     v2: tuple
     larger: tuple
@@ -147,8 +144,7 @@ def bipartite_nullity1_structure(g: Graph) -> BipartiteNullity1Report:
     )
 
 
-@dataclass(frozen=True)
-class McSlimEquivalence:
+class McSlimEquivalence(NamedTuple):
     hypothesis_met: bool
     lhs: Optional[bool]
     rhs: Optional[bool]

@@ -6,8 +6,7 @@ with exact preservation flags; additions inside the core-forbidden part
 carry hard structural guarantees that are re-checked on every call.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .analysis import (
     VertexPartition,
@@ -38,8 +37,7 @@ def _type_pair(u: int, w: int, partition: VertexPartition) -> str:
     return a + "-" + b
 
 
-@dataclass(frozen=True)
-class EdgeCandidate:
+class EdgeCandidate(NamedTuple):
     """A non-edge of the base graph tagged by its endpoint classes.
 
     type_pair is one of CV-CV, CV-NCV, CV-CFVR, NCV-NCV, NCV-CFVR,
@@ -51,8 +49,7 @@ class EdgeCandidate:
     type_pair: str
 
 
-@dataclass(frozen=True)
-class PerturbationReport:
+class PerturbationReport(NamedTuple):
     """Exact before/after comparison for a single edge change.
 
     preserved flags:
@@ -241,8 +238,7 @@ def remove_and_report(g: Graph, u: int, w: int) -> PerturbationReport:
     return _build_report(g, h, edge, "remove", part)
 
 
-@dataclass(frozen=True)
-class CvNcvReport:
+class CvNcvReport(NamedTuple):
     """Outcome of checking a core / core-neighbour edge addition.
 
     When the addition keeps the whole core labelling intact, nullity

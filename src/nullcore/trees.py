@@ -8,7 +8,6 @@ directions and verify the rank facts that make it work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .analysis import classify_vertices, core_labelling, nullity
@@ -28,8 +27,7 @@ from .linalg import char_poly, rank
 from . import minimal
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     """Record of a pendant-pair elimination run.
 
     Each step removes a degree-1 vertex and its unique neighbour; the run
@@ -177,8 +175,7 @@ def inverse_subdivision(g: Graph) -> Optional[tuple]:
     return smoothed, prov
 
 
-@dataclass(frozen=True)
-class McTreeReport:
+class McTreeReport(NamedTuple):
     """Both routes to the minimal-configuration decision for a tree, plus
     the matching-count and full-column-rank facts that accompany it."""
 

@@ -6,7 +6,7 @@ graphs for replay.  Per-trial seeds are fixed up front, so equal inputs
 and seeds give identical summaries.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analysis import (
     classify_vertices,
@@ -48,24 +48,26 @@ from .trees import (
 _COUNTEREXAMPLE_CAP = 100
 
 
-@dataclass(frozen=True)
-class VerifySuiteConfig:
-    suite: str
-    max_n: int
-    trials: int
-    seed: int
+class VerifySuiteConfig(NamedTuple("VerifySuiteConfig", [
+        ("suite", str), ("max_n", int), ("trials", int), ("seed", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.suite != "all" and self.suite not in SUITES:
-            raise ValueError("unknown suite %r" % self.suite)
-        if self.max_n < 1:
+    def __new__(cls, suite, max_n, trials, seed):
+        if suite != "all" and suite not in SUITES:
+            raise ValueError("unknown suite %r" % suite)
+        if max_n < 1:
             raise ValueError("max_n must be at least 1")
-        if self.trials < 1:
+        if trials < 1:
             raise ValueError("trials must be at least 1")
+        return super().__new__(cls, suite, max_n, trials, seed)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make; validate there too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     config: VerifySuiteConfig
     tallies: dict  # check name -> [passes, fails]
     counterexamples: tuple  # (check name, Graph), capped

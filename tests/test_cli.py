@@ -160,6 +160,18 @@ def test_gen_bad_size_exit_1(capsys):
     assert code == 1
 
 
+
+def test_gen_over_cap_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(nullcore.graphs, "MAX_VERTICES", 5)
+    code, out, _ = run_cli(capsys, "gen", "path", "5")
+    assert code == 0 and parse_edge_list(out).n == 5
+    for kind in ("path", "cycle", "star", "tree", "bipartite", "unicyclic",
+                 "graph"):
+        code, out, err = run_cli(capsys, "gen", kind, "6")
+        assert code == 1
+        assert out == ""
+        assert "exceeds the limit 5" in err
+
 def test_usage_error_is_exit_1():
     # argparse raises SystemExit through our parser override
     with pytest.raises(SystemExit) as info:

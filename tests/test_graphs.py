@@ -254,6 +254,27 @@ def test_random_generators_are_deterministic_and_typed():
         assert g == gen_random_graph(n, 1, 2, seed)
 
 
+
+def test_generators_are_capped(monkeypatch):
+    # A small cap stands in for the real one; nothing large is allocated.
+    monkeypatch.setattr(nullcore.graphs, "MAX_VERTICES", 5)
+    calls = (
+        lambda n: gen_path(n),
+        lambda n: gen_cycle(n),
+        lambda n: gen_star(n),
+        lambda n: gen_random_tree(n, 7),
+        lambda n: gen_random_graph(n, 1, 2, 7),
+        lambda n: gen_random_bipartite(n, 7),
+        lambda n: gen_random_unicyclic(n, 7),
+    )
+    for make in calls:
+        assert make(5).n == 5
+    # an over-cap request fails before any graph is built
+    monkeypatch.setattr(nullcore.graphs, "Graph", None)
+    for make in calls:
+        with pytest.raises(ValueError, match="exceeds the limit 5"):
+            make(6)
+
 def test_random_tree_spans_labelled_shapes():
     # All three labelled trees on 3 vertices should appear.
     seen = set()

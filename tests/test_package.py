@@ -1,0 +1,95 @@
+"""Package-level properties: version, import cost, and the result records."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import nullcore
+from nullcore.analysis import classify_vertices
+from nullcore.graphs import VertexProvenance, gen_path
+from nullcore.linalg import KernelBasis
+from nullcore.perturb import EdgeCandidate
+from nullcore.verify import VerifySuiteConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert nullcore.__version__ == project["version"]
+
+
+def test_cli_import_skips_heavy_stdlib_modules():
+    # Every CLI command pays for these at start-up; -S keeps site's own
+    # imports out of the picture.
+    code = (
+        "import sys; sys.path.insert(0, %r); import nullcore.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'ast') "
+        "if m in sys.modules))" % str(ROOT / "src")
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_vertex_partition_equality_ignores_kernel():
+    part = classify_vertices(gen_path(5))
+    assert part.kernel is not None
+    bare = part._replace(kernel=None)
+    other = part._replace(kernel=KernelBasis(5, ((1, 0, 0, 0, 0),)))
+    for a in (part, bare, other):
+        for b in (part, bare, other):
+            assert a == b
+            assert not a != b
+            assert hash(a) == hash(b)
+    assert len({part, bare, other}) == 1
+    changed = part._replace(nullity=2)
+    assert part != changed
+    assert not part == changed
+
+
+def test_vertex_provenance_rejects_non_injective_map():
+    ok = VertexProvenance((("vertex", 2), ("edge", (0, 2)), ("vertex", 0)))
+    assert ok.vertex_map() == {0: 2, 2: 0}
+    with pytest.raises(ValueError, match="not injective"):
+        VertexProvenance((("vertex", 1), ("edge", (0, 1)), ("vertex", 1)))
+    with pytest.raises(ValueError, match="not injective"):
+        ok._replace(to_source=(("vertex", 3), ("vertex", 3)))
+
+
+def test_verify_config_replace_still_validates():
+    config = VerifySuiteConfig("trees", 5, 5, 0)
+    assert config._replace(seed=7).seed == 7
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        config._replace(trials=0)
+
+
+def test_records_reject_assignment():
+    part = classify_vertices(gen_path(3))
+    records = (
+        (part, "nullity"),
+        (part.kernel, "vectors"),
+        (VertexProvenance((("vertex", 0),)), "to_source"),
+        (VerifySuiteConfig("trees", 5, 5, 0), "seed"),
+        (EdgeCandidate(0, 2, "CV-CV"), "u"),
+    )
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+
+def test_record_repr_names_fields():
+    assert repr(EdgeCandidate(0, 2, "NCV-NCV")) == (
+        "EdgeCandidate(u=0, w=2, type_pair='NCV-NCV')"
+    )
+    assert repr(VerifySuiteConfig("trees", 5, 1, 0)) == (
+        "VerifySuiteConfig(suite='trees', max_n=5, trials=1, seed=0)"
+    )

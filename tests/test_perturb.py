@@ -1,7 +1,5 @@
 """Edge perturbation reports, guarantees, and greedy densification."""
 
-import dataclasses
-
 import pytest
 
 from nullcore.analysis import classify_vertices, nullity
@@ -315,7 +313,7 @@ def test_build_report_guards_raise_theorem_violation(monkeypatch):
     # P3 has nullity 1 and cores {0, 2}; its partition is handed the fake
     # kernel too, so the basis is the same on both sides but the after
     # side claims nullity 3 and every vertex as core.
-    forged = dataclasses.replace(true_parts[p3], kernel=_unit_basis(3))
+    forged = true_parts[p3]._replace(kernel=_unit_basis(3))
     with pytest.raises(TheoremViolationError, match="kept the kernel basis"):
         apply_and_report(p3, EdgeCandidate(0, 2, "CV-CV"), forged)
 
