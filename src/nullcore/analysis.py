@@ -36,10 +36,10 @@ from .graphs import (
 from .linalg import (
     IntMatrix,
     KernelBasis,
+    _reduce_symmetric,
     det,
     nullspace_basis,
     rank,
-    symmetric_kernel,
 )
 
 
@@ -53,9 +53,16 @@ class VertexPartition(NamedTuple):
     """Per-vertex classification plus the derived three-part split.
 
     ncv_set holds the core-forbidden vertices with a core neighbour;
-    cfvr_set holds the rest of the core-forbidden vertices.  kernel is
-    the basis the classes were read from (None for a partition built by
-    hand); it takes part in neither equality nor the hash.
+    cfvr_set holds the rest of the core-forbidden vertices.  The last
+    four fields keep what classify_vertices read off its elimination of
+    [A | I] into [R | T]; a partition built by hand leaves them None.
+    kernel is the basis the classes were read from.  d is the common
+    pivot of R, pivot_row[v] the row of [R | T] whose pivot lies in
+    column v (None for a free column), and y_block[u] is None for a core
+    vertex u and otherwise the right half T[pivot_row[u]], which is d * y
+    for a solution y of A y = e_u; its entry at a core-forbidden w is
+    the same for every solution.  None of the four takes part in
+    equality or the hash.
     """
 
     nullity: int
@@ -65,19 +72,22 @@ class VertexPartition(NamedTuple):
     cfvr_set: tuple
     independent_cv: bool
     kernel: Optional[KernelBasis] = None
+    d: Optional[int] = None
+    pivot_row: Optional[tuple] = None
+    y_block: Optional[tuple] = None
 
-    # kernel is the last field; self[:-1] is every other one
+    # self[:_COMPARED] is every field up to independent_cv
     def __eq__(self, other):
         if not isinstance(other, VertexPartition):
             return NotImplemented
-        return self[:-1] == other[:-1]
+        return self[:_COMPARED] == other[:_COMPARED]
 
     def __ne__(self, other):
         eq = self.__eq__(other)
         return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
-        return hash(self[:-1])
+        return hash(self[:_COMPARED])
 
     def part_tag(self, v: int) -> str:
         """DOT/report tag.  With independent core vertices the three-part
@@ -90,6 +100,9 @@ class VertexPartition(NamedTuple):
 
     def class_tags(self) -> list:
         return [c.value for c in self.class_of]
+
+
+_COMPARED = VertexPartition._fields.index("kernel")
 
 
 class TheoremCheck(NamedTuple):
@@ -173,22 +186,30 @@ def classify_vertices(g: Graph, basis: Optional[KernelBasis] = None) -> VertexPa
     of A y = e_v have y_v = 0 and eta otherwise.  A given basis is
     checked against those nullities instead of trusted.
     """
-    sym = symmetric_kernel(adjacency_matrix(g))
+    n = g.n
+    data = []
+    for v, neighbours in enumerate(g.adjacency):
+        row = [0] * (2 * n)
+        for w in neighbours:
+            row[w] = 1
+        row[n + v] = 1
+        data.append(row)
+    true_basis, d, pivot_row, y_block = _reduce_symmetric(data, n)
     if basis is None:
-        basis = sym.basis
-    true_eta = sym.basis.dimension
+        basis = true_basis
+    true_eta = true_basis.dimension
     eta = basis.dimension
     cv = set(basis.supports())
-    class_of = [None] * g.n
-    for v in range(g.n):
+    class_of = [None] * n
+    for v in range(n):
         if v in cv:
             class_of[v] = VertexClass.CV
             continue
-        y_vanishes = sym.y_vanishes[v]
-        if y_vanishes is None:
+        y = y_block[v]
+        if y is None:
             eta_minus = true_eta - 1
         else:
-            eta_minus = true_eta + 1 if y_vanishes else true_eta
+            eta_minus = true_eta + 1 if y[v] == 0 else true_eta
         if eta_minus == eta:
             class_of[v] = VertexClass.CFV_MID
         elif eta_minus == eta + 1:
@@ -200,7 +221,7 @@ def classify_vertices(g: Graph, basis: Optional[KernelBasis] = None) -> VertexPa
                 f"vertex {v}: nullity {eta} -> {eta_minus} contradicts supports",
                 {
                     "edges": g.edges(),
-                    "n": g.n,
+                    "n": n,
                     "vertex": v,
                     "nullity": eta,
                     "nullity_after_deletion": nullity(delete_vertex(g, v)[0]),
@@ -225,6 +246,9 @@ def classify_vertices(g: Graph, basis: Optional[KernelBasis] = None) -> VertexPa
         cfvr_set=cfvr,
         independent_cv=_first_adjacent_core_pair(g, cv_sorted) is None,
         kernel=basis,
+        d=d,
+        pivot_row=pivot_row,
+        y_block=y_block,
     )
 
 
@@ -283,16 +307,10 @@ def core_labelling(
         ncv_to_remote=block(part.ncv_set, part.cfvr_set),
         remote_inner=block(part.cfvr_set, part.cfvr_set),
     )
-    order = lab.order
-    permuted = IntMatrix(
-        [
-            [1 if g.has_edge(order[i], order[j]) else 0 for j in range(g.n)]
-            for i in range(g.n)
-        ],
-        cols=g.n,
-    )
-    # the zero regions of the block shape must really be zero in G
-    if lab.assembled() != permuted:
+    # the zero regions of the block shape (core-core and core-remote)
+    # must really be zero in G: every neighbour of a core vertex is ncv
+    ncv = set(part.ncv_set)
+    if any(w not in ncv for u in part.cv_set for w in g.adjacency[u]):
         raise TheoremViolationError(
             "an edge of G falls in a zero block of the core labelling",
             {

@@ -100,10 +100,11 @@ _PRESERVE_ALIASES = {"nullity": "nullity", "cv": "cv_set",
 
 def _cmd_perturb(args) -> int:
     g = _load(args.path)
-    require_independent_cv(g, classify_vertices(g))
+    part = classify_vertices(g)
+    require_independent_cv(g, part)
     preserve = _PRESERVE_ALIASES[args.preserve]
     if args.densify:
-        final, added = greedy_densify(g, preserve)
+        final, added = greedy_densify(g, preserve, part)
         _emit(
             {
                 "preserve": args.preserve,
@@ -113,7 +114,7 @@ def _cmd_perturb(args) -> int:
             }
         )
     else:
-        safe = safe_additions(g, preserve)
+        safe = safe_additions(g, preserve, part)
         _emit(
             {
                 "preserve": args.preserve,

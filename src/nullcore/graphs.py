@@ -483,17 +483,28 @@ def gen_random_bipartite(n: int, seed: int) -> Graph:
 
 
 def gen_random_unicyclic(n: int, seed: int) -> Graph:
-    """Random tree plus one uniformly chosen extra edge (needs n >= 3)."""
+    """Random tree plus one uniformly chosen extra edge (needs n >= 3).
+
+    The edge is the k-th non-edge (u, w), u < w, in lexicographic order,
+    found by walking the rows without listing the others.
+    """
     _check_size(n, 3, "a unicyclic graph")
     rng = SplitMix64(seed)
     tree = gen_random_tree(n, rng.next_u64())
-    non_edges = [
-        (u, w)
-        for u in range(n)
-        for w in range(u + 1, n)
-        if not tree.has_edge(u, w)
-    ]
-    return add_edge(tree, *non_edges[rng.below(len(non_edges))])
+    k = rng.below(n * (n - 1) // 2 - (n - 1))
+    for u in range(n):
+        later = [w for w in tree.adjacency[u] if w > u]
+        free = n - 1 - u - len(later)
+        if k < free:
+            break
+        k -= free
+    # the k-th w > u outside later, which is sorted ascending
+    w = u + 1 + k
+    for x in later:
+        if x > w:
+            break
+        w += 1
+    return add_edge(tree, u, w)
 
 
 def _check_size(n: int, least: int = 1, what: str = "generator"):

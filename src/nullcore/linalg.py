@@ -7,9 +7,9 @@ rank is the number of pivots, the determinant is the last pivot times
 the row-swap sign, and the canonical integer nullspace basis is read
 directly off the reduced rows.  For a symmetric matrix the same
 elimination of [A | I] also tells which systems A y = e_v are solvable
-and whether their y_v vanishes.  The characteristic polynomial uses the
-Faddeev-LeVerrier recurrence (whose divisions are exact for integer
-matrices).
+and yields d times one solution of each.  The characteristic polynomial
+uses the Faddeev-LeVerrier recurrence (whose divisions are exact for
+integer matrices), multiplying by the non-zero entries only.
 """
 
 from __future__ import annotations
@@ -261,16 +261,43 @@ class SymmetricKernel(NamedTuple):
     y_vanishes: tuple
 
 
+def _reduce_symmetric(data: list, n: int) -> tuple:
+    """Reduce [A | I] in place for a symmetric n x n A.
+
+    Returns (basis, d, pivot_row, y_rows).  pivot_row[v] is the row whose
+    pivot lies in column v, or None for a free column.  y_rows[v] is None
+    when A y = e_v has no solution; otherwise it is the right half of v's
+    pivot row, which is d * y for one solution y.
+
+    Fraction-free Gauss-Jordan leaves [R | T] with T A = R, R in reduced
+    echelon form and every pivot equal to d.  The rows of T below the
+    rank span the left kernel, which is the kernel because A is
+    symmetric, so A y = e_v is solvable exactly when they all vanish at
+    column v.  Then every kernel vector vanishes at v, so v is a pivot
+    column whose row of R is d * e_v, and that row of T A is d * e_v too.
+    """
+    pivots, _, d = _gauss_jordan_int(data, n, n)
+    r = len(pivots)
+    pivot_row = [None] * n
+    for i, p in enumerate(pivots):
+        pivot_row[p] = i
+    unsolvable = {
+        v for i in range(r, n) for v in range(n) if data[i][n + v] != 0
+    }
+    y_rows = tuple(
+        None if v in unsolvable else tuple(data[pivot_row[v]][n:])
+        for v in range(n)
+    )
+    basis = _kernel_from_reduced(data, pivots, d, n)
+    return basis, d, tuple(pivot_row), y_rows
+
+
 def symmetric_kernel(m: IntMatrix) -> SymmetricKernel:
     """Kernel basis and the A y = e_v diagonal test from one elimination.
 
-    Fraction-free Gauss-Jordan on [A | I] leaves [R | T] with T A = R, R
-    in reduced echelon form and every pivot equal to d; the kernel basis
-    is read off R as in nullspace_basis.  The rows below the rank of T
-    span the left kernel, which is the kernel because A is symmetric, so
-    A y = e_v is solvable exactly when they all vanish at column v; then
-    v is a pivot column, and the solution with zero free entries has
-    d * y_v = T[i][v] for v's pivot row i.
+    The elimination of [A | I] is the one classify_vertices runs: the
+    kernel basis is read off R as in nullspace_basis, and for a solvable
+    A y = e_v the solution's entry y_v is T[i][v] / d for v's pivot row i.
     """
     if not m.is_symmetric():
         raise ValueError("symmetric_kernel requires a symmetric matrix")
@@ -278,16 +305,10 @@ def symmetric_kernel(m: IntMatrix) -> SymmetricKernel:
     data = [list(row) + [0] * n for row in m.data]
     for i in range(n):
         data[i][n + i] = 1
-    pivots, _, d = _gauss_jordan_int(data, n, n)
-    r = len(pivots)
-    row_of = {p: i for i, p in enumerate(pivots)}
+    basis, _, _, y_rows = _reduce_symmetric(data, n)
     y_vanishes = tuple(
-        None
-        if any(data[i][n + v] != 0 for i in range(r, n))
-        else data[row_of[v]][n + v] == 0
-        for v in range(n)
+        None if y is None else y[v] == 0 for v, y in enumerate(y_rows)
     )
-    basis = _kernel_from_reduced(data, pivots, d, n)
     return SymmetricKernel(basis, y_vanishes)
 
 
@@ -295,14 +316,16 @@ def char_poly(m: IntMatrix) -> CharPoly:
     """Characteristic polynomial det(tI - m) with exact integer coefficients.
 
     Faddeev-LeVerrier: the trace at step k is always divisible by k for an
-    integer matrix, so the whole run stays in the integers.
+    integer matrix, so the whole run stays in the integers.  Each product
+    m @ work sums, for row i, the rows of work picked out by the non-zero
+    entries of m's row i, so a sparse m costs less.
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial requires a square matrix")
     n = m.rows
     coeffs = [1]
-    a = [list(r) for r in m.data]
-    work = [row[:] for row in a]
+    nonzeros = [[(t, x) for t, x in enumerate(row) if x] for row in m.data]
+    work = [list(r) for r in m.data]
     for k in range(1, n + 1):
         trace = sum(work[i][i] for i in range(n))
         if trace % k != 0:
@@ -313,8 +336,11 @@ def char_poly(m: IntMatrix) -> CharPoly:
             break
         for i in range(n):
             work[i][i] += c
-        work = [
-            [sum(a[i][t] * work[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+        product = []
+        for row in nonzeros:
+            acc = [0] * n
+            for t, x in row:
+                acc = [p + x * q for p, q in zip(acc, work[t])]
+            product.append(acc)
+        work = product
     return CharPoly(coefficients=tuple(coeffs))

@@ -14,6 +14,7 @@ from typing import NamedTuple, Optional
 
 from .analysis import (
     TheoremCheck,
+    VertexPartition,
     classify_vertices,
     nullity,
 )
@@ -47,13 +48,15 @@ class MCReport(NamedTuple):
         }
 
 
-def is_minimal_configuration(g: Graph) -> MCReport:
+def is_minimal_configuration(
+    g: Graph, partition: Optional[VertexPartition] = None
+) -> MCReport:
     """Evaluate the three axioms exactly and report every violation.
 
     The defining dichotomy covers K1 and graphs on >= 3 vertices; order 2
     is excluded outright.
     """
-    part = classify_vertices(g)
+    part = classify_vertices(g) if partition is None else partition
     cv = set(part.cv_set)
     periphery = tuple(v for v in range(g.n) if v not in cv)
     periphery_set = set(periphery)

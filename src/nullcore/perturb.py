@@ -320,58 +320,105 @@ def verify_cv_ncv_theorem(
 _PRESERVE_FLAGS = ("nullity", "cv_set", "nullspace")
 
 
-def safe_additions(g: Graph, preserve: str):
-    """Candidates whose addition keeps the requested property.
-
-    preserve is one of nullity, cv_set, nullspace.  CV-CV and CV-CFVR
-    candidates are never offered: an edge inside the core or from the
-    core to the remote part invalidates the labelling scheme itself,
-    whatever it does to the chosen flag.
-    """
+def _check_preserve(preserve: str):
     if preserve not in _PRESERVE_FLAGS:
         raise PreconditionError(
             "preserve must be one of %s, got %r"
             % ("/".join(_PRESERVE_FLAGS), preserve)
         )
-    part = classify_vertices(g)
-    out = []
+
+
+def _keeps_nullity(part: VertexPartition, u: int, w: int) -> Optional[bool]:
+    """Whether adding uw keeps eta, for core-forbidden u and w, read off
+    the reduction the partition keeps; None when it keeps none.
+
+    Adding uw adds U C U' to A, with U = [e_u e_w] and C the 2 x 2 swap.
+    Both e_u and e_w lie in the column space of A, so rank additivity
+    (Marsaglia and Styan 1974) gives eta(G + uw) = eta(G) + nullity(K),
+    K = C^-1 + U' Y U for any Y with A Y A = A.  With T_uw = y_block[u][w],
+    d K = [[T_uu, d + T_uw], [d + T_wu, T_ww]], so eta is kept exactly
+    when that 2 x 2 determinant is non-zero.
+    """
+    rows = part.y_block
+    if rows is None or rows[u] is None or rows[w] is None:
+        return None
+    d, yu, yw = part.d, rows[u], rows[w]
+    return yu[u] * yw[w] != (d + yu[w]) * (d + yw[u])
+
+
+def _safe_candidates(g: Graph, part: VertexPartition, preserve: str):
+    """The candidates of safe_additions, one at a time in (u, w) order.
+
+    A candidate with both endpoints core-forbidden is decided by the
+    rank-two rule alone, in every mode: every kernel vector vanishes at
+    u and w, so ker A lies in ker(A + E_uw).  An unchanged nullity then
+    means an unchanged kernel, canonical basis and core set; a raised
+    one brings a kernel vector that is non-zero at u or w, so the core
+    set changes.  A CV-NCV candidate is added and classified by
+    apply_and_report.
+    """
     for cand in candidate_edges(g, part):
         if cand.type_pair in ("CV-CV", "CV-CFVR"):
             continue
-        report = apply_and_report(g, cand, part)
-        if report.preserved[preserve]:
-            out.append(cand)
-    return out
+        keeps = None
+        if cand.type_pair in CFV_FAMILY:
+            keeps = _keeps_nullity(part, cand.u, cand.w)
+        if keeps is None:
+            keeps = apply_and_report(g, cand, part).preserved[preserve]
+        if keeps:
+            yield cand
 
 
-def greedy_densify(g: Graph, preserve: str):
+def safe_additions(
+    g: Graph, preserve: str, partition: Optional[VertexPartition] = None
+):
+    """Candidates whose addition keeps the requested property.
+
+    preserve is one of nullity, cv_set, nullspace.  CV-CV and CV-CFVR
+    candidates are never offered: an edge inside the core or from the
+    core to the remote part invalidates the labelling scheme itself,
+    whatever it does to the chosen flag.  A partition passed in must be
+    classify_vertices(g); the screen costs one elimination per CV-NCV
+    candidate and none for the others.
+    """
+    _check_preserve(preserve)
+    part = classify_vertices(g) if partition is None else partition
+    return list(_safe_candidates(g, part, preserve))
+
+
+def greedy_densify(
+    g: Graph, preserve: str, partition: Optional[VertexPartition] = None
+):
     """Add safe edges lexicographically-first until none remains.
 
     Returns (final graph, tuple of added edges).  The preserved
     property is re-checked against the original graph after every
     accepted edge, so the result is maximal by inclusion, not a claimed
-    maximum-cardinality optimum.
+    maximum-cardinality optimum.  That re-check classifies the new graph
+    once, and its partition screens the next step, so the run costs one
+    elimination per accepted edge plus one per CV-NCV candidate tried.
     """
-    base = classify_vertices(g)
+    _check_preserve(preserve)
+    base = classify_vertices(g) if partition is None else partition
+    part = base
     current = g
     added = []
     while True:
-        step = safe_additions(current, preserve)
-        if not step:
+        first = next(_safe_candidates(current, part, preserve), None)
+        if first is None:
             break
-        first = step[0]
         current = add_edge(current, first.u, first.w)
         added.append((first.u, first.w))
         # Per-step flags compare equalities, so preservation against
         # the previous graph chains back to the original; verify that
         # directly anyway.
-        now = classify_vertices(current)
+        part = classify_vertices(current)
         if preserve == "nullity":
-            before, after = base.nullity, now.nullity
+            before, after = base.nullity, part.nullity
         elif preserve == "cv_set":
-            before, after = base.cv_set, now.cv_set
+            before, after = base.cv_set, part.cv_set
         else:
-            before, after = base.kernel.vectors, now.kernel.vectors
+            before, after = _kernel_of(g, base).vectors, part.kernel.vectors
         if before != after:
             raise TheoremViolationError(
                 "densification step (%d, %d) lost the %s property"

@@ -194,9 +194,9 @@ def is_mc_tree(g: Graph) -> McTreeReport:
     and via subdivision recognition; the two must agree."""
     if not is_tree(g):
         raise PreconditionError("requires a tree")
-    mc = minimal.is_minimal_configuration(g)
-    inv = inverse_subdivision(g)
     part = classify_vertices(g)
+    mc = minimal.is_minimal_configuration(g, part)
+    inv = inverse_subdivision(g)
     t = pendant_reduction(g).t
     ncv_count = len(part.ncv_set)
     q_full = None

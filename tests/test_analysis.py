@@ -1,5 +1,7 @@
 """Vertex classification, core labelling, block identities, reductions."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -156,6 +158,28 @@ def test_shared_kernel_matches_oracle(g):
     expected = oracle.kernel_basis(oracle.adjacency_rows(g.n, g.edges()), g.n)
     assert classify_vertices(g).kernel.vectors == expected
     assert analyze(g).kernel.vectors == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(drawn_graphs())
+def test_partition_keeps_the_reduction(g):
+    # y_block[u] is d times a solution of A y = e_u, exactly in integers,
+    # for every core-forbidden u and for no core vertex
+    part = classify_vertices(g)
+    rows = oracle.adjacency_rows(g.n, g.edges())
+    cv = set(part.cv_set)
+    rank_rows = [i for i in part.pivot_row if i is not None]
+    assert sorted(rank_rows) == list(range(g.n - part.nullity))
+    for u, y in enumerate(part.y_block):
+        assert (y is None) == (u in cv)
+        if y is None:
+            continue
+        assert part.pivot_row[u] is not None
+        assert [sum(y[w] for w in g.adjacency[v]) for v in range(g.n)] == [
+            part.d * (v == u) for v in range(g.n)]
+        assert Fraction(y[u], part.d) == oracle.unit_solution_entry(rows, u)
+        assert all(y[w] == part.y_block[w][u]
+                   for w in range(g.n) if w not in cv)
 
 
 def test_forged_basis_trips_solvability_guard():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import nullcore.graphs
+import nullcore.perturb
 from nullcore.cli import main
 from nullcore.graphs import Graph, parse_edge_list
 from nullcore.verify import SuiteResult, VerifySuiteConfig
@@ -215,3 +216,16 @@ def test_verify_dumps_counterexamples(capsys, tmp_path, monkeypatch):
     text = dumped[0].read_text()
     assert "failed check: trees/fake_check" in text
     assert parse_edge_list(text) == Graph(3, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("mode", ["--list", "--densify"])
+def test_perturb_classifies_input_once(capsys, monkeypatch, p7_file, mode):
+    # the partition made for the independence check is the one screened,
+    # so perturb classifies only graphs with an edge added
+    calls = []
+    real = nullcore.perturb.classify_vertices
+    monkeypatch.setattr(nullcore.perturb, "classify_vertices",
+                        lambda g, basis=None: calls.append(g) or real(g, basis))
+    code, _, _ = run_cli(capsys, "perturb", p7_file, "--preserve", "cv", mode)
+    assert code == 0
+    assert all(g.m > 6 for g in calls)

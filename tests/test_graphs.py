@@ -299,3 +299,25 @@ def test_to_dot_output():
     from nullcore.analysis import classify_vertices
     tagged = to_dot(p3, classify_vertices(p3))
     assert "[part=cv]" in tagged and "[part=ncv]" in tagged
+
+
+def _unicyclic_by_listing(n, seed):
+    """The extra edge drawn from a list of every non-edge of the tree."""
+    rng = SplitMix64(seed)
+    tree = gen_random_tree(n, rng.next_u64())
+    non_edges = [
+        (u, w)
+        for u in range(n)
+        for w in range(u + 1, n)
+        if not tree.has_edge(u, w)
+    ]
+    return add_edge(tree, *non_edges[rng.below(len(non_edges))])
+
+
+def test_unicyclic_matches_listing_of_non_edges():
+    # the row walk picks the same edge as the list, so every seeded
+    # unicyclic graph (and the verify output built on it) is unchanged
+    for n in range(3, 41):
+        for seed in range(40):
+            assert gen_random_unicyclic(n, seed) == _unicyclic_by_listing(
+                n, seed), (n, seed)

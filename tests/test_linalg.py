@@ -15,6 +15,7 @@ from nullcore.linalg import (
     rank,
     symmetric_kernel,
 )
+from nullcore.graphs import adjacency_matrix, gen_random_graph, gen_random_tree
 from nullcore.rng import SplitMix64
 
 import oracle
@@ -293,9 +294,18 @@ def test_char_poly_fixtures():
 
 def test_char_poly_matches_interpolation_oracle():
     rng = SplitMix64(901)
+    matrices = []
     for _ in range(60):
         n = 1 + rng.below(5)
-        m = random_int_matrix(rng, n, n, bound=2)
+        matrices.append(random_int_matrix(rng, n, n, bound=2))
+    # the product skips zero entries, so add mostly-zero adjacency
+    # matrices of trees and sparse G(n, p) up to n = 10
+    for i in range(30):
+        n = 2 + rng.below(9)
+        g = (gen_random_tree(n, rng.next_u64()) if i % 2 == 0
+             else gen_random_graph(n, 1, 4, rng.next_u64()))
+        matrices.append(adjacency_matrix(g))
+    for m in matrices:
         assert list(char_poly(m).coefficients) == oracle.charpoly_coefficients(
             m.to_lists()
         )

@@ -41,8 +41,10 @@ def test_cli_import_skips_heavy_stdlib_modules():
 def test_vertex_partition_equality_ignores_kernel():
     part = classify_vertices(gen_path(5))
     assert part.kernel is not None
-    bare = part._replace(kernel=None)
-    other = part._replace(kernel=KernelBasis(5, ((1, 0, 0, 0, 0),)))
+    # nor the rest of the reduction the partition keeps
+    bare = part._replace(kernel=None, d=None, pivot_row=None, y_block=None)
+    other = part._replace(kernel=KernelBasis(5, ((1, 0, 0, 0, 0),)), d=7,
+                          y_block=(None,) * 5)
     for a in (part, bare, other):
         for b in (part, bare, other):
             assert a == b

@@ -1,6 +1,7 @@
 """Edge perturbation reports, guarantees, and greedy densification."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nullcore.analysis import classify_vertices, nullity
 from nullcore.errors import PreconditionError, TheoremViolationError
@@ -13,6 +14,7 @@ from nullcore.graphs import (
     gen_random_tree,
 )
 from nullcore.perturb import (
+    CFV_FAMILY,
     EdgeCandidate,
     apply_and_report,
     candidate_edges,
@@ -23,7 +25,7 @@ from nullcore.perturb import (
 )
 from nullcore.linalg import KernelBasis
 from nullcore.rng import SplitMix64
-import nullcore.analysis
+import nullcore.linalg
 import nullcore.perturb
 
 import oracle
@@ -207,18 +209,34 @@ def test_verify_cv_ncv_sweep_random_trees():
     assert met > 0 and unmet > 0
 
 
-def test_safe_additions_eliminates_once_per_graph(monkeypatch):
-    # The base partition carries its kernel, so screening eliminates the
-    # base graph once and each candidate graph once.
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name so every call is appended to the returned list."""
     calls = []
-    real = nullcore.analysis.symmetric_kernel
-    monkeypatch.setattr(nullcore.analysis, "symmetric_kernel",
-                        lambda m: calls.append(m) or real(m))
-    screened = [c for c in candidate_edges(T9)
-                if c.type_pair not in ("CV-CV", "CV-CFVR")]
-    calls.clear()
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_safe_additions_eliminates_once_per_graph(monkeypatch):
+    # The base graph is eliminated once; the rank-two rule decides every
+    # candidate inside the core-forbidden part from that elimination, and
+    # each CV-NCV candidate costs one elimination of its own.
+    cv_ncv = [c for c in candidate_edges(T9) if c.type_pair == "CV-NCV"]
+    assert cv_ncv and any(
+        c.type_pair in CFV_FAMILY for c in candidate_edges(T9))
+    elims = _count_calls(monkeypatch, nullcore.linalg, "_gauss_jordan_int")
     safe_additions(T9, "nullspace")
-    assert len(calls) == len(screened) + 1
+    assert len(elims) == 1 + len(cv_ncv)
+    # a partition handed in is not classified again
+    part = classify_vertices(T9)
+    elims.clear()
+    safe_additions(T9, "nullspace", part)
+    assert len(elims) == len(cv_ncv)
 
 
 def test_safe_additions_fixtures():
@@ -322,11 +340,154 @@ def test_greedy_densify_guards_raise_theorem_violation(monkeypatch):
     # Offer every non-edge as safe: on two isolated vertices the only
     # addition drops the nullity from 2 to 0 and empties the core.
     monkeypatch.setattr(
-        nullcore.perturb, "safe_additions",
-        lambda g, preserve: candidate_edges(g),
+        nullcore.perturb, "_safe_candidates",
+        lambda g, part, preserve: iter(candidate_edges(g)),
     )
     for preserve in ("nullity", "cv_set", "nullspace"):
         with pytest.raises(TheoremViolationError, match=preserve) as info:
             greedy_densify(Graph(2, []), preserve)
         assert info.value.report["added"] == [(0, 1)]
         assert info.value.report["edges"] == []
+
+
+_MODES = ("nullity", "cv_set", "nullspace")
+
+
+@st.composite
+def small_graphs(draw):
+    """A tree, a G(n, p) graph with p in {1/3, 1/2, 2/3} or a planted-twin
+    graph on at most 12 vertices, relabelled by a random permutation;
+    G(n, p) and twins give graphs with and without independent cores."""
+    kind = draw(st.sampled_from(("tree", "twin", "gnp")))
+    n = draw(st.integers(1 if kind != "twin" else 2, 12))
+    if kind == "tree":
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    else:
+        size = n - 1 if kind == "twin" else n
+        num = draw(st.integers(1, 2))
+        pairs = [(u, w) for u in range(size) for w in range(u + 1, size)]
+        edges = [pair for pair in pairs if draw(st.integers(0, 2)) < num]
+        if kind == "twin":
+            # vertex n - 1 copies the neighbourhood of source
+            source = draw(st.integers(0, n - 2))
+            edges += [(w if u == source else u, n - 1)
+                      for u, w in edges if source in (u, w)]
+    order = draw(st.permutations(range(n)))
+    return Graph(n, [(order[u], order[w]) for u, w in edges])
+
+
+def _screen_against_reports(g):
+    """Check the rank-two rule against apply_and_report on every candidate
+    inside the core-forbidden part; returns the verdicts."""
+    part = classify_vertices(g)
+    verdicts = []
+    offered = {}
+    for cand in candidate_edges(g, part):
+        if cand.type_pair in ("CV-CV", "CV-CFVR"):
+            continue
+        report = apply_and_report(g, cand, part)
+        offered[cand] = report.preserved
+        if cand.type_pair not in CFV_FAMILY:
+            continue
+        keeps = nullcore.perturb._keeps_nullity(part, cand.u, cand.w)
+        assert keeps is not None
+        assert [report.preserved[mode] for mode in _MODES] == [keeps] * 3
+        if g.n <= 8:
+            h = add_edge(g, cand.u, cand.w)
+            assert (oracle.nullity_of(h.n, list(h.edges()))
+                    == part.nullity) == keeps
+        verdicts.append(keeps)
+    # the listing equals one full report per candidate, in every mode
+    for mode in _MODES:
+        assert safe_additions(g, mode) == [
+            c for c, flags in offered.items() if flags[mode]]
+    return part, verdicts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_graphs())
+def test_rank_two_screen_matches_full_report(g):
+    _screen_against_reports(g)
+
+
+def test_rank_two_screen_covers_both_outcomes_with_and_without_cores():
+    rng = SplitMix64(2024)
+    seen = {}
+    for i in range(90):
+        n = 3 + rng.below(10)
+        seed = rng.next_u64()
+        if i % 3 == 0:
+            g = gen_random_tree(n, seed)
+        else:
+            g = gen_random_graph(n, 1, 2 + i % 2, seed)
+        part, verdicts = _screen_against_reports(g)
+        for keeps in verdicts:
+            key = (part.independent_cv, keeps)
+            seen[key] = seen.get(key, 0) + 1
+    assert set(seen) == {(True, True), (True, False),
+                         (False, True), (False, False)}, seen
+
+
+def _densify_one_report_per_candidate(g, preserve):
+    """The densify loop before the screen: every step lists every safe
+    candidate by a full report each and keeps the first."""
+    current, added = g, []
+    while True:
+        part = classify_vertices(current)
+        step = [
+            c for c in candidate_edges(current, part)
+            if c.type_pair not in ("CV-CV", "CV-CFVR")
+            and apply_and_report(current, c, part).preserved[preserve]
+        ]
+        if not step:
+            return current, tuple(added)
+        current = add_edge(current, step[0].u, step[0].w)
+        added.append((step[0].u, step[0].w))
+
+
+def test_greedy_densify_matches_one_report_per_candidate():
+    rng = SplitMix64(31337)
+    total = 0
+    for i in range(24):
+        n = 4 + rng.below(5)
+        seed = rng.next_u64()
+        g = gen_random_tree(n, seed) if i % 2 == 0 else gen_random_graph(
+            n, 1, 2, seed)
+        for mode in _MODES:
+            expected = _densify_one_report_per_candidate(g, mode)
+            assert greedy_densify(g, mode) == expected, (g.edges(), mode)
+            total += len(expected[1])
+    assert total > 50
+
+
+def _cv_ncv_tried(g, added):
+    """CV-NCV candidates a lazy densify tries: at each step those up to
+    the accepted edge, and at the last step all of them."""
+    tried = 0
+    current = g
+    for edge in list(added) + [None]:
+        for cand in candidate_edges(current):
+            tried += cand.type_pair == "CV-NCV"
+            if (cand.u, cand.w) == edge:
+                break
+        if edge is not None:
+            current = add_edge(current, *edge)
+    return tried
+
+
+@pytest.mark.parametrize("preserve", _MODES)
+def test_greedy_densify_elimination_count(monkeypatch, preserve):
+    # One elimination for the base graph, one per accepted edge (its
+    # re-check, reused by the next step) and one per CV-NCV candidate
+    # tried; candidates inside the core-forbidden part cost none.
+    graphs = [T9, MET_TREE, gen_path(7), gen_random_tree(12, 5),
+              gen_random_graph(9, 1, 2, 3)]
+    for g in graphs:
+        elims = _count_calls(monkeypatch, nullcore.linalg,
+                             "_gauss_jordan_int")
+        reports = _count_calls(monkeypatch, nullcore.perturb,
+                               "apply_and_report")
+        _, added = greedy_densify(g, preserve)
+        monkeypatch.undo()
+        assert len(reports) == _cv_ncv_tried(g, added)
+        assert len(elims) == 1 + len(added) + len(reports), g.edges()

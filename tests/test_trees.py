@@ -25,6 +25,8 @@ from nullcore.trees import (
     tree_nullity_identity,
 )
 
+import nullcore.minimal
+import nullcore.trees
 import oracle
 
 T9 = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
@@ -207,3 +209,19 @@ def test_subdivision_charpoly_identity_via_oracle():
     lhs = list(char_poly(adjacency_matrix(s)).coefficients)
     assert lhs == oracle.charpoly_coefficients(
         oracle.adjacency_rows(s.n, list(s.edges())))
+
+
+def test_is_mc_tree_classifies_once(monkeypatch):
+    # is_minimal_configuration reads the partition is_mc_tree made
+    calls = []
+
+    def counted(g, basis=None):
+        calls.append(g)
+        return classify_vertices(g, basis)
+
+    for module in (nullcore.trees, nullcore.minimal):
+        monkeypatch.setattr(module, "classify_vertices", counted)
+    for g in (gen_path(7), gen_path(4), subdivision(T9)[0]):
+        calls.clear()
+        is_mc_tree(g)
+        assert calls == [g]
