@@ -188,11 +188,10 @@ def classify_vertices(g: Graph, basis: Optional[KernelBasis] = None) -> VertexPa
     """
     n = g.n
     data = []
-    for v, neighbours in enumerate(g.adjacency):
-        row = [0] * (2 * n)
+    for neighbours in g.adjacency:
+        row = [0] * n
         for w in neighbours:
             row[w] = 1
-        row[n + v] = 1
         data.append(row)
     true_basis, d, pivot_row, y_block = _reduce_symmetric(data, n)
     if basis is None:
@@ -249,17 +248,6 @@ def classify_vertices(g: Graph, basis: Optional[KernelBasis] = None) -> VertexPa
         d=d,
         pivot_row=pivot_row,
         y_block=y_block,
-    )
-
-
-def cv_by_deletion(g: Graph) -> tuple:
-    """Core vertices by the deletion criterion alone: eta drops by one.
-
-    Independent of the kernel-basis route; used to cross-check it.
-    """
-    eta = nullity(g)
-    return tuple(
-        v for v in range(g.n) if nullity(delete_vertex(g, v)[0]) == eta - 1
     )
 
 
@@ -386,16 +374,20 @@ def _block_checks(part: VertexPartition, lab: CoreLabelling) -> list:
     ]
 
 
-def verify_block_theorems(g: Graph) -> list:
+def verify_block_theorems(
+    g: Graph, partition: Optional[VertexPartition] = None
+) -> list:
     """Exact verdicts for the five identities forced by the block shape."""
-    part = classify_vertices(g)
+    part = classify_vertices(g) if partition is None else partition
     if part.nullity == 0:
         raise PreconditionError("block identities require a singular graph")
     lab = core_labelling(g, part)
     return _block_checks(part, lab)
 
 
-def slim_reduce(g: Graph) -> tuple:
+def slim_reduce(
+    g: Graph, partition: Optional[VertexPartition] = None
+) -> tuple:
     """Drop the remote vertices; keep core and neighbours-of-core.
 
     The reduction is advertised to disturb neither the nullity nor any
@@ -404,11 +396,12 @@ def slim_reduce(g: Graph) -> tuple:
     so both claims are recomputed on the result; a violation raises
     TheoremViolationError carrying a replayable report.
     """
-    part = classify_vertices(g)
+    part = classify_vertices(g) if partition is None else partition
     require_independent_cv(g, part)
     keep = sorted(set(part.cv_set) | set(part.ncv_set))
     reduced, prov = induced_subgraph(g, keep)
-    reduced_part = classify_vertices(reduced)
+    # with no remote vertex the result is g itself, already classified
+    reduced_part = part if not part.cfvr_set else classify_vertices(reduced)
     changed = [
         (old, part.class_of[old].value, reduced_part.class_of[new].value)
         for new, old in prov.vertex_map().items()

@@ -25,6 +25,11 @@ from .rng import SplitMix64
 # Largest n that parse_edge_list and the generators accept; n alone
 # sizes the adjacency lists, so a larger n is refused before allocation.
 MAX_VERTICES = 100_000
+# gen_random_graph and gen_random_bipartite visit all n(n-1)/2 vertex
+# pairs, so each refuses n above its own, lower limit; at the limit each
+# draws about a million edges in a few seconds.
+MAX_RANDOM_GRAPH_VERTICES = 2_000
+MAX_RANDOM_BIPARTITE_VERTICES = 2_800
 
 
 class Graph:
@@ -454,7 +459,7 @@ def gen_random_graph(
 ) -> Graph:
     """Each of the n(n-1)/2 possible edges is kept independently with
     probability p_numerator/p_denominator."""
-    _check_size(n)
+    _check_size(n, most=MAX_RANDOM_GRAPH_VERTICES)
     if p_denominator <= 0 or not 0 <= p_numerator <= p_denominator:
         raise ValueError("edge probability must satisfy 0 <= num <= den")
     rng = SplitMix64(seed)
@@ -469,7 +474,7 @@ def gen_random_graph(
 def gen_random_bipartite(n: int, seed: int) -> Graph:
     """Random bipartite graph: vertices split by coin flips (both sides kept
     non-empty for n >= 2), each cross pair kept with probability 1/2."""
-    _check_size(n)
+    _check_size(n, most=MAX_RANDOM_BIPARTITE_VERTICES)
     rng = SplitMix64(seed)
     side = [rng.below(2) for _ in range(n)]
     if n >= 2 and len(set(side)) == 1:
@@ -507,11 +512,12 @@ def gen_random_unicyclic(n: int, seed: int) -> Graph:
     return add_edge(tree, u, w)
 
 
-def _check_size(n: int, least: int = 1, what: str = "generator"):
+def _check_size(n: int, least: int = 1, what: str = "generator", most=None):
     if n < least:
         raise ValueError(f"{what} needs n >= {least}")
-    if n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} exceeds the limit {MAX_VERTICES}")
+    limit = MAX_VERTICES if most is None else min(most, MAX_VERTICES)
+    if n > limit:
+        raise ValueError(f"vertex count {n} exceeds the limit {limit}")
 
 
 def to_dot(g: Graph, partition=None) -> str:

@@ -6,10 +6,11 @@ division, applied above and below each pivot) serves every routine:
 rank is the number of pivots, the determinant is the last pivot times
 the row-swap sign, and the canonical integer nullspace basis is read
 directly off the reduced rows.  For a symmetric matrix the same
-elimination of [A | I] also tells which systems A y = e_v are solvable
-and yields d times one solution of each.  The characteristic polynomial
-uses the Faddeev-LeVerrier recurrence (whose divisions are exact for
-integer matrices), multiplying by the non-zero entries only.
+elimination of [A | I], run in place on n-wide rows, also tells which
+systems A y = e_v are solvable and yields d times one solution of each.
+The characteristic polynomial uses the Faddeev-LeVerrier recurrence
+(whose divisions are exact for integer matrices), multiplying by the
+non-zero entries only.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ class IntMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([(0,) * cols for _ in range(rows)], cols=cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -135,24 +132,33 @@ class CharPoly(NamedTuple):
 
 
 def _gauss_jordan_int(
-    rows_data: list[list[int]], n_rows: int, n_pivot_cols: int
+    rows_data: list[list[int]], n_rows: int, n_cols: int, keep_t=False
 ):
-    """In-place fraction-free reduced echelon; returns (pivots, sign, d).
+    """Fraction-free reduced echelon of n_rows rows of n_cols ints, in place.
 
-    Pivots are sought in the first n_pivot_cols columns only, so an
-    augmented block to their right is carried along.  The pivot is the
-    first row at or below the rank with a non-zero entry in the current
-    column; sign is the parity of the row swaps that brought it up.
-    Bareiss one-step division is applied to every row, above and below
-    the pivot, so every entry stays an integer (a minor of the input)
-    and at the end every pivot entry equals the last pivot d.  pivots[i]
-    is the pivot column of row i; rows from len(pivots) on are zero in
-    the pivot columns.
+    Returns (pivots, sign, d, origin).  The pivot is the first row at or
+    below the rank with a non-zero entry in the current column; sign is
+    the parity of the row swaps that brought it up, and origin[i] is the
+    input index of the row that ends at position i.  Bareiss one-step
+    division is applied to every row, above and below the pivot, so
+    every entry stays an integer (a minor of the input) and at the end
+    every pivot entry of R equals the last pivot d.  pivots[i] is the
+    pivot column of row i; rows from len(pivots) on are zero in R.
+
+    A pivoted column of R is d times a unit column from then on, so its
+    slot is freed.  By default it is cleared to zero, leaving only the
+    free columns of R.  With keep_t the input is a square A and the rows
+    stand for [A | I] reduced to [R | T]: the freed slot takes the column
+    of T for the pivot row's input index.  Until that row is pivoted,
+    the column is the current pivot times the unit vector at the row and
+    is not stored; the step that pivots on the row leaves the old pivot
+    in it and -factor in every other row.
     """
     pivots = []
     sign = 1
     prev = 1
-    for col in range(n_pivot_cols):
+    origin = list(range(n_rows))
+    for col in range(n_cols):
         rank = len(pivots)
         pivot_row = None
         for i in range(rank, n_rows):
@@ -166,12 +172,19 @@ def _gauss_jordan_int(
                 rows_data[pivot_row],
                 rows_data[rank],
             )
+            origin[rank], origin[pivot_row] = origin[pivot_row], origin[rank]
             sign = -sign
         row_r = rows_data[rank]
         piv = row_r[col]
+        # each other row ends with (piv - row_r[col]) * factor / prev in
+        # slot col: 0, or -factor (T's column) while it holds piv + prev
+        if keep_t:
+            row_r[col] = piv + prev
         if piv == prev:
-            # every other row only moves where the pivot row is non-zero
-            support = [j for j in range(col, len(row_r)) if row_r[j] != 0]
+            # every other row only moves where the pivot row is non-zero;
+            # left of col that can only be a slot holding T
+            start = 0 if keep_t else col
+            support = [j for j in range(start, n_cols) if row_r[j] != 0]
         for i in range(n_rows):
             row_i = rows_data[i]
             factor = row_i[col]
@@ -187,9 +200,10 @@ def _gauss_jordan_int(
                     (piv * a - factor * b) // prev
                     for a, b in zip(row_i, row_r)
                 ]
+        row_r[col] = prev if keep_t else 0
         pivots.append(col)
         prev = piv
-    return pivots, sign, prev
+    return pivots, sign, prev, origin
 
 
 def _kernel_from_reduced(data, pivots, d: int, n_cols: int) -> KernelBasis:
@@ -218,7 +232,7 @@ def _kernel_from_reduced(data, pivots, d: int, n_cols: int) -> KernelBasis:
 def rank(m: IntMatrix) -> int:
     """Exact rank over the rationals."""
     data = [list(r) for r in m.data]
-    pivots, _, _ = _gauss_jordan_int(data, m.rows, m.cols)
+    pivots, _, _, _ = _gauss_jordan_int(data, m.rows, m.cols)
     return len(pivots)
 
 
@@ -227,12 +241,8 @@ def det(m: IntMatrix) -> int:
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
     data = [list(r) for r in m.data]
-    pivots, sign, d = _gauss_jordan_int(data, m.rows, m.cols)
+    pivots, sign, d, _ = _gauss_jordan_int(data, m.rows, m.cols)
     return sign * d if len(pivots) == m.rows else 0
-
-
-def is_nonsingular(m: IntMatrix) -> bool:
-    return det(m) != 0
 
 
 def nullspace_basis(m: IntMatrix) -> KernelBasis:
@@ -244,7 +254,7 @@ def nullspace_basis(m: IntMatrix) -> KernelBasis:
     primitive and sign-normalised.
     """
     data = [list(r) for r in m.data]
-    pivots, _, d = _gauss_jordan_int(data, m.rows, m.cols)
+    pivots, _, d, _ = _gauss_jordan_int(data, m.rows, m.cols)
     return _kernel_from_reduced(data, pivots, d, m.cols)
 
 
@@ -262,7 +272,7 @@ class SymmetricKernel(NamedTuple):
 
 
 def _reduce_symmetric(data: list, n: int) -> tuple:
-    """Reduce [A | I] in place for a symmetric n x n A.
+    """Reduce [A | I] in place for a symmetric n x n A given as n rows of A.
 
     Returns (basis, d, pivot_row, y_rows).  pivot_row[v] is the row whose
     pivot lies in column v, or None for a free column.  y_rows[v] is None
@@ -275,17 +285,23 @@ def _reduce_symmetric(data: list, n: int) -> tuple:
     symmetric, so A y = e_v is solvable exactly when they all vanish at
     column v.  Then every kernel vector vanishes at v, so v is a pivot
     column whose row of R is d * e_v, and that row of T A is d * e_v too.
+
+    The rows stay n wide: column w of T sits in the slot of the pivot
+    column of the row that started as row w, and when that row never
+    became a pivot row, T's column w is d times the unit vector at the
+    row's final position, below the rank.
     """
-    pivots, _, d = _gauss_jordan_int(data, n, n)
+    pivots, _, d, origin = _gauss_jordan_int(data, n, n, keep_t=True)
     r = len(pivots)
     pivot_row = [None] * n
+    slot = [None] * n
     for i, p in enumerate(pivots):
         pivot_row[p] = i
-    unsolvable = {
-        v for i in range(r, n) for v in range(n) if data[i][n + v] != 0
-    }
+        slot[origin[i]] = p
+    live = {j for row in data[r:] for j, x in enumerate(row) if x != 0}
     y_rows = tuple(
-        None if v in unsolvable else tuple(data[pivot_row[v]][n:])
+        None if slot[v] is None or slot[v] in live
+        else tuple(0 if j is None else data[pivot_row[v]][j] for j in slot)
         for v in range(n)
     )
     basis = _kernel_from_reduced(data, pivots, d, n)
@@ -301,11 +317,7 @@ def symmetric_kernel(m: IntMatrix) -> SymmetricKernel:
     """
     if not m.is_symmetric():
         raise ValueError("symmetric_kernel requires a symmetric matrix")
-    n = m.rows
-    data = [list(row) + [0] * n for row in m.data]
-    for i in range(n):
-        data[i][n + i] = 1
-    basis, _, _, y_rows = _reduce_symmetric(data, n)
+    basis, _, _, y_rows = _reduce_symmetric([list(r) for r in m.data], m.rows)
     y_vanishes = tuple(
         None if y is None else y[v] == 0 for v, y in enumerate(y_rows)
     )

@@ -10,7 +10,12 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .analysis import classify_vertices, core_labelling, nullity
+from .analysis import (
+    VertexPartition,
+    classify_vertices,
+    core_labelling,
+    nullity,
+)
 from .errors import PreconditionError
 from .graphs import (
     Graph,
@@ -75,12 +80,6 @@ def pendant_reduction(g: Graph) -> ReductionTrace:
     )
 
 
-def matching_number(g: Graph) -> int:
-    """Maximum matching size of a forest (pendant-pair greedy is maximum
-    there; general graphs are out of scope)."""
-    return pendant_reduction(g).t
-
-
 class TreeNullityIdentity(NamedTuple):
     eta_reduction: int
     eta_rank: int
@@ -110,7 +109,9 @@ class EndVertexCores(NamedTuple):
     non_singular: bool
 
 
-def end_vertex_core_vertices(g: Graph) -> EndVertexCores:
+def end_vertex_core_vertices(
+    g: Graph, partition: Optional[VertexPartition] = None
+) -> EndVertexCores:
     """End vertices of a tree that are core vertices.
 
     A singular tree always has at least two.  Non-singular trees have no
@@ -119,7 +120,7 @@ def end_vertex_core_vertices(g: Graph) -> EndVertexCores:
     """
     if not is_tree(g):
         raise PreconditionError("requires a tree")
-    part = classify_vertices(g)
+    part = classify_vertices(g) if partition is None else partition
     if part.nullity == 0:
         return EndVertexCores((), True)
     cv = set(part.cv_set)
@@ -127,13 +128,15 @@ def end_vertex_core_vertices(g: Graph) -> EndVertexCores:
     return EndVertexCores(ends, False)
 
 
-def cfvr_perfect_matching(g: Graph) -> Optional[tuple]:
+def cfvr_perfect_matching(
+    g: Graph, partition: Optional[VertexPartition] = None
+) -> Optional[tuple]:
     """Perfect matching of the forest induced on the remote vertices of a
     tree, in original labels; None when that forest has no perfect matching
     (never the case for a tree)."""
     if not is_tree(g):
         raise PreconditionError("requires a tree")
-    part = classify_vertices(g)
+    part = classify_vertices(g) if partition is None else partition
     remote, prov = induced_subgraph(g, part.cfvr_set)
     trace = pendant_reduction(remote)
     if trace.isolated_remainder:
@@ -189,12 +192,14 @@ class McTreeReport(NamedTuple):
     q_full_column_rank: Optional[bool]
 
 
-def is_mc_tree(g: Graph) -> McTreeReport:
+def is_mc_tree(
+    g: Graph, partition: Optional[VertexPartition] = None
+) -> McTreeReport:
     """Decide whether a tree is a minimal configuration, via the definition
     and via subdivision recognition; the two must agree."""
     if not is_tree(g):
         raise PreconditionError("requires a tree")
-    part = classify_vertices(g)
+    part = classify_vertices(g) if partition is None else partition
     mc = minimal.is_minimal_configuration(g, part)
     inv = inverse_subdivision(g)
     t = pendant_reduction(g).t

@@ -99,7 +99,8 @@ def _trial_trees(seed: int, max_n: int, index: int) -> list:
         ("core_independent", part.independent_cv, t),
         (
             "mc_routes_agree",
-            is_mc_tree(t).by_definition == (inverse_subdivision(t) is not None),
+            is_mc_tree(t, part).by_definition
+            == (inverse_subdivision(t) is not None),
             t,
         ),
     ]
@@ -122,20 +123,20 @@ def _trial_trees(seed: int, max_n: int, index: int) -> list:
     if part.nullity > 0:
         out.append(
             ("two_core_end_vertices",
-             len(end_vertex_core_vertices(t).vertices) >= 2, t)
+             len(end_vertex_core_vertices(t, part).vertices) >= 2, t)
         )
         out.append(
             ("no_single_core_neighbour",
              no_single_core_neighbour_check(t, part).holds, t)
         )
-        blocks_ok = all(c.holds for c in verify_block_theorems(t))
+        blocks_ok = all(c.holds for c in verify_block_theorems(t, part))
         out.append(("block_identities", blocks_ok, t))
         out.append(
             ("remote_perfect_matching",
-             cfvr_perfect_matching(t) is not None, t)
+             cfvr_perfect_matching(t, part) is not None, t)
         )
         try:
-            slim_reduce(t)
+            slim_reduce(t, part)
             out.append(("slim_reduction_faithful", True, t))
         except TheoremViolationError:
             out.append(("slim_reduction_faithful", False, t))
@@ -165,8 +166,8 @@ def _trial_subdivisions(seed: int, max_n: int, index: int) -> list:
     s, _ = subdivision(t)
     part = classify_vertices(s)
     inserted = tuple(range(t.n, t.n + t.m))
-    mc = is_minimal_configuration(s)
-    mc_tree = is_mc_tree(s)
+    mc = is_minimal_configuration(s, part)
+    mc_tree = is_mc_tree(s, part)
     out = [
         ("unit_nullity", part.nullity == 1, s),
         ("core_set_is_original", part.cv_set == tuple(range(t.n)), s),

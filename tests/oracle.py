@@ -1,6 +1,7 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here works on plain (n, edges) data with stdlib imports only.
+Everything here works on plain (n, edges) data with stdlib imports only,
+except cv_by_deletion, which runs the deletion criterion on the package.
 The algorithms deliberately differ from the package's: row-swap Gaussian
 elimination over Fraction (and the kernel read off its reduced form)
 instead of fraction-free integer Gauss-Jordan, evaluation
@@ -133,6 +134,24 @@ def core_vertices(n, edges):
         v for v in range(n)
         if nullity_of(*delete_vertex_data(n, edges, v)) == eta - 1
     ]
+
+
+def cv_by_deletion(g):
+    """Core vertices of a nullcore Graph by the deletion criterion alone:
+    the nullity drops by one.
+
+    The one helper here that runs on the package: it takes the package's
+    exact rank of every one-vertex-deleted graph, which is a different
+    route from the single [A | I] elimination that classify_vertices
+    reads, and cheap enough for thousands of graphs.
+    """
+    from nullcore.analysis import nullity
+    from nullcore.graphs import delete_vertex
+
+    eta = nullity(g)
+    return tuple(
+        v for v in range(g.n) if nullity(delete_vertex(g, v)[0]) == eta - 1
+    )
 
 
 def vertex_classes(n, edges):

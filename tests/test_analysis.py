@@ -11,7 +11,6 @@ from nullcore.analysis import (
     analyze,
     classify_vertices,
     core_labelling,
-    cv_by_deletion,
     is_core_graph,
     is_half_core,
     is_slim,
@@ -108,7 +107,7 @@ def test_classes_match_deletion_oracle():
         assert [c.value for c in part.class_of] == oracle.vertex_classes(
             n, list(g.edges())
         )
-        assert list(cv_by_deletion(g)) == oracle.core_vertices(
+        assert list(oracle.cv_by_deletion(g)) == oracle.core_vertices(
             n, list(g.edges())
         )
 
@@ -118,7 +117,7 @@ def test_core_support_equals_core_deletion():
     for _ in range(300):
         n = 2 + rng.below(6)
         g = gen_random_graph(n, 1, 2, rng.next_u64())
-        assert classify_vertices(g).cv_set == cv_by_deletion(g)
+        assert classify_vertices(g).cv_set == oracle.cv_by_deletion(g)
 
 
 @st.composite
@@ -149,7 +148,7 @@ def drawn_graphs(draw):
 def test_one_elimination_classes_match_deletion_routes(g):
     part = classify_vertices(g)
     assert part.class_tags() == oracle.vertex_classes(g.n, list(g.edges()))
-    assert part.cv_set == cv_by_deletion(g)
+    assert part.cv_set == oracle.cv_by_deletion(g)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

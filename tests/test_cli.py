@@ -6,8 +6,21 @@ import pytest
 
 import nullcore.graphs
 import nullcore.perturb
+import nullcore.verify
+from nullcore import cli
 from nullcore.cli import main
-from nullcore.graphs import Graph, parse_edge_list
+from nullcore.graphs import (
+    Graph,
+    gen_cycle,
+    gen_path,
+    gen_random_bipartite,
+    gen_random_graph,
+    gen_random_tree,
+    gen_random_unicyclic,
+    gen_star,
+    parse_edge_list,
+    serialize_edge_list,
+)
 from nullcore.verify import SuiteResult, VerifySuiteConfig
 
 
@@ -173,6 +186,41 @@ def test_gen_over_cap_exit_1(capsys, monkeypatch):
         assert out == ""
         assert "exceeds the limit 5" in err
 
+
+def test_gen_dense_kinds_have_their_own_cap_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(nullcore.graphs, "MAX_RANDOM_GRAPH_VERTICES", 5)
+    monkeypatch.setattr(nullcore.graphs, "MAX_RANDOM_BIPARTITE_VERTICES", 4)
+    for kind, limit in (("graph", 5), ("bipartite", 4)):
+        code, out, err = run_cli(capsys, "gen", kind, str(limit + 1))
+        assert code == 1
+        assert out == ""
+        assert "exceeds the limit %d" % limit in err
+        code, out, _ = run_cli(capsys, "gen", kind, str(limit))
+        assert code == 0 and parse_edge_list(out).n == limit
+
+
+def test_gen_kinds_map_onto_the_generators(capsys):
+    expected = {
+        "cycle": gen_cycle(8),
+        "path": gen_path(8),
+        "star": gen_star(8),
+        "bipartite": gen_random_bipartite(8, 11),
+        "graph": gen_random_graph(8, 1, 2, 11),
+        "tree": gen_random_tree(8, 11),
+        "unicyclic": gen_random_unicyclic(8, 11),
+    }
+    assert sorted(cli._GEN_KINDS) == sorted(expected)
+    for kind, g in expected.items():
+        code, out, _ = run_cli(capsys, "gen", kind, "8", "11")
+        assert code == 0
+        assert out == serialize_edge_list(g), kind
+
+
+def test_suite_choices_match_verify():
+    # the parser lists the suites without importing nullcore.verify
+    assert cli._SUITES == nullcore.verify.SUITES
+
+
 def test_usage_error_is_exit_1():
     # argparse raises SystemExit through our parser override
     with pytest.raises(SystemExit) as info:
@@ -197,15 +245,16 @@ def test_verify_small_run(capsys, tmp_path, monkeypatch):
 
 
 def test_verify_dumps_counterexamples(capsys, tmp_path, monkeypatch):
-    # fabricate a failing result to exercise the dump path
-    import nullcore.cli as cli_mod
+    # fabricate a failing result to exercise the dump path; the verify
+    # handler imports run_suite when it runs, so it is patched at its source
+    import nullcore.verify as verify_mod
 
     fake = SuiteResult(
         VerifySuiteConfig("trees", 5, 1, 0),
         {"trees/fake_check": [0, 1]},
         (("trees/fake_check", Graph(3, [(0, 1), (1, 2)])),),
     )
-    monkeypatch.setattr(cli_mod, "run_suite", lambda config: fake)
+    monkeypatch.setattr(verify_mod, "run_suite", lambda config: fake)
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "trees", "--trials", "1")

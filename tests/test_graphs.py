@@ -275,6 +275,37 @@ def test_generators_are_capped(monkeypatch):
         with pytest.raises(ValueError, match="exceeds the limit 5"):
             make(6)
 
+
+def test_pair_loop_generators_have_their_own_cap(monkeypatch):
+    # G(n, p) and the bipartite generator visit every vertex pair, so
+    # each refuses n above a lower, per-kind limit before the loop runs.
+    graphs = nullcore.graphs
+    graph_cap = graphs.MAX_RANDOM_GRAPH_VERTICES
+    bipartite_cap = graphs.MAX_RANDOM_BIPARTITE_VERTICES
+    assert max(graph_cap, bipartite_cap) < graphs.MAX_VERTICES
+    monkeypatch.setattr(graphs, "MAX_RANDOM_GRAPH_VERTICES", 4)
+    monkeypatch.setattr(graphs, "MAX_RANDOM_BIPARTITE_VERTICES", 3)
+    assert gen_random_graph(4, 1, 2, 7).n == 4
+    assert gen_random_bipartite(3, 7).n == 3
+    assert gen_random_tree(6, 7).n == 6  # the other kinds keep MAX_VERTICES
+    # a refused request draws and builds nothing, so the real caps are
+    # probed just above without allocating
+    monkeypatch.setattr(graphs, "Graph", None)
+    monkeypatch.setattr(graphs, "SplitMix64", None)
+    cases = (
+        (lambda n: gen_random_graph(n, 1, 2, 7), 4, graph_cap),
+        (lambda n: gen_random_bipartite(n, 7), 3, bipartite_cap),
+    )
+    for make, small, _ in cases:
+        with pytest.raises(ValueError, match="exceeds the limit %d" % small):
+            make(small + 1)
+    monkeypatch.setattr(graphs, "MAX_RANDOM_GRAPH_VERTICES", graph_cap)
+    monkeypatch.setattr(graphs, "MAX_RANDOM_BIPARTITE_VERTICES", bipartite_cap)
+    for make, _, real in cases:
+        with pytest.raises(ValueError, match="exceeds the limit %d" % real):
+            make(real + 1)
+
+
 def test_random_tree_spans_labelled_shapes():
     # All three labelled trees on 3 vertices should appear.
     seen = set()

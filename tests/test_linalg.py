@@ -8,9 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 from nullcore.linalg import (
     CharPoly,
     IntMatrix,
+    _gauss_jordan_int,
+    _kernel_from_reduced,
+    _reduce_symmetric,
     char_poly,
     det,
-    is_nonsingular,
     nullspace_basis,
     rank,
     symmetric_kernel,
@@ -62,13 +64,13 @@ def test_matmul_identity():
 
 
 def test_rank_and_det_small_fixtures():
-    assert rank(IntMatrix.zero(3, 3)) == 0
+    assert rank(IntMatrix([[0] * 3] * 3)) == 0
     assert rank(IntMatrix.identity(4)) == 4
     assert det(IntMatrix.identity(4)) == 1
     assert det(IntMatrix([[2, 0], [1, 3]])) == 6
     assert det(IntMatrix([[1, 2], [2, 4]])) == 0
-    assert is_nonsingular(IntMatrix([[0, 1], [1, 0]]))
-    assert not is_nonsingular(IntMatrix([[1, 1], [1, 1]]))
+    assert det(IntMatrix([[0, 1], [1, 0]])) == -1
+    assert det(IntMatrix([[1, 1], [1, 1]])) == 0
 
 
 def test_det_requires_square():
@@ -272,6 +274,89 @@ def test_symmetric_kernel_requires_symmetric():
         symmetric_kernel(IntMatrix([[0, 1], [0, 0]]))
     with pytest.raises(ValueError):
         symmetric_kernel(IntMatrix([[0, 1, 0]]))
+
+
+def _wide_reduction(rows):
+    """The [A | I] reduction on 2n-wide rows that _reduce_symmetric
+    replaced, kept here as its reference: plain Bareiss Gauss-Jordan
+    over both halves (the same integers as the skipping branches of the
+    library loop), read out the way the library read it."""
+    n = len(rows)
+    data = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(rows)]
+    pivots, prev = [], 1
+    for col in range(n):
+        rank_ = len(pivots)
+        found = next((i for i in range(rank_, n) if data[i][col]), None)
+        if found is None:
+            continue
+        data[rank_], data[found] = data[found], data[rank_]
+        row_r, piv = data[rank_], data[rank_][col]
+        for i in range(n):
+            if i != rank_:
+                factor = data[i][col]
+                data[i] = [(piv * a - factor * b) // prev
+                           for a, b in zip(data[i], row_r)]
+        pivots.append(col)
+        prev = piv
+    pivot_row = [None] * n
+    for i, p in enumerate(pivots):
+        pivot_row[p] = i
+    unsolvable = {v for row in data[len(pivots):]
+                  for v in range(n) if row[n + v]}
+    y_rows = tuple(None if v in unsolvable else tuple(data[pivot_row[v]][n:])
+                   for v in range(n))
+    basis = _kernel_from_reduced(data, pivots, prev, n)
+    return basis, prev, tuple(pivot_row), y_rows
+
+
+@st.composite
+def relabelled_graph_adjacency(draw):
+    """Adjacency rows of a random tree or G(n, p), n <= 14, under a random
+    relabelling (so the elimination swaps rows)."""
+    n = draw(st.integers(1, 14))
+    if draw(st.booleans()):
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    else:
+        quarters = draw(st.integers(1, 3))
+        edges = [(u, w) for u in range(n) for w in range(u + 1, n)
+                 if draw(st.integers(0, 3)) < quarters]
+    order = draw(st.permutations(range(n)))
+    return oracle.adjacency_rows(n, [(order[u], order[w]) for u, w in edges])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(relabelled_graph_adjacency(), planted_twin_adjacency(),
+                 symmetric_matrices()))
+@example([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+@example([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+def test_in_place_reduction_matches_wide_reduction(rows):
+    # every T column lives in a freed pivot slot, so nothing is lost
+    # against the 2n-wide rows: all four results are tuple-equal
+    n = len(rows)
+    expected = _wide_reduction(rows)
+    assert _reduce_symmetric([list(row) for row in rows], n) == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(int_matrices())
+@example(([[0, 2, 1], [3, 0, 0]], 3))
+@example(([[0, 1], [2, 0], [1, 1]], 2))
+def test_elimination_clears_pivot_slots_on_rectangular(case):
+    # rank, det and nullspace_basis keep no T in a pivoted column: it is
+    # zero in every row afterwards, and the results still match the oracle
+    rows, n_cols = case
+    data = [list(row) for row in rows]
+    pivots, sign, d, origin = _gauss_jordan_int(data, len(rows), n_cols)
+    assert all(row[p] == 0 for row in data for p in pivots)
+    assert sorted(origin) == list(range(len(rows)))
+    assert sign == permutation_sign(origin)
+    m = IntMatrix(rows, cols=n_cols)
+    assert len(pivots) == rank(m) == oracle.gauss_rank(rows)
+    assert nullspace_basis(m).vectors == oracle.kernel_basis(rows, n_cols)
+    if len(rows) == n_cols:
+        assert det(m) == oracle.gauss_det(rows)
+        assert det(m) == (sign * d if len(pivots) == n_cols else 0)
 
 
 def test_nullspace_determinism():

@@ -8,6 +8,7 @@ import pytest
 
 import nullcore
 from nullcore.analysis import classify_vertices
+from nullcore.cli import main
 from nullcore.graphs import VertexProvenance, gen_path
 from nullcore.linalg import KernelBasis
 from nullcore.perturb import EdgeCandidate
@@ -36,6 +37,57 @@ def test_cli_import_skips_heavy_stdlib_modules():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def _child_modules(tmp_path, statements):
+    """nullcore modules loaded by a fresh interpreter that runs the given
+    statements; their stdout is discarded."""
+    code = (
+        "import sys; sys.path.insert(0, %r)\n%s\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(' '.join(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'nullcore')))"
+        % (str(ROOT / "src"), statements)
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], cwd=tmp_path,
+        capture_output=True, text=True, check=True,
+    ).stdout
+    return set(out.split())
+
+
+def test_package_import_loads_no_submodule(tmp_path):
+    assert _child_modules(tmp_path, "import nullcore") == {"nullcore"}
+
+
+def test_analyze_loads_only_the_modules_it_runs(tmp_path):
+    (tmp_path / "p7.g").write_text(
+        "7 6\n" + "".join("%d %d\n" % (i, i + 1) for i in range(6)))
+    loaded = _child_modules(
+        tmp_path,
+        "import io; sys.stdout = io.StringIO()\n"
+        "from nullcore.cli import main\n"
+        "assert main(['analyze', 'p7.g']) == 0",
+    )
+    assert "nullcore.analysis" in loaded
+    for name in ("verify", "perturb", "trees", "minimal"):
+        assert "nullcore." + name not in loaded
+
+
+def test_lazy_package_attributes():
+    assert set(nullcore.__all__) <= set(dir(nullcore))
+    assert {"linalg", "verify", "cli"} <= set(dir(nullcore))
+    namespace = {}
+    exec("from nullcore import *", namespace)
+    for name in nullcore.__all__:
+        assert namespace[name] is getattr(nullcore, name)
+    assert nullcore.rank is nullcore.linalg.rank
+    assert nullcore.SUITES is nullcore.verify.SUITES
+    assert nullcore.cli.main is main
+    for gone in ("cv_by_deletion", "is_nonsingular", "matching_number"):
+        assert gone not in nullcore.__all__
+        with pytest.raises(AttributeError):
+            getattr(nullcore, gone)
 
 
 def test_vertex_partition_equality_ignores_kernel():

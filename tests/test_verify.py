@@ -1,7 +1,11 @@
 """Randomized suite harness: determinism and tallies."""
 
+import sys
+
 import pytest
 
+import nullcore.analysis
+import nullcore.verify
 from nullcore.verify import (
     SUITES,
     SuiteResult,
@@ -59,3 +63,37 @@ def test_suite_result_flags_failures():
     )
     assert not bad.ok
     assert bad.summary_lines() == ["trees/x: 3 pass, 1 fail"]
+
+
+def _classified_graphs(monkeypatch):
+    """Record the graph of every classify_vertices call, wherever a
+    nullcore module binds the function."""
+    calls = []
+    real = nullcore.analysis.classify_vertices
+
+    def counted(g, basis=None):
+        calls.append(g)
+        return real(g, basis)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nullcore.") and (
+                getattr(module, "classify_vertices", None) is real):
+            monkeypatch.setattr(module, "classify_vertices", counted)
+    return calls
+
+
+@pytest.mark.parametrize("suite", ["trees", "subdivisions"])
+def test_trial_classifies_its_graph_once(monkeypatch, suite):
+    # The trial's first classification is its own graph; every consumer
+    # of that graph is handed the partition instead of classifying again
+    # (the pendant-pair and slim checks classify other, smaller graphs).
+    trial = nullcore.verify._TRIALS[suite]
+    calls = _classified_graphs(monkeypatch)
+    singular = 0
+    for seed in range(40):
+        calls.clear()
+        trial(seed, 12, seed)
+        graph = calls[0]
+        assert sum(g == graph for g in calls) == 1, (seed, graph.edges())
+        singular += nullcore.analysis.nullity(graph) > 0
+    assert singular >= 10
