@@ -41,8 +41,8 @@ _EXPORTS = {
         "subdivision", "to_dot",
     ),
     "linalg": (
-        "CharPoly", "IntMatrix", "KernelBasis", "SymmetricKernel",
-        "char_poly", "det", "nullspace_basis", "rank", "symmetric_kernel",
+        "CharPoly", "IntMatrix", "KernelBasis", "char_poly", "det",
+        "nullspace_basis", "rank",
     ),
     "minimal": (
         "MCReport", "bipartite_mc_slim_equivalence",

@@ -54,15 +54,13 @@ class VertexPartition(NamedTuple):
 
     ncv_set holds the core-forbidden vertices with a core neighbour;
     cfvr_set holds the rest of the core-forbidden vertices.  The last
-    four fields keep what classify_vertices read off its elimination of
-    [A | I] into [R | T]; a partition built by hand leaves them None.
-    kernel is the basis the classes were read from.  d is the common
-    pivot of R, pivot_row[v] the row of [R | T] whose pivot lies in
-    column v (None for a free column), and y_block[u] is None for a core
-    vertex u and otherwise the right half T[pivot_row[u]], which is d * y
-    for a solution y of A y = e_u; its entry at a core-forbidden w is
-    the same for every solution.  None of the four takes part in
-    equality or the hash.
+    three fields keep what classify_vertices read off its elimination of
+    [A | I] into [R | T].  kernel is the basis the classes were read
+    from.  d is the common pivot of R, and y_block[u] is None for a core
+    vertex u and otherwise the right half of the row of [R | T] whose
+    pivot lies in column u, which is d * y for a solution y of
+    A y = e_u; its entry at a core-forbidden w is the same for every
+    solution.  None of the three takes part in equality or the hash.
     """
 
     nullity: int
@@ -71,10 +69,9 @@ class VertexPartition(NamedTuple):
     ncv_set: tuple
     cfvr_set: tuple
     independent_cv: bool
-    kernel: Optional[KernelBasis] = None
-    d: Optional[int] = None
-    pivot_row: Optional[tuple] = None
-    y_block: Optional[tuple] = None
+    kernel: KernelBasis
+    d: int
+    y_block: tuple
 
     # self[:_COMPARED] is every field up to independent_cv
     def __eq__(self, other):
@@ -167,7 +164,6 @@ class CoreLabelling(NamedTuple):
 class AnalysisReport(NamedTuple):
     graph: Graph
     partition: VertexPartition
-    kernel: KernelBasis
     labelling: Optional[CoreLabelling]
     checks: tuple
 
@@ -193,7 +189,7 @@ def classify_vertices(g: Graph, basis: Optional[KernelBasis] = None) -> VertexPa
         for w in neighbours:
             row[w] = 1
         data.append(row)
-    true_basis, d, pivot_row, y_block = _reduce_symmetric(data, n)
+    true_basis, d, y_block = _reduce_symmetric(data, n)
     if basis is None:
         basis = true_basis
     true_eta = true_basis.dimension
@@ -246,7 +242,6 @@ def classify_vertices(g: Graph, basis: Optional[KernelBasis] = None) -> VertexPa
         independent_cv=_first_adjacent_core_pair(g, cv_sorted) is None,
         kernel=basis,
         d=d,
-        pivot_row=pivot_row,
         y_block=y_block,
     )
 
@@ -503,8 +498,8 @@ def unicyclic_analysis(g: Graph) -> UnicyclicReport:
 
 
 def analyze(g: Graph) -> AnalysisReport:
-    """Full report: kernel, partition, labelling when admissible, and every
-    theorem check that applies to this graph."""
+    """Full report: partition (with its kernel), labelling when
+    admissible, and every theorem check that applies to this graph."""
     part = classify_vertices(g)
     checks = [no_single_core_neighbour_check(g, part)]
     labelling = None
@@ -515,7 +510,6 @@ def analyze(g: Graph) -> AnalysisReport:
     return AnalysisReport(
         graph=g,
         partition=part,
-        kernel=part.kernel,
         labelling=labelling,
         checks=tuple(checks),
     )
@@ -532,7 +526,7 @@ def report_to_json(report: AnalysisReport) -> dict:
         "cv": list(part.cv_set),
         "ncv": list(part.ncv_set),
         "cfvr": list(part.cfvr_set),
-        "kernel_basis": [list(v) for v in report.kernel.vectors],
+        "kernel_basis": [list(v) for v in part.kernel.vectors],
         "blocks": report.labelling.blocks_json() if report.labelling else None,
         "checks": [
             {"name": c.name, "holds": c.holds, "witness": c.witness}

@@ -160,19 +160,19 @@ def _gauss_jordan_int(
     origin = list(range(n_rows))
     for col in range(n_cols):
         rank = len(pivots)
-        pivot_row = None
+        found = None
         for i in range(rank, n_rows):
             if rows_data[i][col] != 0:
-                pivot_row = i
+                found = i
                 break
-        if pivot_row is None:
+        if found is None:
             continue
-        if pivot_row != rank:
-            rows_data[rank], rows_data[pivot_row] = (
-                rows_data[pivot_row],
+        if found != rank:
+            rows_data[rank], rows_data[found] = (
+                rows_data[found],
                 rows_data[rank],
             )
-            origin[rank], origin[pivot_row] = origin[pivot_row], origin[rank]
+            origin[rank], origin[found] = origin[found], origin[rank]
             sign = -sign
         row_r = rows_data[rank]
         piv = row_r[col]
@@ -258,26 +258,12 @@ def nullspace_basis(m: IntMatrix) -> KernelBasis:
     return _kernel_from_reduced(data, pivots, d, m.cols)
 
 
-class SymmetricKernel(NamedTuple):
-    """What one elimination of [A | I] tells about a symmetric matrix A.
-
-    basis is the canonical kernel basis, identical to nullspace_basis(A).
-    y_vanishes[v] is None when A y = e_v has no solution (some kernel
-    vector is non-zero at v); otherwise y_v is the same for every
-    solution, and the entry says whether it is zero.
-    """
-
-    basis: KernelBasis
-    y_vanishes: tuple
-
-
 def _reduce_symmetric(data: list, n: int) -> tuple:
     """Reduce [A | I] in place for a symmetric n x n A given as n rows of A.
 
-    Returns (basis, d, pivot_row, y_rows).  pivot_row[v] is the row whose
-    pivot lies in column v, or None for a free column.  y_rows[v] is None
-    when A y = e_v has no solution; otherwise it is the right half of v's
-    pivot row, which is d * y for one solution y.
+    Returns (basis, d, y_rows).  y_rows[v] is None when A y = e_v has no
+    solution; otherwise it is the right half of the row whose pivot lies
+    in column v, which is d * y for one solution y.
 
     Fraction-free Gauss-Jordan leaves [R | T] with T A = R, R in reduced
     echelon form and every pivot equal to d.  The rows of T below the
@@ -293,35 +279,19 @@ def _reduce_symmetric(data: list, n: int) -> tuple:
     """
     pivots, _, d, origin = _gauss_jordan_int(data, n, n, keep_t=True)
     r = len(pivots)
-    pivot_row = [None] * n
+    row_of = [None] * n
     slot = [None] * n
     for i, p in enumerate(pivots):
-        pivot_row[p] = i
+        row_of[p] = i
         slot[origin[i]] = p
     live = {j for row in data[r:] for j, x in enumerate(row) if x != 0}
     y_rows = tuple(
         None if slot[v] is None or slot[v] in live
-        else tuple(0 if j is None else data[pivot_row[v]][j] for j in slot)
+        else tuple(0 if j is None else data[row_of[v]][j] for j in slot)
         for v in range(n)
     )
     basis = _kernel_from_reduced(data, pivots, d, n)
-    return basis, d, tuple(pivot_row), y_rows
-
-
-def symmetric_kernel(m: IntMatrix) -> SymmetricKernel:
-    """Kernel basis and the A y = e_v diagonal test from one elimination.
-
-    The elimination of [A | I] is the one classify_vertices runs: the
-    kernel basis is read off R as in nullspace_basis, and for a solvable
-    A y = e_v the solution's entry y_v is T[i][v] / d for v's pivot row i.
-    """
-    if not m.is_symmetric():
-        raise ValueError("symmetric_kernel requires a symmetric matrix")
-    basis, _, _, y_rows = _reduce_symmetric([list(r) for r in m.data], m.rows)
-    y_vanishes = tuple(
-        None if y is None else y[v] == 0 for v, y in enumerate(y_rows)
-    )
-    return SymmetricKernel(basis, y_vanishes)
+    return basis, d, y_rows
 
 
 def char_poly(m: IntMatrix) -> CharPoly:

@@ -165,8 +165,8 @@ def bipartite_mc_slim_equivalence(g: Graph) -> McSlimEquivalence:
     if len(v1) == len(v2):
         return McSlimEquivalence(False, None, None, None)
     larger = v1 if len(v1) > len(v2) else v2
-    lhs = is_minimal_configuration(g).is_mc
     part = classify_vertices(g)
+    lhs = is_minimal_configuration(g, part).is_mc
     rhs = (
         is_connected(g)
         and part.nullity == 1

@@ -113,14 +113,6 @@ def _labelling_preserved(
     )
 
 
-def _kernel_of(g: Graph, part: VertexPartition) -> KernelBasis:
-    """The kernel the partition was read from; a partition built by hand
-    carries none, so g is classified for it."""
-    if part.kernel is not None:
-        return part.kernel
-    return classify_vertices(g).kernel
-
-
 def _replay(report: PerturbationReport, g: Graph, **extra) -> dict:
     """TheoremViolationError payload: the report plus the base graph."""
     return report.to_json() | {"edges": list(g.edges()), "n": g.n} | extra
@@ -134,7 +126,7 @@ def _build_report(
     part_before: VertexPartition,
 ) -> PerturbationReport:
     part_after = classify_vertices(h)
-    basis_before = _kernel_of(g, part_before)
+    basis_before = part_before.kernel
     basis_after = part_after.kernel
     preserved = {
         "nullity": part_before.nullity == part_after.nullity,
@@ -328,9 +320,9 @@ def _check_preserve(preserve: str):
         )
 
 
-def _keeps_nullity(part: VertexPartition, u: int, w: int) -> Optional[bool]:
+def _keeps_nullity(part: VertexPartition, u: int, w: int) -> bool:
     """Whether adding uw keeps eta, for core-forbidden u and w, read off
-    the reduction the partition keeps; None when it keeps none.
+    the reduction the partition keeps.
 
     Adding uw adds U C U' to A, with U = [e_u e_w] and C the 2 x 2 swap.
     Both e_u and e_w lie in the column space of A, so rank additivity
@@ -339,10 +331,7 @@ def _keeps_nullity(part: VertexPartition, u: int, w: int) -> Optional[bool]:
     d K = [[T_uu, d + T_uw], [d + T_wu, T_ww]], so eta is kept exactly
     when that 2 x 2 determinant is non-zero.
     """
-    rows = part.y_block
-    if rows is None or rows[u] is None or rows[w] is None:
-        return None
-    d, yu, yw = part.d, rows[u], rows[w]
+    d, yu, yw = part.d, part.y_block[u], part.y_block[w]
     return yu[u] * yw[w] != (d + yu[w]) * (d + yw[u])
 
 
@@ -358,13 +347,12 @@ def _safe_candidates(g: Graph, part: VertexPartition, preserve: str):
     apply_and_report.
     """
     for cand in candidate_edges(g, part):
-        if cand.type_pair in ("CV-CV", "CV-CFVR"):
-            continue
-        keeps = None
         if cand.type_pair in CFV_FAMILY:
             keeps = _keeps_nullity(part, cand.u, cand.w)
-        if keeps is None:
+        elif cand.type_pair == "CV-NCV":
             keeps = apply_and_report(g, cand, part).preserved[preserve]
+        else:
+            continue
         if keeps:
             yield cand
 
@@ -418,7 +406,7 @@ def greedy_densify(
         elif preserve == "cv_set":
             before, after = base.cv_set, part.cv_set
         else:
-            before, after = _kernel_of(g, base).vectors, part.kernel.vectors
+            before, after = base.kernel.vectors, part.kernel.vectors
         if before != after:
             raise TheoremViolationError(
                 "densification step (%d, %d) lost the %s property"

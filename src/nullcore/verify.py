@@ -2,8 +2,8 @@
 
 Each suite draws reproducible random graphs, evaluates every guarantee
 that applies, and tallies exact pass/fail counts, keeping failing
-graphs for replay.  Per-trial seeds are fixed up front, so equal inputs
-and seeds give identical summaries.
+graphs for replay.  Per-trial seeds come from one master stream in a
+fixed order, so equal inputs and seeds give identical summaries.
 """
 
 from typing import NamedTuple
@@ -210,13 +210,15 @@ def _trial_unicyclic(seed: int, max_n: int, index: int) -> list:
 
 def _independent_cv_graph(rng: SplitMix64, max_n: int):
     """A random graph with independent core vertices, or a tree fallback
-    so the trial always has a subject."""
+    so the trial always has a subject; returned with its partition."""
     n = _size(rng, 2, max_n)
     for _ in range(20):
         g = gen_random_graph(n, 1, 2, rng.next_u64())
-        if classify_vertices(g).independent_cv:
-            return g
-    return gen_random_tree(n, rng.next_u64())
+        part = classify_vertices(g)
+        if part.independent_cv:
+            return g, part
+    t = gen_random_tree(n, rng.next_u64())
+    return t, classify_vertices(t)
 
 
 def _trial_perturbations(seed: int, max_n: int, index: int) -> list:
@@ -225,9 +227,9 @@ def _trial_perturbations(seed: int, max_n: int, index: int) -> list:
     rng = SplitMix64(seed)
     if index % 2 == 0:
         g = gen_random_tree(_size(rng, 2, max_n), rng.next_u64())
+        part = classify_vertices(g)
     else:
-        g = _independent_cv_graph(rng, min(max_n, 10))
-    part = classify_vertices(g)
+        g, part = _independent_cv_graph(rng, min(max_n, 10))
     out = []
     for cand in candidate_edges(g, part):
         if cand.type_pair in ("NCV-NCV", "NCV-CFVR", "CFVR-CFVR"):
@@ -261,25 +263,15 @@ SUITES = tuple(_TRIALS)
 def run_suite(config: VerifySuiteConfig) -> SuiteResult:
     suites = SUITES if config.suite == "all" else (config.suite,)
     master = SplitMix64(config.seed)
-    tasks = [
-        (suite, i, master.next_u64())
-        for suite in suites
-        for i in range(config.trials)
-    ]
-
-    def run_one(task):
-        suite, index, seed = task
-        return suite, _TRIALS[suite](seed, config.max_n, index)
-
-    produced = map(run_one, tasks)
-
     tallies = {}
     counterexamples = []
-    for suite, findings in produced:
-        for check, ok, graph in findings:
-            key = suite + "/" + check
-            cell = tallies.setdefault(key, [0, 0])
-            cell[0 if ok else 1] += 1
-            if not ok and len(counterexamples) < _COUNTEREXAMPLE_CAP:
-                counterexamples.append((key, graph))
+    for suite in suites:
+        for index in range(config.trials):
+            trial = _TRIALS[suite](master.next_u64(), config.max_n, index)
+            for check, ok, graph in trial:
+                key = suite + "/" + check
+                cell = tallies.setdefault(key, [0, 0])
+                cell[0 if ok else 1] += 1
+                if not ok and len(counterexamples) < _COUNTEREXAMPLE_CAP:
+                    counterexamples.append((key, graph))
     return SuiteResult(config, tallies, tuple(counterexamples))

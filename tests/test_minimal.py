@@ -2,6 +2,7 @@
 
 import pytest
 
+import nullcore.minimal
 from nullcore.errors import PreconditionError
 from nullcore.graphs import (
     Graph,
@@ -128,6 +129,27 @@ def test_mc_slim_equivalence_random_bipartite():
             checked += 1
             assert eq.equal
     assert checked > 100
+
+
+def test_mc_slim_equivalence_classifies_once(monkeypatch):
+    # both sides of the equivalence read one partition of g
+    calls = []
+    real = nullcore.minimal.classify_vertices
+
+    def counted(g, basis=None):
+        calls.append(g)
+        return real(g, basis)
+
+    monkeypatch.setattr(nullcore.minimal, "classify_vertices", counted)
+    rng = SplitMix64(555)
+    checked = 0
+    for _ in range(60):
+        g = gen_random_bipartite(2 + rng.below(9), rng.next_u64())
+        calls.clear()
+        if bipartite_mc_slim_equivalence(g).hypothesis_met:
+            checked += 1
+            assert calls == [g]
+    assert checked > 10
 
 
 def test_bipartite_parity():

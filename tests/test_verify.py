@@ -82,18 +82,34 @@ def _classified_graphs(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("suite", ["trees", "subdivisions"])
+@pytest.mark.parametrize("suite", ["trees", "subdivisions", "perturbations"])
 def test_trial_classifies_its_graph_once(monkeypatch, suite):
-    # The trial's first classification is its own graph; every consumer
-    # of that graph is handed the partition instead of classifying again
-    # (the pendant-pair and slim checks classify other, smaller graphs).
+    # The trial's graph is classified once; every consumer of that graph
+    # is handed the partition instead of classifying again (the
+    # pendant-pair, slim and perturbation checks classify other graphs).
+    # A perturbation trial on a general graph first classifies the
+    # candidates that _independent_cv_graph rejects, so its graph is the
+    # one that function returns; elsewhere it is the first classified.
     trial = nullcore.verify._TRIALS[suite]
     calls = _classified_graphs(monkeypatch)
-    singular = 0
+    picked = []
+    pick = nullcore.verify._independent_cv_graph
+
+    def recorded_pick(rng, max_n):
+        g, part = pick(rng, max_n)
+        picked.append(g)
+        return g, part
+
+    monkeypatch.setattr(nullcore.verify, "_independent_cv_graph",
+                        recorded_pick)
+    singular = rejected = 0
     for seed in range(40):
         calls.clear()
+        picked.clear()
         trial(seed, 12, seed)
-        graph = calls[0]
+        graph = picked[0] if picked else calls[0]
         assert sum(g == graph for g in calls) == 1, (seed, graph.edges())
         singular += nullcore.analysis.nullity(graph) > 0
+        rejected += calls[0] != graph
     assert singular >= 10
+    assert (rejected > 0) == (suite == "perturbations")
