@@ -27,7 +27,6 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    VertexProvenance,
     adjacency_matrix,
     delete_vertex,
     induced_subgraph,
@@ -180,7 +179,9 @@ def classify_vertices(g: Graph, basis: Optional[KernelBasis] = None) -> VertexPa
     One elimination of [A | I] gives every deleted nullity: it is
     eta - 1 at a core vertex and, elsewhere, eta + 1 when the solutions
     of A y = e_v have y_v = 0 and eta otherwise.  A given basis is
-    checked against those nullities instead of trusted.
+    checked against that elimination instead of trusted: its dimension
+    must be the nullity, and its supports must agree with the deleted
+    nullities.
     """
     n = g.n
     data = []
@@ -197,21 +198,21 @@ def classify_vertices(g: Graph, basis: Optional[KernelBasis] = None) -> VertexPa
     cv = set(basis.supports())
     class_of = [None] * n
     for v in range(n):
-        if v in cv:
-            class_of[v] = VertexClass.CV
-            continue
         y = y_block[v]
         if y is None:
             eta_minus = true_eta - 1
         else:
             eta_minus = true_eta + 1 if y[v] == 0 else true_eta
-        if eta_minus == eta:
+        if v in cv and y is None:
+            class_of[v] = VertexClass.CV
+        elif v not in cv and eta_minus == eta:
             class_of[v] = VertexClass.CFV_MID
-        elif eta_minus == eta + 1:
+        elif v not in cv and eta_minus == eta + 1:
             class_of[v] = VertexClass.CFV_UPP
         else:
-            # deleting a vertex outside every kernel support cannot lower
-            # the nullity; reaching this line means the basis is wrong
+            # a support vertex where A y = e_v is solvable, or a deletion
+            # that moves the nullity outside the supports the wrong way:
+            # either way the basis is wrong
             raise TheoremViolationError(
                 f"vertex {v}: nullity {eta} -> {eta_minus} contradicts supports",
                 {
@@ -223,6 +224,18 @@ def classify_vertices(g: Graph, basis: Optional[KernelBasis] = None) -> VertexPa
                     "basis": basis.vectors,
                 },
             )
+    if eta != true_eta:
+        # supports that pass the test above can still miss a core vertex
+        raise TheoremViolationError(
+            f"basis of dimension {eta} contradicts nullity {true_eta}",
+            {
+                "edges": g.edges(),
+                "n": n,
+                "nullity": true_eta,
+                "basis_dimension": eta,
+                "basis": basis.vectors,
+            },
+        )
     ncv = tuple(
         v
         for v in range(g.n)

@@ -6,8 +6,6 @@ All output is machine readable (JSON, DOT, or edge lists) and
 byte-identical across runs with equal inputs and seeds.
 """
 
-import argparse
-import json
 import sys
 
 from .errors import (
@@ -17,20 +15,12 @@ from .errors import (
 )
 
 # Each handler imports the modules it runs, so a command loads only
-# those.  The parser therefore lists the gen kinds and the verify suites
-# itself; a test checks _SUITES against nullcore.verify.SUITES.
+# those.  The command table therefore lists the gen kinds and the verify
+# suites itself; a test checks _SUITES against nullcore.verify.SUITES.
 _GEN_KINDS = ("cycle", "path", "star", "bipartite", "graph", "tree",
               "unicyclic")
 _SUITES = ("trees", "bipartite", "subdivisions", "perturbations",
            "unicyclic")
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; the contract wants 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
 def _load(path: str):
@@ -41,6 +31,10 @@ def _load(path: str):
 
 
 def _emit(payload):
+    # json is imported here, not at the top: verify and gen never print
+    # JSON and so never pay for the import
+    import json
+
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
@@ -148,61 +142,236 @@ def _cmd_verify(args) -> int:
     return 0 if result.ok else 4
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="nullcore", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+_PATH = ("path", str, None, "edge-list file ('n m' header)")
 
-    p = sub.add_parser("analyze", help="classify vertices and check the "
-                       "block identities of one graph")
-    p.add_argument("path", help="edge-list file ('n m' header)")
-    p.add_argument("--dot", action="store_true",
-                   help="emit DOT with class colours instead of JSON")
-    p.set_defaults(func=_cmd_analyze)
+# The command table drives the parsing, the usage errors and the help.
+# Each command maps to (handler, summary, arguments, either_or).  An
+# argument is (name, kind, default, help): a name that starts with "--"
+# is an option, any other a positional, in the order given.  kind is
+# str, int, bool (a switch, False unless given) or a tuple of choices;
+# a default of None makes the argument required.  either_or names two
+# switches of which exactly one must be given.
+_COMMANDS = {
+    "analyze": (
+        _cmd_analyze,
+        "classify vertices and check the block identities of one graph",
+        (_PATH,
+         ("--dot", bool, False,
+          "emit DOT with class colours instead of JSON")),
+        (),
+    ),
+    "reduce": (
+        _cmd_reduce,
+        "remove remote vertices (--slim) or run the pendant reduction "
+        "(--pendant)",
+        (_PATH,
+         ("--slim", bool, False, "slim graph and its vertex map"),
+         ("--pendant", bool, False, "pendant elimination trace")),
+        ("--slim", "--pendant"),
+    ),
+    "perturb": (
+        _cmd_perturb,
+        "list property-preserving edge additions or densify greedily",
+        (_PATH,
+         ("--preserve", tuple(sorted(_PRESERVE_ALIASES)), None,
+          "the property every added edge keeps"),
+         ("--list", bool, False, "list the safe single-edge additions"),
+         ("--densify", bool, False, "add safe edges until none is left")),
+        ("--list", "--densify"),
+    ),
+    "mc": (_cmd_mc, "minimal-configuration report", (_PATH,), ()),
+    "gen": (
+        _cmd_gen,
+        "write a generated graph as an edge list",
+        (("kind", _GEN_KINDS, None, "graph family"),
+         ("n", int, None, "number of vertices"),
+         ("seed", int, 0, "seed of the random kinds")),
+        (),
+    ),
+    "verify": (
+        _cmd_verify,
+        "run a randomized guarantee suite; failing graphs are written "
+        "next to the summary",
+        (("--suite", _SUITES + ("all",), "all", "suite to run"),
+         ("--max-n", int, 10, "largest graph order drawn"),
+         ("--trials", int, 100, "trials per suite"),
+         ("--seed", int, 0, "master seed")),
+        (),
+    ),
+}
 
-    p = sub.add_parser("reduce", help="remove remote vertices (--slim) or "
-                       "run the pendant reduction (--pendant)")
-    p.add_argument("path")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--slim", action="store_true")
-    mode.add_argument("--pendant", action="store_true")
-    p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("perturb", help="list property-preserving edge "
-                       "additions or densify greedily")
-    p.add_argument("path")
-    p.add_argument("--preserve", choices=sorted(_PRESERVE_ALIASES),
-                   required=True)
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--list", action="store_true")
-    mode.add_argument("--densify", action="store_true")
-    p.set_defaults(func=_cmd_perturb)
+class _Args:
+    """Parsed arguments as attributes: --max-n is read as args.max_n."""
 
-    p = sub.add_parser("mc", help="minimal-configuration report")
-    p.add_argument("path")
-    p.set_defaults(func=_cmd_mc)
+    def __init__(self, values):
+        for name, value in values.items():
+            setattr(self, name.lstrip("-").replace("-", "_"), value)
 
-    p = sub.add_parser("gen", help="write a generated graph as an edge list")
-    p.add_argument("kind", choices=_GEN_KINDS)
-    p.add_argument("n", type=int)
-    p.add_argument("seed", type=int, nargs="?", default=0)
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("verify", help="run a randomized guarantee suite; "
-                       "failing graphs are written next to the summary")
-    p.add_argument("--suite", choices=_SUITES + ("all",), default="all")
-    p.add_argument("--max-n", type=int, default=10)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify)
+def _is_option(token: str) -> bool:
+    # like argparse: "-" alone and negative numbers are values
+    return token[:1] == "-" and token != "-" and not token[1:].isdigit()
 
-    return parser
+
+def _shown(name: str, kind) -> str:
+    """An argument as usage and help write it: --dot, path, {a,b} or
+    --max-n MAX_N."""
+    if kind is bool:
+        return name
+    if isinstance(kind, tuple):
+        metavar = "{%s}" % ",".join(kind)
+    elif name[:1] == "-":
+        metavar = name.lstrip("-").replace("-", "_").upper()
+    else:
+        return name
+    return metavar if name[:1] != "-" else name + " " + metavar
+
+
+def _usage(command=None) -> str:
+    if command is None:
+        return "nullcore [-h] {%s} ..." % ",".join(_COMMANDS)
+    _, _, arguments, pair = _COMMANDS[command]
+    parts = ["nullcore", command, "[-h]"]
+    positionals = []
+    for name, kind, default, _ in arguments:
+        shown = _shown(name, kind)
+        if default is not None:
+            shown = "[%s]" % shown
+        if name[:1] != "-":
+            positionals.append(shown)
+        elif name not in pair:
+            parts.append(shown)
+    if pair:
+        parts.append("(%s | %s)" % pair)
+    return " ".join(parts + positionals)
+
+
+def _help(command=None) -> str:
+    rows = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        head = [__doc__.strip(), "", "commands:"]
+        rows += [(name, entry[1]) for name, entry in _COMMANDS.items()]
+    else:
+        _, summary, arguments, _ = _COMMANDS[command]
+        head = [summary, "", "arguments:"]
+        rows += [(_shown(name, kind), text)
+                 for name, kind, _, text in arguments]
+    lines = ["usage: " + _usage(command), ""] + head
+    for left, text in rows:
+        if len(left) > 20:
+            lines += ["  " + left, " " * 24 + text]
+        else:
+            lines.append("  %-20s  %s" % (left, text))
+    return "\n".join(lines) + "\n"
+
+
+def _fail(command, message):
+    sys.stderr.write("usage: %s\nnullcore: error: %s\n"
+                     % (_usage(command), message))
+    sys.exit(1)
+
+
+def _show_help(command=None):
+    sys.stdout.write(_help(command))
+    sys.exit(0)
+
+
+def _convert(command, name, kind, token):
+    if kind is int:
+        try:
+            return int(token)
+        except ValueError:
+            _fail(command, "argument %s: invalid int value: %r"
+                  % (name, token))
+    if isinstance(kind, tuple) and token not in kind:
+        _fail(command, "argument %s: invalid choice: %r (choose from %s)"
+              % (name, token, ", ".join(repr(c) for c in kind)))
+    return token
+
+
+def _option(command, flag, options):
+    """The full name of the option (or of --help) that flag is or
+    abbreviates; exits when there is none or more than one."""
+    names = (*options, "--help")
+    if flag in names or flag == "-h":
+        return "--help" if flag == "-h" else flag
+    if flag[:2] == "--" and len(flag) > 2:
+        hits = [name for name in names if name.startswith(flag)]
+        if len(hits) == 1:
+            return hits[0]
+        if hits:
+            _fail(command, "ambiguous option: %s could match %s"
+                  % (flag, ", ".join(hits)))
+    _fail(command, "unrecognized arguments: %s" % flag)
+
+
+def _parse(argv):
+    """(handler, args) for argv; exits 0 after printing help and 1 on a
+    usage error."""
+    if not argv:
+        _fail(None, "the following arguments are required: command")
+    command = argv[0]
+    if command not in _COMMANDS:
+        if _is_option(command) and _option(None, command, ()) == "--help":
+            _show_help()
+        _fail(None, "argument command: invalid choice: %r (choose from %s)"
+              % (command, ", ".join(repr(c) for c in _COMMANDS)))
+    handler, _, arguments, pair = _COMMANDS[command]
+    options = {name: kind for name, kind, _, _ in arguments
+               if name[:1] == "-"}
+    positionals = [a for a in arguments if a[0][:1] != "-"]
+    values = {}
+    given = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            given.extend(tokens)
+        elif not _is_option(token):
+            given.append(token)
+        else:
+            flag, eq, value = token.partition("=")
+            name = _option(command, flag, options)
+            if name == "--help":
+                _show_help(command)
+            kind = options[name]
+            if kind is bool:
+                if eq:
+                    _fail(command, "argument %s: ignored explicit argument %r"
+                          % (name, value))
+                value = True
+            else:
+                if not eq:
+                    value = next(tokens, None)
+                    if value is None or _is_option(value):
+                        _fail(command,
+                              "argument %s: expected one argument" % name)
+                value = _convert(command, name, kind, value)
+            values[name] = value
+    if len(given) > len(positionals):
+        _fail(command, "unrecognized arguments: %s"
+              % " ".join(given[len(positionals):]))
+    for (name, kind, _, _), token in zip(positionals, given):
+        values[name] = _convert(command, name, kind, token)
+    missing = [name for name, _, default, _ in arguments
+               if default is None and name not in values]
+    if missing:
+        _fail(command, "the following arguments are required: %s"
+              % ", ".join(missing))
+    if pair and pair[0] in values and pair[1] in values:
+        _fail(command, "argument %s: not allowed with argument %s"
+              % (pair[1], pair[0]))
+    if pair and pair[0] not in values and pair[1] not in values:
+        _fail(command, "one of the arguments %s %s is required" % pair)
+    for name, _, default, _ in arguments:
+        values.setdefault(name, default)
+    return handler, _Args(values)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    handler, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return handler(args)
     except (EdgeListParseError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
@@ -212,6 +381,8 @@ def main(argv=None) -> int:
     except TheoremViolationError as exc:
         print("guarantee violated: %s" % exc, file=sys.stderr)
         if exc.report is not None:
+            import json
+
             print(json.dumps(exc.report), file=sys.stderr)
         return 4
     except ValueError as exc:

@@ -105,14 +105,16 @@ class BipartiteNullity1Report(NamedTuple):
         return all(c.holds for c in self.checks)
 
 
-def bipartite_nullity1_structure(g: Graph) -> BipartiteNullity1Report:
+def bipartite_nullity1_structure(
+    g: Graph, partition: Optional[VertexPartition] = None
+) -> BipartiteNullity1Report:
     """Structure forced on a bipartite graph of nullity 1: odd order,
     class sizes n//2 and n//2 + 1, core vertices inside the larger class,
     and an admissible core-labelling."""
     decomp = is_bipartite(g)
     if decomp is None:
         raise PreconditionError("graph is not bipartite")
-    part = classify_vertices(g)
+    part = classify_vertices(g) if partition is None else partition
     if part.nullity != 1:
         raise PreconditionError(f"nullity is {part.nullity}, not 1")
     v1, v2 = decomp.v1, decomp.v2
@@ -154,7 +156,9 @@ class McSlimEquivalence(NamedTuple):
     equal: Optional[bool]
 
 
-def bipartite_mc_slim_equivalence(g: Graph) -> McSlimEquivalence:
+def bipartite_mc_slim_equivalence(
+    g: Graph, partition: Optional[VertexPartition] = None
+) -> McSlimEquivalence:
     """For bipartite graphs with classes of different sizes: being a
     minimal configuration must coincide with being a connected slim graph
     of nullity 1 whose core is the larger class."""
@@ -165,7 +169,7 @@ def bipartite_mc_slim_equivalence(g: Graph) -> McSlimEquivalence:
     if len(v1) == len(v2):
         return McSlimEquivalence(False, None, None, None)
     larger = v1 if len(v1) > len(v2) else v2
-    part = classify_vertices(g)
+    part = classify_vertices(g) if partition is None else partition
     lhs = is_minimal_configuration(g, part).is_mc
     rhs = (
         is_connected(g)
@@ -177,12 +181,14 @@ def bipartite_mc_slim_equivalence(g: Graph) -> McSlimEquivalence:
     return McSlimEquivalence(True, lhs, rhs, lhs == rhs)
 
 
-def bipartite_parity_check(g: Graph) -> bool:
+def bipartite_parity_check(
+    g: Graph, partition: Optional[VertexPartition] = None
+) -> bool:
     """Nullity and order of a bipartite graph share parity; verified via
     the cross-matrix identity eta = n - 2 rank(S)."""
     decomp = is_bipartite(g)
     if decomp is None:
         raise PreconditionError("graph is not bipartite")
-    eta = nullity(g)
+    eta = nullity(g) if partition is None else partition.nullity
     eta_cross = g.n - 2 * rank(decomp.cross)
     return eta == eta_cross and (eta - g.n) % 2 == 0

@@ -148,13 +148,14 @@ def _trial_bipartite(seed: int, max_n: int, index: int) -> list:
         return []
     rng = SplitMix64(seed)
     g = gen_random_bipartite(_size(rng, 2, max_n), rng.next_u64())
-    out = [("nullity_parity", bipartite_parity_check(g), g)]
-    if nullity(g) == 1:
+    part = classify_vertices(g)
+    out = [("nullity_parity", bipartite_parity_check(g, part), g)]
+    if part.nullity == 1:
         out.append(
             ("nullity1_structure",
-             bipartite_nullity1_structure(g).all_hold(), g)
+             bipartite_nullity1_structure(g, part).all_hold(), g)
         )
-    eq = bipartite_mc_slim_equivalence(g)
+    eq = bipartite_mc_slim_equivalence(g, part)
     if eq.hypothesis_met:
         out.append(("mc_slim_equivalence", eq.equal, g))
     return out

@@ -189,6 +189,35 @@ def test_forged_basis_trips_solvability_guard():
     assert info.value.report["nullity_after_deletion"] == 0
 
 
+def test_short_basis_trips_dimension_guard():
+    # A basis one dimension short leaves a core vertex outside every
+    # support; it used to be read as cfv_mid.  The report replays.
+    for g, short in (
+        (Graph(1), KernelBasis(1, ())),
+        (Graph(2), KernelBasis(2, ((1, 0),))),
+    ):
+        with pytest.raises(TheoremViolationError,
+                           match="contradicts nullity") as info:
+            classify_vertices(g, short)
+        report = info.value.report
+        assert report["nullity"] == g.n
+        assert report["basis_dimension"] == g.n - 1
+        assert report["basis"] == short.vectors
+        replay = Graph(report["n"], report["edges"])
+        assert replay == g
+        assert classify_vertices(replay).nullity == report["nullity"]
+
+
+def test_extra_support_trips_solvability_guard():
+    # The right dimension, but the support claims the middle of P3, where
+    # A y = e_1 is solvable; the deletion would raise the nullity.
+    with pytest.raises(TheoremViolationError,
+                       match="1 -> 2 contradicts supports") as info:
+        classify_vertices(gen_path(3), KernelBasis(3, ((1, 1, -1),)))
+    assert info.value.report["vertex"] == 1
+    assert info.value.report["nullity_after_deletion"] == 2
+
+
 def test_core_labelling_block_shape():
     g = gen_path(7)
     lab = core_labelling(g)

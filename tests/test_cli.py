@@ -234,6 +234,106 @@ def test_usage_error_is_exit_1():
     assert info.value.code == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bogus"], "invalid choice: 'bogus'"),
+    (["--bogus"], "unrecognized arguments: --bogus"),
+    (["analyze", "p7.g", "--bogus"], "unrecognized arguments: --bogus"),
+    (["analyze", "p7.g", "-x"], "unrecognized arguments: -x"),
+    (["verify", "--s", "trees"], "ambiguous option: --s could match"),
+    (["verify", "--trials"], "--trials: expected one argument"),
+    (["perturb", "p7.g", "--preserve", "--list"],
+     "--preserve: expected one argument"),
+    (["perturb", "p7.g", "--preserve", "all", "--list"],
+     "--preserve: invalid choice: 'all'"),
+    (["gen", "hypercube", "4"], "kind: invalid choice: 'hypercube'"),
+    (["verify", "--max-n", "ten"], "--max-n: invalid int value: 'ten'"),
+    (["verify", "--seed=1.5"], "--seed: invalid int value: '1.5'"),
+    (["gen", "cycle", "four"], "n: invalid int value: 'four'"),
+    (["analyze", "p7.g", "--dot=yes"], "--dot: ignored explicit argument"),
+    (["reduce", "p7.g", "--slim", "--pendant"],
+     "--pendant: not allowed with argument --slim"),
+    (["reduce", "p7.g"], "one of the arguments --slim --pendant is required"),
+    (["perturb", "p7.g", "--preserve", "cv", "--list", "--densify"],
+     "--densify: not allowed with argument --list"),
+    (["perturb", "p7.g", "--preserve", "cv"],
+     "one of the arguments --list --densify is required"),
+    (["perturb", "p7.g", "--list"], "required: --preserve"),
+    (["gen", "cycle"], "required: n"),
+    (["mc", "p7.g", "extra"], "unrecognized arguments: extra"),
+    (["gen", "cycle", "4", "0", "9"], "unrecognized arguments: 9"),
+])
+def test_usage_errors_name_the_problem(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: nullcore ")
+    assert error.startswith("nullcore: error: ")
+    assert message in error
+
+
+@pytest.mark.parametrize("argv, canonical", [
+    (["analyze", "--dot", "P7"], ["analyze", "P7", "--dot"]),
+    (["analyze", "P7", "--d"], ["analyze", "P7", "--dot"]),
+    (["analyze", "--", "P7"], ["analyze", "P7"]),
+    (["perturb", "--preserve=cv", "--list", "P7"],
+     ["perturb", "P7", "--preserve", "cv", "--list"]),
+    (["perturb", "--pres", "cv", "--dens", "P7"],
+     ["perturb", "P7", "--preserve", "cv", "--densify"]),
+    (["perturb", "P7", "--densify", "--preserve", "nullity", "--densify"],
+     ["perturb", "P7", "--preserve", "nullity", "--densify"]),
+    (["reduce", "--p", "P7"], ["reduce", "P7", "--pendant"]),
+])
+def test_accepted_argument_forms(capsys, p7_file, argv, canonical):
+    # options before or after the path, --opt=value, unique prefixes and
+    # "--" all give the output of the canonical spelling
+    expected = run_cli(capsys, *[p7_file if a == "P7" else a
+                                 for a in canonical])
+    assert expected[0] == 0
+    assert run_cli(capsys, *[p7_file if a == "P7" else a
+                             for a in argv]) == expected
+
+
+def test_accepted_int_forms(capsys, tmp_path, monkeypatch):
+    code, out, _ = run_cli(capsys, "gen", "tree", "8", "-3")
+    assert code == 0 and parse_edge_list(out) == gen_random_tree(8, -3)
+    # a negative int is a value, so it reaches the generator
+    code, out, err = run_cli(capsys, "gen", "path", "-3")
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid request:")
+    monkeypatch.chdir(tmp_path)
+    short = run_cli(capsys, "verify", "--su=trees", "--tr", "3", "--m", "6",
+                    "--se=-5")
+    full = run_cli(capsys, "verify", "--suite", "trees", "--trials", "3",
+                   "--max-n", "6", "--seed", "-5")
+    assert short == full and full[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["--he"],
+    ["analyze", "-h"], ["reduce", "--help"], ["perturb", "p7.g", "--h"],
+    ["mc", "-h"], ["gen", "cycle", "-h"], ["verify", "--help"],
+])
+def test_help_exits_0_with_usage_on_stdout(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    command = argv[0] if argv[0] in cli._COMMANDS else None
+    assert captured.out.startswith(
+        "usage: nullcore %s" % (command + " [-h]" if command else "[-h]"))
+    if command is None:
+        for name in cli._COMMANDS:
+            assert "\n  %s " % name in captured.out
+    else:
+        # the help lists every argument of the command table
+        for name, *_ in cli._COMMANDS[command][2]:
+            assert name in captured.out
+
+
 def test_verify_small_run(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(

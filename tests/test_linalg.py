@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nullcore.linalg import (
-    CharPoly,
     IntMatrix,
     _gauss_jordan_int,
     _kernel_from_reduced,

@@ -152,6 +152,38 @@ def test_mc_slim_equivalence_classifies_once(monkeypatch):
     assert checked > 10
 
 
+def test_bipartite_checks_reuse_a_given_partition(monkeypatch):
+    # Handed the partition, the three bipartite checks classify nothing
+    # and agree with their stand-alone runs.
+    rng = SplitMix64(556)
+    graphs = [gen_path(7), T9, Graph(3)] + [
+        gen_random_bipartite(2 + rng.below(9), rng.next_u64())
+        for _ in range(40)]
+    parts = [nullcore.minimal.classify_vertices(g) for g in graphs]
+    alone = []
+    for g, part in zip(graphs, parts):
+        alone.append((
+            bipartite_parity_check(g),
+            bipartite_mc_slim_equivalence(g),
+            bipartite_nullity1_structure(g) if part.nullity == 1 else None,
+        ))
+
+    def refuse(g, basis=None):
+        raise AssertionError("classified a graph it was handed")
+
+    monkeypatch.setattr(nullcore.minimal, "classify_vertices", refuse)
+    nullity1 = 0
+    for g, part, expected in zip(graphs, parts, alone):
+        nullity1 += part.nullity == 1
+        assert (
+            bipartite_parity_check(g, part),
+            bipartite_mc_slim_equivalence(g, part),
+            bipartite_nullity1_structure(g, part)
+            if part.nullity == 1 else None,
+        ) == expected
+    assert nullity1 >= 5
+
+
 def test_bipartite_parity():
     assert bipartite_parity_check(gen_path(7))
     assert bipartite_parity_check(gen_cycle(4))

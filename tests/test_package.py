@@ -40,13 +40,12 @@ def test_cli_import_skips_heavy_stdlib_modules():
 
 
 def _child_modules(tmp_path, statements):
-    """nullcore modules loaded by a fresh interpreter that runs the given
+    """Every module loaded by a fresh interpreter that runs the given
     statements; their stdout is discarded."""
     code = (
         "import sys; sys.path.insert(0, %r)\n%s\n"
         "sys.stdout = sys.__stdout__\n"
-        "print(' '.join(sorted(m for m in sys.modules "
-        "if m.split('.')[0] == 'nullcore')))"
+        "print(' '.join(sorted(sys.modules)))"
         % (str(ROOT / "src"), statements)
     )
     out = subprocess.run(
@@ -56,8 +55,26 @@ def _child_modules(tmp_path, statements):
     return set(out.split())
 
 
+def test_cli_start_up_skips_argparse_and_json(tmp_path):
+    # argparse (with gettext and locale) and json cost every command
+    # milliseconds of start-up; json is loaded only to print JSON
+    loaded = _child_modules(tmp_path, "import nullcore.cli")
+    assert not loaded & {"argparse", "gettext", "locale", "json"}
+    loaded = _child_modules(
+        tmp_path,
+        "import io; sys.stdout = io.StringIO()\n"
+        "from nullcore.cli import main\n"
+        "assert main(['verify', '--suite', 'trees', '--trials', '2', "
+        "'--max-n', '6']) == 0",
+    )
+    assert "nullcore.verify" in loaded
+    assert "json" not in loaded
+
+
 def test_package_import_loads_no_submodule(tmp_path):
-    assert _child_modules(tmp_path, "import nullcore") == {"nullcore"}
+    loaded = _child_modules(tmp_path, "import nullcore")
+    assert {m for m in loaded if m.split(".")[0] == "nullcore"} == {
+        "nullcore"}
 
 
 def test_analyze_loads_only_the_modules_it_runs(tmp_path):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nullcore.analysis import classify_vertices, nullity
+from nullcore.analysis import VertexClass, classify_vertices, nullity
 from nullcore.errors import PreconditionError, TheoremViolationError
 from nullcore.graphs import (
     Graph,
@@ -313,14 +313,25 @@ def _unit_basis(n):
     )
 
 
+def _all_core(g):
+    """The partition _unit_basis claims: nullity n, every vertex core.
+    classify_vertices refuses a basis of the wrong dimension, so the
+    partition is forged from the true one."""
+    n = g.n
+    return classify_vertices(g)._replace(
+        nullity=n, class_of=(VertexClass.CV,) * n, cv_set=tuple(range(n)),
+        ncv_set=(), cfvr_set=(), independent_cv=g.m == 0,
+        kernel=_unit_basis(n))
+
+
 def test_build_report_guards_raise_theorem_violation(monkeypatch):
     p3, p4 = gen_path(3), gen_path(4)
     true_parts = {g: classify_vertices(g) for g in (p3, p4)}
-    # The base graphs keep their true partition; every edited graph is
-    # classified from the wrong all-core kernel.
+    # The base graphs keep their true partition; every edited graph gets
+    # the wrong all-core partition.
     monkeypatch.setattr(
         nullcore.perturb, "classify_vertices",
-        lambda g: true_parts.get(g) or classify_vertices(g, _unit_basis(g.n)),
+        lambda g: true_parts.get(g) or _all_core(g),
     )
     # P4 is non-singular, so the fake nullity 4 is a jump of 4.
     with pytest.raises(TheoremViolationError, match="moved the nullity") as info:

@@ -82,7 +82,8 @@ def _classified_graphs(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("suite", ["trees", "subdivisions", "perturbations"])
+@pytest.mark.parametrize(
+    "suite", ["trees", "bipartite", "subdivisions", "perturbations"])
 def test_trial_classifies_its_graph_once(monkeypatch, suite):
     # The trial's graph is classified once; every consumer of that graph
     # is handed the partition instead of classifying again (the
