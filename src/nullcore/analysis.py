@@ -15,8 +15,6 @@ and the functions here extract those blocks, reduce away the remote part,
 and verify the exact identities that the block shape forces.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -184,6 +182,12 @@ def classify_vertices(g: Graph, basis: Optional[KernelBasis] = None) -> VertexPa
     nullities.
     """
     n = g.n
+    if basis is not None and basis.ambient != n:
+        raise TheoremViolationError(
+            f"basis of ambient dimension {basis.ambient} does not fit "
+            f"{n} vertices",
+            {"edges": g.edges(), "n": n, "basis": basis.vectors},
+        )
     data = []
     for neighbours in g.adjacency:
         row = [0] * n

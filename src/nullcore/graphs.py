@@ -6,9 +6,6 @@ Graph never changes after construction, so values are safe to share across
 threads.
 """
 
-from __future__ import annotations
-
-import heapq
 from typing import NamedTuple
 
 from .errors import (
@@ -20,7 +17,6 @@ from .errors import (
     VertexRangeError,
 )
 from .linalg import IntMatrix
-from .rng import SplitMix64
 
 # Largest n that parse_edge_list and the generators accept; n alone
 # sizes the adjacency lists, so a larger n is refused before allocation.
@@ -434,6 +430,12 @@ def gen_random_tree(n: int, seed: int) -> Graph:
         return Graph(1)
     if n == 2:
         return Graph(2, [(0, 1)])
+    # heapq and the rng are imported by the generators that use them, so
+    # the commands that only read a graph never load them
+    import heapq
+
+    from .rng import SplitMix64
+
     rng = SplitMix64(seed)
     seq = [rng.below(n) for _ in range(n - 2)]
     degree = [1] * n
@@ -462,6 +464,8 @@ def gen_random_graph(
     _check_size(n, most=MAX_RANDOM_GRAPH_VERTICES)
     if p_denominator <= 0 or not 0 <= p_numerator <= p_denominator:
         raise ValueError("edge probability must satisfy 0 <= num <= den")
+    from .rng import SplitMix64
+
     rng = SplitMix64(seed)
     edges = []
     for u in range(n):
@@ -475,6 +479,8 @@ def gen_random_bipartite(n: int, seed: int) -> Graph:
     """Random bipartite graph: vertices split by coin flips (both sides kept
     non-empty for n >= 2), each cross pair kept with probability 1/2."""
     _check_size(n, most=MAX_RANDOM_BIPARTITE_VERTICES)
+    from .rng import SplitMix64
+
     rng = SplitMix64(seed)
     side = [rng.below(2) for _ in range(n)]
     if n >= 2 and len(set(side)) == 1:
@@ -494,6 +500,8 @@ def gen_random_unicyclic(n: int, seed: int) -> Graph:
     found by walking the rows without listing the others.
     """
     _check_size(n, 3, "a unicyclic graph")
+    from .rng import SplitMix64
+
     rng = SplitMix64(seed)
     tree = gen_random_tree(n, rng.next_u64())
     k = rng.below(n * (n - 1) // 2 - (n - 1))

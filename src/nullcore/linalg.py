@@ -13,8 +13,6 @@ The characteristic polynomial uses the Faddeev-LeVerrier recurrence
 non-zero entries only.
 """
 
-from __future__ import annotations
-
 from math import gcd
 from typing import NamedTuple
 

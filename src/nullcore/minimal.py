@@ -8,8 +8,6 @@ order, class sizes differing by one, core inside the larger class) that
 the reports here verify exactly.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple, Optional
 
 from .analysis import (

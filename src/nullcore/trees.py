@@ -6,8 +6,6 @@ minimal configurations; the routines in this module decide that in both
 directions and verify the rank facts that make it work.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple, Optional
 
 from .analysis import (

@@ -218,6 +218,18 @@ def test_extra_support_trips_solvability_guard():
     assert info.value.report["nullity_after_deletion"] == 2
 
 
+def test_basis_of_another_order_is_rejected_before_indexing():
+    # a basis for P5 handed in with P3 used to fail with a bare IndexError
+    g = gen_path(3)
+    wrong = KernelBasis(5, ((1, 0, -1, 0, 1),))
+    with pytest.raises(TheoremViolationError,
+                       match="ambient dimension 5 does not fit 3") as info:
+        classify_vertices(g, wrong)
+    report = info.value.report
+    assert report["basis"] == wrong.vectors
+    assert Graph(report["n"], report["edges"]) == g
+
+
 def test_core_labelling_block_shape():
     g = gen_path(7)
     lab = core_labelling(g)

@@ -1,6 +1,11 @@
 """Command line: subcommands, exit codes, output formats."""
 
+import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +48,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_script(cwd, argv, code=None, **kwargs):
+    """Run `python -m nullcore.cli ARGV`, or `python -c CODE` with ARGV as
+    sys.argv[1:], in a child with buffered stdout and stderr."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = SRC
+    head = ["-m", "nullcore.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *head, *argv], cwd=cwd, env=env,
+                          **kwargs)
 
 
 def test_analyze_json(capsys, p7_file):
@@ -222,7 +241,7 @@ def test_suite_choices_match_verify():
 
 
 def test_usage_error_is_exit_1():
-    # argparse raises SystemExit through our parser override
+    # _parse reports a usage error by raising SystemExit(1)
     with pytest.raises(SystemExit) as info:
         main(["verify", "--suite", "bogus"])
     assert info.value.code == 1
@@ -378,3 +397,76 @@ def test_perturb_classifies_input_once(capsys, monkeypatch, p7_file, mode):
     code, _, _ = run_cli(capsys, "perturb", p7_file, "--preserve", "cv", mode)
     assert code == 0
     assert all(g.m > 6 for g in calls)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "P7"],
+    ["analyze", "P7", "--dot"],
+    ["analyze", "missing.g"],
+    ["reduce", "P7", "--pendant"],
+    ["reduce", "C4", "--slim"],
+    ["perturb", "P7", "--preserve", "cv", "--densify"],
+    ["perturb", "C4", "--preserve", "nullity", "--list"],
+    ["mc", "P7"],
+    ["mc", "missing.g"],
+    ["gen", "tree", "8", "11"],
+    ["gen", "cycle", "2"],
+    ["verify", "--suite", "trees", "--trials", "3", "--max-n", "6"],
+    ["verify", "--suite", "bogus"],
+    ["analyze"],
+    ["gen", "-h"],
+])
+def test_script_matches_main(capsys, tmp_path, monkeypatch, p7_file, c4_file,
+                             argv):
+    # the script's way out (os._exit after a flush) loses no output and
+    # keeps every exit code: 0, 1 (usage), 2 (input), 3 (precondition)
+    files = {"P7": p7_file, "C4": c4_file}
+    argv = [files.get(a, a) for a in argv]
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    child = run_script(tmp_path, argv, capture_output=True)
+    assert (child.returncode, child.stdout, child.stderr) == (
+        code, captured.out.encode(), captured.err.encode())
+
+
+def test_script_flushes_large_output(tmp_path):
+    # far more than one stdout buffer; the tail is still in the buffer
+    # when main returns
+    child = run_script(tmp_path, ["gen", "path", "20000"],
+                       capture_output=True, check=True)
+    expected = serialize_edge_list(gen_path(20000)).encode()
+    assert len(expected) > 64 * 1024
+    assert child.stdout == expected and child.stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full")
+def test_script_reports_failed_flush_as_before(tmp_path):
+    # the write fails only at the final flush; the normal shutdown then
+    # reports it and exits 120, without a traceback
+    with open("/dev/full", "wb") as full:
+        child = run_script(tmp_path, ["gen", "path", "5"], stdout=full,
+                           stderr=subprocess.PIPE, text=True)
+    assert child.returncode == 120
+    ignored, error = child.stderr.splitlines()
+    assert ignored.startswith(
+        "Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    assert error == "OSError: [Errno %d] %s" % (
+        errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_script_runs_exit_handlers(tmp_path):
+    # a handler registered before entry() runs, and what it writes is
+    # flushed before the process ends
+    code = ("import atexit, sys\n"
+            "atexit.register(sys.stdout.write, 'handler ran\\n')\n"
+            "from nullcore.cli import entry\n"
+            "entry()")
+    child = run_script(tmp_path, ["gen", "path", "3"], code=code,
+                       capture_output=True, text=True)
+    assert child.returncode == 0
+    assert child.stdout == serialize_edge_list(gen_path(3)) + "handler ran\n"

@@ -291,7 +291,7 @@ def test_pair_loop_generators_have_their_own_cap(monkeypatch):
     # a refused request draws and builds nothing, so the real caps are
     # probed just above without allocating
     monkeypatch.setattr(graphs, "Graph", None)
-    monkeypatch.setattr(graphs, "SplitMix64", None)
+    monkeypatch.setattr("nullcore.rng.SplitMix64", None)
     cases = (
         (lambda n: gen_random_graph(n, 1, 2, 7), 4, graph_cap),
         (lambda n: gen_random_bipartite(n, 7), 3, bipartite_cap),

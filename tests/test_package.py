@@ -71,6 +71,15 @@ def test_cli_start_up_skips_argparse_and_json(tmp_path):
     assert "json" not in loaded
 
 
+def test_command_modules_skip_future_heapq_and_rng(tmp_path):
+    # only the generators need heapq and the rng, and no module needs
+    # __future__; each would cost every command start-up time
+    loaded = _child_modules(
+        tmp_path, "import nullcore.cli, nullcore.analysis, nullcore.perturb")
+    assert "nullcore.perturb" in loaded
+    assert not loaded & {"__future__", "heapq", "nullcore.rng"}
+
+
 def test_package_import_loads_no_submodule(tmp_path):
     loaded = _child_modules(tmp_path, "import nullcore")
     assert {m for m in loaded if m.split(".")[0] == "nullcore"} == {
