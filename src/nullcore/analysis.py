@@ -16,7 +16,6 @@ and verify the exact identities that the block shape forces.
 """
 
 from enum import Enum
-from typing import NamedTuple, Optional
 
 from .errors import (
     NonIndependentCoreError,
@@ -33,6 +32,7 @@ from .graphs import (
 from .linalg import (
     IntMatrix,
     KernelBasis,
+    Record,
     _reduce_symmetric,
     det,
     nullspace_basis,
@@ -46,7 +46,7 @@ class VertexClass(Enum):
     CFV_UPP = "cfv_upp"
 
 
-class VertexPartition(NamedTuple):
+class VertexPartition(Record):
     """Per-vertex classification plus the derived three-part split.
 
     ncv_set holds the core-forbidden vertices with a core neighbour;
@@ -99,13 +99,13 @@ class VertexPartition(NamedTuple):
 _COMPARED = VertexPartition._fields.index("kernel")
 
 
-class TheoremCheck(NamedTuple):
+class TheoremCheck(Record):
     name: str
     holds: bool
     witness: dict
 
 
-class CoreLabelling(NamedTuple):
+class CoreLabelling(Record):
     """Relabelling that lists core vertices first, their neighbours next,
     remote vertices last (original order kept inside each part), together
     with the non-trivial blocks of the permuted adjacency matrix."""
@@ -158,10 +158,10 @@ class CoreLabelling(NamedTuple):
         }
 
 
-class AnalysisReport(NamedTuple):
+class AnalysisReport(Record):
     graph: Graph
     partition: VertexPartition
-    labelling: Optional[CoreLabelling]
+    labelling: CoreLabelling | None
     checks: tuple
 
 
@@ -170,7 +170,7 @@ def nullity(g: Graph) -> int:
     return g.n - rank(adjacency_matrix(g))
 
 
-def classify_vertices(g: Graph, basis: Optional[KernelBasis] = None) -> VertexPartition:
+def classify_vertices(g: Graph, basis: KernelBasis | None = None) -> VertexPartition:
     """Core vertices from the kernel-basis supports; the rest split by the
     nullity of the one-vertex-deleted subgraph.
 
@@ -263,7 +263,7 @@ def classify_vertices(g: Graph, basis: Optional[KernelBasis] = None) -> VertexPa
     )
 
 
-def _first_adjacent_core_pair(g: Graph, cv_sorted) -> Optional[tuple]:
+def _first_adjacent_core_pair(g: Graph, cv_sorted) -> tuple | None:
     cv = set(cv_sorted)
     for u in cv_sorted:
         for w in g.adjacency[u]:
@@ -280,7 +280,7 @@ def require_independent_cv(g: Graph, partition: VertexPartition):
 
 
 def core_labelling(
-    g: Graph, partition: Optional[VertexPartition] = None
+    g: Graph, partition: VertexPartition | None = None
 ) -> CoreLabelling:
     """Three-part relabelling and block extraction.
 
@@ -325,7 +325,7 @@ def core_labelling(
 
 
 def no_single_core_neighbour_check(
-    g: Graph, partition: Optional[VertexPartition] = None
+    g: Graph, partition: VertexPartition | None = None
 ) -> TheoremCheck:
     """No vertex may have exactly one core neighbour (a kernel vector row
     would otherwise reduce to a single non-zero term)."""
@@ -387,7 +387,7 @@ def _block_checks(part: VertexPartition, lab: CoreLabelling) -> list:
 
 
 def verify_block_theorems(
-    g: Graph, partition: Optional[VertexPartition] = None
+    g: Graph, partition: VertexPartition | None = None
 ) -> list:
     """Exact verdicts for the five identities forced by the block shape."""
     part = classify_vertices(g) if partition is None else partition
@@ -398,7 +398,7 @@ def verify_block_theorems(
 
 
 def slim_reduce(
-    g: Graph, partition: Optional[VertexPartition] = None
+    g: Graph, partition: VertexPartition | None = None
 ) -> tuple:
     """Drop the remote vertices; keep core and neighbours-of-core.
 
@@ -454,7 +454,7 @@ def is_half_core(g: Graph) -> bool:
     return all((u in cv) != (w in cv) for u, w in g.edges())
 
 
-class UnicyclicReport(NamedTuple):
+class UnicyclicReport(Record):
     cycle: tuple
     cycle_length: int
     length_mod_4: int

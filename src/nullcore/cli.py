@@ -23,19 +23,91 @@ _SUITES = ("trees", "bipartite", "subdivisions", "perturbations",
            "unicyclic")
 
 
+class _UnreadableInput(Exception):
+    """The input file could not be opened or read; carries the OSError."""
+
+
 def _load(path: str):
     from .graphs import parse_edge_list
 
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_edge_list(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        # only this OSError is an input error; one from writing the
+        # output leaves main
+        raise _UnreadableInput(exc) from exc
+    return parse_edge_list(text)
+
+
+def _json_string(text: str) -> str:
+    if text.isascii() and text.isprintable() and '"' not in text \
+            and "\\" not in text:
+        return '"' + text + '"'
+    # escapes are rare in this program's output, so json is loaded only
+    # for them
+    import json
+
+    return json.dumps(text)
+
+
+def _json_parts(value, indent: str, out: list):
+    """Appends value to out as json.dumps(value, indent=2) writes it,
+    with indent before each of its inner lines."""
+    if isinstance(value, str):
+        out.append(_json_string(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator = "[\n" + inner
+        for item in value:
+            out.append(separator)
+            _json_parts(item, inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{\n" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s"
+                                % type(key).__name__)
+            out.append(separator + _json_string(key) + ": ")
+            _json_parts(item, inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + indent + "}")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(value).__name__)
+
+
+def _json_text(payload) -> str:
+    """json.dumps(payload, indent=2) plus a newline, for payloads of
+    str, int, bool, None, lists, tuples and dicts with str keys;
+    anything else, floats included, raises TypeError.  Importing json
+    and building its encoder would cost every command that prints JSON
+    milliseconds."""
+    out = []
+    _json_parts(payload, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _emit(payload):
-    # json is imported here, not at the top: verify and gen never print
-    # JSON and so never pay for the import
-    import json
-
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(_json_text(payload))
 
 
 def _cmd_analyze(args) -> int:
@@ -372,7 +444,7 @@ def main(argv=None) -> int:
     handler, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return handler(args)
-    except (EdgeListParseError, OSError) as exc:
+    except (EdgeListParseError, _UnreadableInput) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except PreconditionError as exc:
@@ -397,12 +469,19 @@ def entry():
     10 ms that no command needs.  So this runs the exit handlers and
     flushes the output, in the order shutdown would, and ends with
     os._exit.  If a flush fails, the normal shutdown takes over, to
-    report the failure and exit 120 as it always has.
+    report the failure and exit 120 as it always has.  main maps only
+    the input's OSError to exit 2, so an OSError out of main is a failed
+    write of the output, which ends the same way: reported on stderr in
+    the shutdown's form, exit 120.
     """
     import atexit
     import os
 
-    code = main()
+    try:
+        code = main()
+    except OSError as exc:
+        sys.stderr.write("%s: %s\n" % (type(exc).__name__, exc))
+        code = 120
     atexit._run_exitfuncs()
     try:
         sys.stdout.flush()

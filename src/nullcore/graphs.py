@@ -6,8 +6,6 @@ Graph never changes after construction, so values are safe to share across
 threads.
 """
 
-from typing import NamedTuple
-
 from .errors import (
     DuplicateEdgeError,
     EdgeListParseError,
@@ -16,7 +14,7 @@ from .errors import (
     SelfLoopError,
     VertexRangeError,
 )
-from .linalg import IntMatrix
+from .linalg import IntMatrix, Record
 
 # Largest n that parse_edge_list and the generators accept; n alone
 # sizes the adjacency lists, so a larger n is refused before allocation.
@@ -99,15 +97,14 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
-class VertexProvenance(NamedTuple("VertexProvenance", [
-        ("to_source", tuple)])):
+class VertexProvenance(Record):
     """Maps each vertex of a derived graph back to its source.
 
     Entries are ("vertex", old_label) for surviving vertices and
     ("edge", (u, w)) for vertices inserted on an edge.
     """
 
-    __slots__ = ()
+    to_source: tuple
 
     def __new__(cls, to_source):
         seen = set()
@@ -140,7 +137,7 @@ class VertexProvenance(NamedTuple("VertexProvenance", [
         }
 
 
-class BipartiteDecomposition(NamedTuple):
+class BipartiteDecomposition(Record):
     """A 2-colouring (V1, V2) plus the cross-edge matrix between the classes.
 
     cross(i, j) = 1 iff the i-th vertex of sorted V1 is adjacent to the j-th

@@ -11,10 +11,121 @@ systems A y = e_v are solvable and yields d times one solution of each.
 The characteristic polynomial uses the Faddeev-LeVerrier recurrence
 (whose divisions are exact for integer matrices), multiplying by the
 non-zero entries only.
+
+Record, the base of every result record in the package, lives here too:
+every library path imports this module, and a module of its own would
+cost each command another import.
 """
 
 from math import gcd
-from typing import NamedTuple
+from operator import itemgetter
+
+try:
+    from _collections import _tuplegetter
+except ImportError:  # not CPython
+    def _tuplegetter(index, doc):
+        return property(itemgetter(index), doc=doc)
+
+_tuple_new = tuple.__new__
+
+
+class _RecordType(type):
+    """Reads a record's fields from its class-body annotations.
+
+    This builds what typing.NamedTuple builds, without generating and
+    compiling source for each class: the field names, one descriptor
+    per field (namedtuple's own), a getter that picks the fields out of
+    a keyword dict, and the repr format.
+    """
+
+    def __new__(mcls, name, bases, namespace):
+        namespace.setdefault("__slots__", ())
+        cls = super().__new__(mcls, name, bases, namespace)
+        fields = tuple(cls.__annotations__)
+        if not fields:
+            return cls
+        for index, field in enumerate(fields):
+            if field in namespace:
+                raise TypeError("record field %r takes no default" % field)
+            setattr(cls, field,
+                    _tuplegetter(index, "Alias for field number %d" % index))
+        cls._fields = cls.__match_args__ = fields
+        # an itemgetter of one key returns the value, not a 1-tuple
+        cls._by_name = itemgetter(*fields) if len(fields) > 1 else (
+            lambda values, name=fields[0]: (values[name],))
+        cls._repr_format = "(" + "=%r, ".join(fields) + "=%r)"
+        return cls
+
+
+class Record(tuple, metaclass=_RecordType):
+    """Immutable tuple of named fields, the contract of typing.NamedTuple.
+
+    A subclass lists its fields as class-body annotations, without
+    defaults.  It is built by position or by keyword; a missing or
+    extra field raises TypeError.  It has _fields, _make, _replace,
+    _asdict and __match_args__, compares and hashes as the plain tuple
+    of its fields, and pickles through __new__, so a subclass that
+    validates in __new__ also validates what it unpickles.
+    """
+
+    _fields = ()
+
+    def __new__(cls, /, *args, **kwargs):
+        if kwargs:
+            if args or len(kwargs) != len(cls._fields):
+                args = cls._bind(args, kwargs)
+            else:
+                try:
+                    args = cls._by_name(kwargs)
+                except KeyError:
+                    args = cls._bind(args, kwargs)
+        elif len(args) != len(cls._fields):
+            args = cls._bind(args, kwargs)
+        return _tuple_new(cls, args)
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """The field values for a call that mixes positions and keywords,
+        or raises TypeError for one that misses or repeats a field."""
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError("%s takes %d fields but %d were given"
+                            % (cls.__name__, len(fields), len(args)))
+        for name in kwargs:
+            if name not in fields:
+                raise TypeError("%s got an unexpected field %r"
+                                % (cls.__name__, name))
+            if fields.index(name) < len(args):
+                raise TypeError("%s got multiple values for field %r"
+                                % (cls.__name__, name))
+        missing = [name for name in fields[len(args):] if name not in kwargs]
+        if missing:
+            raise TypeError("%s is missing the fields %s"
+                            % (cls.__name__, ", ".join(missing)))
+        return args + tuple(map(kwargs.__getitem__, fields[len(args):]))
+
+    @classmethod
+    def _make(cls, iterable):
+        result = _tuple_new(cls, iterable)
+        if len(result) != len(cls._fields):
+            raise TypeError("Expected %d arguments, got %d"
+                            % (len(cls._fields), len(result)))
+        return result
+
+    def _replace(self, /, **changes):
+        result = self._make(map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError("Got unexpected field names: %r" % list(changes))
+        return result
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return self.__class__.__name__ + self._repr_format % self
 
 
 class IntMatrix:
@@ -92,7 +203,7 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols})"
 
 
-class KernelBasis(NamedTuple):
+class KernelBasis(Record):
     """Canonical integer basis of a nullspace.
 
     Vectors are the RREF free-variable parametrization, each scaled to a
@@ -116,7 +227,7 @@ class KernelBasis(NamedTuple):
         return out
 
 
-class CharPoly(NamedTuple):
+class CharPoly(Record):
     """Monic characteristic polynomial det(tI - M), coefficients descending."""
 
     coefficients: tuple

@@ -8,8 +8,6 @@ order, class sizes differing by one, core inside the larger class) that
 the reports here verify exactly.
 """
 
-from typing import NamedTuple, Optional
-
 from .analysis import (
     TheoremCheck,
     VertexPartition,
@@ -23,10 +21,10 @@ from .graphs import (
     is_bipartite,
     is_connected,
 )
-from .linalg import rank
+from .linalg import Record, rank
 
 
-class MCReport(NamedTuple):
+class MCReport(Record):
     is_mc: bool
     nullity: int
     core_subgraph: Graph
@@ -47,7 +45,7 @@ class MCReport(NamedTuple):
 
 
 def is_minimal_configuration(
-    g: Graph, partition: Optional[VertexPartition] = None
+    g: Graph, partition: VertexPartition | None = None
 ) -> MCReport:
     """Evaluate the three axioms exactly and report every violation.
 
@@ -91,7 +89,7 @@ def is_minimal_configuration(
     )
 
 
-class BipartiteNullity1Report(NamedTuple):
+class BipartiteNullity1Report(Record):
     v1: tuple
     v2: tuple
     larger: tuple
@@ -104,7 +102,7 @@ class BipartiteNullity1Report(NamedTuple):
 
 
 def bipartite_nullity1_structure(
-    g: Graph, partition: Optional[VertexPartition] = None
+    g: Graph, partition: VertexPartition | None = None
 ) -> BipartiteNullity1Report:
     """Structure forced on a bipartite graph of nullity 1: odd order,
     class sizes n//2 and n//2 + 1, core vertices inside the larger class,
@@ -147,15 +145,15 @@ def bipartite_nullity1_structure(
     )
 
 
-class McSlimEquivalence(NamedTuple):
+class McSlimEquivalence(Record):
     hypothesis_met: bool
-    lhs: Optional[bool]
-    rhs: Optional[bool]
-    equal: Optional[bool]
+    lhs: bool | None
+    rhs: bool | None
+    equal: bool | None
 
 
 def bipartite_mc_slim_equivalence(
-    g: Graph, partition: Optional[VertexPartition] = None
+    g: Graph, partition: VertexPartition | None = None
 ) -> McSlimEquivalence:
     """For bipartite graphs with classes of different sizes: being a
     minimal configuration must coincide with being a connected slim graph
@@ -180,7 +178,7 @@ def bipartite_mc_slim_equivalence(
 
 
 def bipartite_parity_check(
-    g: Graph, partition: Optional[VertexPartition] = None
+    g: Graph, partition: VertexPartition | None = None
 ) -> bool:
     """Nullity and order of a bipartite graph share parity; verified via
     the cross-matrix identity eta = n - 2 rank(S)."""

@@ -6,8 +6,6 @@ with exact preservation flags; additions inside the core-forbidden part
 carry hard structural guarantees that are re-checked on every call.
 """
 
-from typing import NamedTuple, Optional
-
 from .analysis import (
     VertexPartition,
     classify_vertices,
@@ -15,7 +13,7 @@ from .analysis import (
 )
 from .errors import PreconditionError, TheoremViolationError
 from .graphs import Graph, add_edge, delete_edge
-from .linalg import KernelBasis
+from .linalg import KernelBasis, Record
 
 # Tag components in display order; joining order below never changes.
 _PART_ORDER = {"CV": 0, "NCV": 1, "CFVR": 2}
@@ -37,7 +35,7 @@ def _type_pair(u: int, w: int, partition: VertexPartition) -> str:
     return a + "-" + b
 
 
-class EdgeCandidate(NamedTuple):
+class EdgeCandidate(Record):
     """A non-edge of the base graph tagged by its endpoint classes.
 
     type_pair is one of CV-CV, CV-NCV, CV-CFVR, NCV-NCV, NCV-CFVR,
@@ -49,7 +47,7 @@ class EdgeCandidate(NamedTuple):
     type_pair: str
 
 
-class PerturbationReport(NamedTuple):
+class PerturbationReport(Record):
     """Exact before/after comparison for a single edge change.
 
     preserved flags:
@@ -86,7 +84,7 @@ class PerturbationReport(NamedTuple):
 CFV_FAMILY = frozenset({"NCV-NCV", "NCV-CFVR", "CFVR-CFVR"})
 
 
-def candidate_edges(g: Graph, partition: Optional[VertexPartition] = None):
+def candidate_edges(g: Graph, partition: VertexPartition | None = None):
     """All non-adjacent vertex pairs of g, tagged and sorted by (u, w).
 
     Tags always reflect the current partition; they carry labelling
@@ -166,7 +164,7 @@ def _build_report(
 
 
 def apply_and_report(
-    g: Graph, e: EdgeCandidate, partition: Optional[VertexPartition] = None
+    g: Graph, e: EdgeCandidate, partition: VertexPartition | None = None
 ) -> PerturbationReport:
     """Add the candidate edge and report exactly what survived.
 
@@ -230,7 +228,7 @@ def remove_and_report(g: Graph, u: int, w: int) -> PerturbationReport:
     return _build_report(g, h, edge, "remove", part)
 
 
-class CvNcvReport(NamedTuple):
+class CvNcvReport(Record):
     """Outcome of checking a core / core-neighbour edge addition.
 
     When the addition keeps the whole core labelling intact, nullity
@@ -243,8 +241,8 @@ class CvNcvReport(NamedTuple):
 
     report: PerturbationReport
     hypothesis_met: bool
-    x_witness: Optional[tuple]
-    y_witness: Optional[tuple]
+    x_witness: tuple | None
+    y_witness: tuple | None
 
 
 def _kernel_vector_hitting(basis: KernelBasis, v: int, replay: dict) -> tuple:
@@ -263,7 +261,7 @@ def _in_kernel(g: Graph, x: tuple) -> bool:
 
 
 def verify_cv_ncv_theorem(
-    g: Graph, e: EdgeCandidate, partition: Optional[VertexPartition] = None
+    g: Graph, e: EdgeCandidate, partition: VertexPartition | None = None
 ) -> CvNcvReport:
     """Check a CV-NCV addition against its conditional guarantee.
 
@@ -358,7 +356,7 @@ def _safe_candidates(g: Graph, part: VertexPartition, preserve: str):
 
 
 def safe_additions(
-    g: Graph, preserve: str, partition: Optional[VertexPartition] = None
+    g: Graph, preserve: str, partition: VertexPartition | None = None
 ):
     """Candidates whose addition keeps the requested property.
 
@@ -375,7 +373,7 @@ def safe_additions(
 
 
 def greedy_densify(
-    g: Graph, preserve: str, partition: Optional[VertexPartition] = None
+    g: Graph, preserve: str, partition: VertexPartition | None = None
 ):
     """Add safe edges lexicographically-first until none remains.
 

@@ -6,8 +6,6 @@ minimal configurations; the routines in this module decide that in both
 directions and verify the rank facts that make it work.
 """
 
-from typing import NamedTuple, Optional
-
 from .analysis import (
     VertexPartition,
     classify_vertices,
@@ -26,11 +24,11 @@ from .graphs import (
     is_tree,
     subdivision,
 )
-from .linalg import char_poly, rank
+from .linalg import Record, char_poly, rank
 from . import minimal
 
 
-class ReductionTrace(NamedTuple):
+class ReductionTrace(Record):
     """Record of a pendant-pair elimination run.
 
     Each step removes a degree-1 vertex and its unique neighbour; the run
@@ -78,7 +76,7 @@ def pendant_reduction(g: Graph) -> ReductionTrace:
     )
 
 
-class TreeNullityIdentity(NamedTuple):
+class TreeNullityIdentity(Record):
     eta_reduction: int
     eta_rank: int
     n_minus_2t: int
@@ -102,13 +100,13 @@ def tree_nullity_identity(g: Graph) -> TreeNullityIdentity:
     )
 
 
-class EndVertexCores(NamedTuple):
+class EndVertexCores(Record):
     vertices: tuple
     non_singular: bool
 
 
 def end_vertex_core_vertices(
-    g: Graph, partition: Optional[VertexPartition] = None
+    g: Graph, partition: VertexPartition | None = None
 ) -> EndVertexCores:
     """End vertices of a tree that are core vertices.
 
@@ -127,8 +125,8 @@ def end_vertex_core_vertices(
 
 
 def cfvr_perfect_matching(
-    g: Graph, partition: Optional[VertexPartition] = None
-) -> Optional[tuple]:
+    g: Graph, partition: VertexPartition | None = None
+) -> tuple | None:
     """Perfect matching of the forest induced on the remote vertices of a
     tree, in original labels; None when that forest has no perfect matching
     (never the case for a tree)."""
@@ -147,7 +145,7 @@ def cfvr_perfect_matching(
     )
 
 
-def inverse_subdivision(g: Graph) -> Optional[tuple]:
+def inverse_subdivision(g: Graph) -> tuple | None:
     """Undo a subdivision: smooth out the inserted degree-2 class.
 
     A tree T' is a subdivision iff its smaller bipartition class has
@@ -176,22 +174,22 @@ def inverse_subdivision(g: Graph) -> Optional[tuple]:
     return smoothed, prov
 
 
-class McTreeReport(NamedTuple):
+class McTreeReport(Record):
     """Both routes to the minimal-configuration decision for a tree, plus
     the matching-count and full-column-rank facts that accompany it."""
 
     is_mc: bool
     by_definition: bool
     by_subdivision: bool
-    smoothed: Optional[Graph]
+    smoothed: Graph | None
     t: int
     ncv_count: int
     t_matches_ncv: bool
-    q_full_column_rank: Optional[bool]
+    q_full_column_rank: bool | None
 
 
 def is_mc_tree(
-    g: Graph, partition: Optional[VertexPartition] = None
+    g: Graph, partition: VertexPartition | None = None
 ) -> McTreeReport:
     """Decide whether a tree is a minimal configuration, via the definition
     and via subdivision recognition; the two must agree."""

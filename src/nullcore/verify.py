@@ -6,8 +6,6 @@ graphs for replay.  Per-trial seeds come from one master stream in a
 fixed order, so equal inputs and seeds give identical summaries.
 """
 
-from typing import NamedTuple
-
 from .analysis import (
     classify_vertices,
     no_single_core_neighbour_check,
@@ -34,6 +32,7 @@ from .minimal import (
     is_minimal_configuration,
 )
 from .perturb import apply_and_report, candidate_edges, verify_cv_ncv_theorem
+from .linalg import Record
 from .rng import SplitMix64
 from .trees import (
     cfvr_perfect_matching,
@@ -48,9 +47,11 @@ from .trees import (
 _COUNTEREXAMPLE_CAP = 100
 
 
-class VerifySuiteConfig(NamedTuple("VerifySuiteConfig", [
-        ("suite", str), ("max_n", int), ("trials", int), ("seed", int)])):
-    __slots__ = ()
+class VerifySuiteConfig(Record):
+    suite: str
+    max_n: int
+    trials: int
+    seed: int
 
     def __new__(cls, suite, max_n, trials, seed):
         if suite != "all" and suite not in SUITES:
@@ -67,7 +68,7 @@ class VerifySuiteConfig(NamedTuple("VerifySuiteConfig", [
         return cls(*iterable)
 
 
-class SuiteResult(NamedTuple):
+class SuiteResult(Record):
     config: VerifySuiteConfig
     tallies: dict  # check name -> [passes, fails]
     counterexamples: tuple  # (check name, Graph), capped

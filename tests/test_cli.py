@@ -5,9 +5,11 @@ import json
 import os
 import subprocess
 import sys
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nullcore.graphs
 import nullcore.perturb
@@ -26,6 +28,7 @@ from nullcore.graphs import (
     parse_edge_list,
     serialize_edge_list,
 )
+from nullcore.perturb import EdgeCandidate
 from nullcore.verify import SuiteResult, VerifySuiteConfig
 
 
@@ -459,6 +462,22 @@ def test_script_reports_failed_flush_as_before(tmp_path):
         errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full")
+def test_script_reports_failed_large_write_as_output_error(tmp_path):
+    # far more than one stdout buffer, so the write fails inside the
+    # command; that is not an input error, and it ends like the failed
+    # final flush above: the OSError on stderr and exit 120
+    with open("/dev/full", "wb") as full:
+        child = run_script(tmp_path, ["gen", "path", "20000"], stdout=full,
+                           stderr=subprocess.PIPE, text=True)
+    assert child.returncode == 120
+    assert "input error" not in child.stderr
+    assert "Traceback" not in child.stderr
+    assert child.stderr.splitlines()[-1] == "OSError: [Errno %d] %s" % (
+        errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 def test_script_runs_exit_handlers(tmp_path):
     # a handler registered before entry() runs, and what it writes is
     # flushed before the process ends
@@ -470,3 +489,46 @@ def test_script_runs_exit_handlers(tmp_path):
                        capture_output=True, text=True)
     assert child.returncode == 0
     assert child.stdout == serialize_edge_list(gen_path(3)) + "handler ran\n"
+
+
+# an int subclass whose repr is not its value; json writes the value
+Level = IntEnum("Level", "LOW HIGH")
+json_scalars = (
+    st.none() | st.booleans() | st.sampled_from(list(Level))
+    | st.integers(min_value=-(2 ** 1000), max_value=2 ** 1000)
+    | st.text(alphabet=st.characters(codec="utf-8"))
+    | st.text(alphabet='"\\\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600ab')
+)
+
+
+@st.composite
+def records_of(draw, values):
+    items = draw(st.lists(values, min_size=3, max_size=3))
+    return EdgeCandidate(*items)
+
+
+json_payloads = st.recursive(
+    json_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.lists(inner, max_size=5).map(tuple)
+        | records_of(inner)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=5)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(json_payloads)
+def test_json_writer_matches_json_dumps(payload):
+    assert cli._json_text(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bad", [
+    1.5, float("nan"), {1, 2}, frozenset(), object(), b"bytes", 1j,
+    [0, [1.0]], {"a": {"b": {3}}}, {1: 0}, {None: 0}, {1.5: 0},
+])
+def test_json_writer_rejects_what_it_does_not_write(bad):
+    with pytest.raises(TypeError):
+        cli._json_text(bad)

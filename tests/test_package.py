@@ -1,5 +1,7 @@
 """Package-level properties: version, import cost, and the result records."""
 
+import copy
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +71,29 @@ def test_cli_start_up_skips_argparse_and_json(tmp_path):
     )
     assert "nullcore.verify" in loaded
     assert "json" not in loaded
+    # the JSON commands write their output without json, and no record
+    # is built through typing.NamedTuple
+    (tmp_path / "p7.g").write_text(
+        "7 6\n" + "".join("%d %d\n" % (i, i + 1) for i in range(6)))
+    loaded = _child_modules(
+        tmp_path,
+        "import io; sys.stdout = io.StringIO()\n"
+        "from nullcore.cli import main\n"
+        "for argv in (['analyze', 'p7.g'], ['reduce', 'p7.g', '--slim'],\n"
+        "             ['reduce', 'p7.g', '--pendant'],\n"
+        "             ['perturb', 'p7.g', '--preserve', 'cv', '--list'],\n"
+        "             ['mc', 'p7.g']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "assert sys.stdout.getvalue().count('{') >= 5",
+    )
+    assert {"nullcore.perturb", "nullcore.trees", "nullcore.minimal"} \
+        <= loaded
+    assert not loaded & {"json", "typing"}
+    loaded = _child_modules(
+        tmp_path, "import nullcore\n"
+        "for name in sorted(nullcore._SUBMODULES):\n"
+        "    getattr(nullcore, name)")
+    assert "nullcore.verify" in loaded and "typing" not in loaded
 
 
 def test_command_modules_skip_future_heapq_and_rng(tmp_path):
@@ -174,3 +199,100 @@ def test_record_repr_names_fields():
     assert repr(VerifySuiteConfig("trees", 5, 1, 0)) == (
         "VerifySuiteConfig(suite='trees', max_n=5, trials=1, seed=0)"
     )
+
+
+def test_record_construction_by_position_and_keyword():
+    by_position = EdgeCandidate(0, 2, "NCV-NCV")
+    assert by_position == EdgeCandidate(u=0, w=2, type_pair="NCV-NCV")
+    assert by_position == EdgeCandidate(0, type_pair="NCV-NCV", w=2)
+    assert by_position == EdgeCandidate._make([0, 2, "NCV-NCV"])
+    assert (by_position.u, by_position.w, by_position.type_pair) == (
+        0, 2, "NCV-NCV")
+    assert KernelBasis(ambient=1, vectors=()) == KernelBasis(1, ())
+    for args, kwargs in (
+        ((0, 2), {}),                                  # missing
+        ((0, 2, "NCV-NCV", 5), {}),                    # extra
+        ((), {"u": 0, "w": 2}),                        # missing
+        ((), {"u": 0, "w": 2, "type_pair": "x", "v": 1}),  # extra
+        ((), {"u": 0, "w": 2, "kind": "x"}),           # wrong name
+        ((0, 2, "x"), {"u": 0}),                       # given twice
+    ):
+        with pytest.raises(TypeError):
+            EdgeCandidate(*args, **kwargs)
+    with pytest.raises(TypeError):
+        EdgeCandidate._make([0, 2])
+    with pytest.raises(TypeError):
+        VerifySuiteConfig("trees", 5, 5)
+
+
+def test_record_replace_asdict_and_fields():
+    edge = EdgeCandidate(0, 2, "NCV-NCV")
+    assert EdgeCandidate._fields == ("u", "w", "type_pair")
+    assert EdgeCandidate.__match_args__ == EdgeCandidate._fields
+    assert edge._replace(w=3) == EdgeCandidate(0, 3, "NCV-NCV")
+    assert edge._replace() == edge
+    with pytest.raises(ValueError, match="unexpected field names"):
+        edge._replace(v=3)
+    assert edge._asdict() == {"u": 0, "w": 2, "type_pair": "NCV-NCV"}
+    assert list(edge._asdict()) == list(EdgeCandidate._fields)
+
+
+def test_record_class_pattern():
+    match EdgeCandidate(1, 4, "CV-NCV"):
+        case EdgeCandidate(u, w, "CV-NCV"):
+            matched = (u, w)
+        case _:
+            matched = None
+    assert matched == (1, 4)
+    match VerifySuiteConfig("trees", 5, 1, 0):
+        case VerifySuiteConfig(suite, max_n=max_n):
+            assert (suite, max_n) == ("trees", 5)
+
+
+def test_record_equals_and_hashes_as_a_tuple():
+    edge = EdgeCandidate(0, 2, "NCV-NCV")
+    assert edge == (0, 2, "NCV-NCV") and (0, 2, "NCV-NCV") == edge
+    assert hash(edge) == hash((0, 2, "NCV-NCV"))
+    assert {edge, (0, 2, "NCV-NCV")} == {edge}
+    assert edge != (0, 2) and edge < (0, 3)
+    assert isinstance(edge, tuple) and len(edge) == 3
+
+
+def test_records_round_trip_through_pickle_and_deepcopy():
+    part = classify_vertices(gen_path(5))
+    records = (
+        part,
+        VertexProvenance((("vertex", 2), ("edge", (0, 2)))),
+        VerifySuiteConfig("trees", 5, 1, 0),
+        EdgeCandidate(0, 2, "NCV-NCV"),
+    )
+    for record in records:
+        for clone in (pickle.loads(pickle.dumps(record)),
+                      copy.deepcopy(record)):
+            assert type(clone) is type(record)
+            assert tuple(clone) == tuple(record)
+    assert pickle.loads(pickle.dumps(part)).y_block == part.y_block
+
+
+def test_unpickling_and_deepcopy_still_validate():
+    # records built around their checks: the copies must not get past them
+    forged = (
+        tuple.__new__(VerifySuiteConfig, ("trees", 5, 0, 0)),
+        tuple.__new__(VertexProvenance,
+                      ((("vertex", 1), ("vertex", 1)),)),
+    )
+    for record in forged:
+        data = pickle.dumps(record)
+        with pytest.raises(ValueError):
+            pickle.loads(data)
+        with pytest.raises(ValueError):
+            copy.deepcopy(record)
+
+
+def test_record_fields_take_no_defaults():
+    from nullcore.linalg import Record
+
+    with pytest.raises(TypeError, match="no default"):
+        class Defaulted(Record):
+            x: int
+            y: int = 0
