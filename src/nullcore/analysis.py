@@ -24,8 +24,8 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    _adjacency_rows,
     adjacency_matrix,
-    delete_vertex,
     induced_subgraph,
     is_unicyclic,
 )
@@ -52,12 +52,13 @@ class VertexPartition(Record):
     ncv_set holds the core-forbidden vertices with a core neighbour;
     cfvr_set holds the rest of the core-forbidden vertices.  The last
     three fields keep what classify_vertices read off its elimination of
-    [A | I] into [R | T].  kernel is the basis the classes were read
-    from.  d is the common pivot of R, and y_block[u] is None for a core
-    vertex u and otherwise the right half of the row of [R | T] whose
-    pivot lies in column u, which is d * y for a solution y of
-    A y = e_u; its entry at a core-forbidden w is the same for every
-    solution.  None of the three takes part in equality or the hash.
+    [A | I] into [R | T].  kernel is the canonical basis of ker A.  d is
+    the common pivot of R, and y_block[u] is None for a core vertex u
+    and otherwise the right half of the row of [R | T] whose pivot lies
+    in column u, which is d * y for a solution y of A y = e_u; its entry
+    at a core-forbidden w is the same for every solution.  Every field
+    is a function of the graph, so partitions compare and hash as plain
+    tuples.
     """
 
     nullity: int
@@ -70,19 +71,6 @@ class VertexPartition(Record):
     d: int
     y_block: tuple
 
-    # self[:_COMPARED] is every field up to independent_cv
-    def __eq__(self, other):
-        if not isinstance(other, VertexPartition):
-            return NotImplemented
-        return self[:_COMPARED] == other[:_COMPARED]
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __hash__(self):
-        return hash(self[:_COMPARED])
-
     def part_tag(self, v: int) -> str:
         """DOT/report tag.  With independent core vertices the three-part
         view applies (cv/ncv/cfvr); otherwise fall back to the raw class."""
@@ -94,9 +82,6 @@ class VertexPartition(Record):
 
     def class_tags(self) -> list:
         return [c.value for c in self.class_of]
-
-
-_COMPARED = VertexPartition._fields.index("kernel")
 
 
 class TheoremCheck(Record):
@@ -171,96 +156,106 @@ def nullity(g: Graph) -> int:
 
 
 def classify_vertices(g: Graph, basis: KernelBasis | None = None) -> VertexPartition:
-    """Core vertices from the kernel-basis supports; the rest split by the
-    nullity of the one-vertex-deleted subgraph.
+    """Core vertices and the split of the rest, all read off one
+    elimination of [A | I].
 
-    One elimination of [A | I] gives every deleted nullity: it is
-    eta - 1 at a core vertex and, elsewhere, eta + 1 when the solutions
-    of A y = e_v have y_v = 0 and eta otherwise.  A given basis is
-    checked against that elimination instead of trusted: its dimension
-    must be the nullity, and its supports must agree with the deleted
-    nullities.
+    v is a core vertex exactly when A y = e_v has no solution, and
+    deleting it drops the nullity by one.  Otherwise deleting v keeps
+    the nullity when the solutions have y_v != 0 (cfv_mid) and raises it
+    by one when y_v = 0 (cfv_upp).  A given basis is a claim, checked
+    against that elimination and never stored: unless it is a basis of
+    ker A, TheoremViolationError is raised with a replayable report.
     """
     n = g.n
-    if basis is not None and basis.ambient != n:
-        raise TheoremViolationError(
-            f"basis of ambient dimension {basis.ambient} does not fit "
-            f"{n} vertices",
-            {"edges": g.edges(), "n": n, "basis": basis.vectors},
-        )
-    data = []
-    for neighbours in g.adjacency:
-        row = [0] * n
-        for w in neighbours:
-            row[w] = 1
-        data.append(row)
-    true_basis, d, y_block = _reduce_symmetric(data, n)
-    if basis is None:
-        basis = true_basis
-    true_eta = true_basis.dimension
-    eta = basis.dimension
-    cv = set(basis.supports())
-    class_of = [None] * n
-    for v in range(n):
-        y = y_block[v]
-        if y is None:
-            eta_minus = true_eta - 1
-        else:
-            eta_minus = true_eta + 1 if y[v] == 0 else true_eta
-        if v in cv and y is None:
-            class_of[v] = VertexClass.CV
-        elif v not in cv and eta_minus == eta:
-            class_of[v] = VertexClass.CFV_MID
-        elif v not in cv and eta_minus == eta + 1:
-            class_of[v] = VertexClass.CFV_UPP
-        else:
-            # a support vertex where A y = e_v is solvable, or a deletion
-            # that moves the nullity outside the supports the wrong way:
-            # either way the basis is wrong
-            raise TheoremViolationError(
-                f"vertex {v}: nullity {eta} -> {eta_minus} contradicts supports",
-                {
-                    "edges": g.edges(),
-                    "n": n,
-                    "vertex": v,
-                    "nullity": eta,
-                    "nullity_after_deletion": nullity(delete_vertex(g, v)[0]),
-                    "basis": basis.vectors,
-                },
-            )
-    if eta != true_eta:
-        # supports that pass the test above can still miss a core vertex
-        raise TheoremViolationError(
-            f"basis of dimension {eta} contradicts nullity {true_eta}",
-            {
-                "edges": g.edges(),
-                "n": n,
-                "nullity": true_eta,
-                "basis_dimension": eta,
-                "basis": basis.vectors,
-            },
-        )
+    kernel, d, y_block = _reduce_symmetric(_adjacency_rows(g), n)
+    class_of = tuple(
+        VertexClass.CV if y is None
+        else VertexClass.CFV_UPP if y[v] == 0
+        else VertexClass.CFV_MID
+        for v, y in enumerate(y_block)
+    )
+    if basis is not None:
+        _check_claimed_basis(g, basis, kernel.dimension, class_of)
+    cv = tuple(v for v in range(n) if y_block[v] is None)
+    cv_set = set(cv)
     ncv = tuple(
         v
-        for v in range(g.n)
-        if v not in cv and any(w in cv for w in g.adjacency[v])
+        for v in range(n)
+        if v not in cv_set and any(w in cv_set for w in g.adjacency[v])
     )
     ncv_set = set(ncv)
-    cfvr = tuple(
-        v for v in range(g.n) if v not in cv and v not in ncv_set
-    )
-    cv_sorted = tuple(sorted(cv))
+    cfvr = tuple(v for v in range(n) if v not in cv_set and v not in ncv_set)
     return VertexPartition(
-        nullity=eta,
-        class_of=tuple(class_of),
-        cv_set=cv_sorted,
+        nullity=kernel.dimension,
+        class_of=class_of,
+        cv_set=cv,
         ncv_set=ncv,
         cfvr_set=cfvr,
-        independent_cv=_first_adjacent_core_pair(g, cv_sorted) is None,
-        kernel=basis,
+        independent_cv=_first_adjacent_core_pair(g, cv) is None,
+        kernel=kernel,
         d=d,
         y_block=y_block,
     )
+
+
+def _check_claimed_basis(g: Graph, basis: KernelBasis, eta: int, class_of):
+    """Raise TheoremViolationError unless basis is a basis of ker A(g),
+    given the nullity and classes of g.  The ambient size, the supports
+    and the dimension are checked first, for the reports they give."""
+    n = g.n
+    replay = {"edges": g.edges(), "n": n}
+    if basis.ambient != n:
+        raise TheoremViolationError(
+            f"basis of ambient dimension {basis.ambient} does not fit "
+            f"{n} vertices",
+            replay | {"basis": basis.vectors},
+        )
+    claimed = basis.dimension
+    support = basis.supports()
+    for v, cls in enumerate(class_of):
+        after = eta - (cls is VertexClass.CV) + (cls is VertexClass.CFV_UPP)
+        if v in support:
+            ok = cls is VertexClass.CV
+        else:
+            ok = after in (claimed, claimed + 1)
+        if not ok:
+            # a support vertex where A y = e_v is solvable, or a deletion
+            # that moves the nullity outside the supports the wrong way
+            raise TheoremViolationError(
+                f"vertex {v}: nullity {claimed} -> {after} contradicts supports",
+                replay | {
+                    "vertex": v,
+                    "nullity": claimed,
+                    "nullity_after_deletion": after,
+                    "basis": basis.vectors,
+                },
+            )
+    if claimed != eta:
+        # supports that pass the test above can still miss a core vertex
+        raise TheoremViolationError(
+            f"basis of dimension {claimed} contradicts nullity {eta}",
+            replay | {
+                "nullity": eta,
+                "basis_dimension": claimed,
+                "basis": basis.vectors,
+            },
+        )
+    for k, x in enumerate(basis.vectors):
+        if len(x) != n or not _in_kernel(g, x):
+            raise TheoremViolationError(
+                f"basis vector {k} is not in the kernel",
+                replay | {"vector": k, "basis": basis.vectors},
+            )
+    if rank(IntMatrix(basis.vectors, cols=n)) != eta:
+        raise TheoremViolationError(
+            "basis vectors are linearly dependent",
+            replay | {"basis": basis.vectors},
+        )
+
+
+def _in_kernel(g: Graph, x: tuple) -> bool:
+    """Whether A(g) x = 0, row by row over the adjacency lists."""
+    return all(sum(x[w] for w in row) == 0 for row in g.adjacency)
 
 
 def _first_adjacent_core_pair(g: Graph, cv_sorted) -> tuple | None:

@@ -383,14 +383,19 @@ def is_bipartite(g: Graph):
     return BipartiteDecomposition(v1=v1, v2=v2, cross=cross)
 
 
-def adjacency_matrix(g: Graph) -> IntMatrix:
+def _adjacency_rows(g: Graph) -> list:
+    """The rows of A(g) as new lists, for an elimination in place."""
     rows = []
-    for v in range(g.n):
+    for neighbours in g.adjacency:
         row = [0] * g.n
-        for w in g.adjacency[v]:
+        for w in neighbours:
             row[w] = 1
         rows.append(row)
-    return IntMatrix(rows, cols=g.n)
+    return rows
+
+
+def adjacency_matrix(g: Graph) -> IntMatrix:
+    return IntMatrix(_adjacency_rows(g), cols=g.n)
 
 
 def incidence_matrix(g: Graph) -> IntMatrix:

@@ -18,7 +18,7 @@ cost each command another import.
 """
 
 from math import gcd
-from operator import itemgetter
+from operator import index, itemgetter
 
 try:
     from _collections import _tuplegetter
@@ -129,12 +129,16 @@ class Record(tuple, metaclass=_RecordType):
 
 
 class IntMatrix:
-    """Immutable matrix of arbitrary-precision integers."""
+    """Immutable matrix of arbitrary-precision integers.
+
+    Entries are converted by operator.index, so a float, Fraction or
+    string raises TypeError instead of being truncated or parsed.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, cols: int | None = None):
-        rows = tuple(tuple(int(x) for x in row) for row in data)
+        rows = tuple(tuple(map(index, row)) for row in data)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):

@@ -8,6 +8,7 @@ carry hard structural guarantees that are re-checked on every call.
 
 from .analysis import (
     VertexPartition,
+    _in_kernel,
     classify_vertices,
     require_independent_cv,
 )
@@ -253,11 +254,6 @@ def _kernel_vector_hitting(basis: KernelBasis, v: int, replay: dict) -> tuple:
         "no kernel vector is non-zero at core vertex %d" % v,
         report=replay | {"vertex": v, "basis": basis.vectors},
     )
-
-
-def _in_kernel(g: Graph, x: tuple) -> bool:
-    """Whether A(g) x = 0, row by row over the adjacency lists."""
-    return all(sum(x[w] for w in row) == 0 for row in g.adjacency)
 
 
 def verify_cv_ncv_theorem(

@@ -50,28 +50,36 @@ class ReductionTrace(Record):
 
 def pendant_reduction(g: Graph) -> ReductionTrace:
     """Repeatedly remove the lowest-labelled end vertex together with its
-    unique neighbour.  Accepts any forest; rejects graphs with a cycle."""
+    unique neighbour.  Accepts any forest; rejects graphs with a cycle.
+
+    The end vertices wait in a heap: a vertex enters when its degree
+    falls to 1, at most once, and is skipped when popped after it was
+    removed or isolated, so a run takes O(n log n).
+    """
+    from heapq import heappop, heappush
+
     if not is_forest(g):
         raise PreconditionError("pendant reduction requires an acyclic graph")
-    alive = set(range(g.n))
+    alive = [True] * g.n
     degree = [g.degree(v) for v in range(g.n)]
+    ends = [v for v in range(g.n) if degree[v] == 1]  # sorted, so a heap
     steps = []
-    while True:
-        end = min(
-            (v for v in alive if degree[v] == 1), default=None
-        )
-        if end is None:
-            break
-        partner = next(w for w in g.adjacency[end] if w in alive)
+    while ends:
+        end = heappop(ends)
+        if not alive[end] or degree[end] != 1:
+            continue
+        partner = next(w for w in g.adjacency[end] if alive[w])
         steps.append((end, partner))
         for gone in (end, partner):
-            alive.remove(gone)
+            alive[gone] = False
             for w in g.adjacency[gone]:
-                if w in alive:
+                if alive[w]:
                     degree[w] -= 1
+                    if degree[w] == 1:
+                        heappush(ends, w)
     return ReductionTrace(
         steps=tuple(steps),
-        isolated_remainder=tuple(sorted(alive)),
+        isolated_remainder=tuple(v for v in range(g.n) if alive[v]),
         t=len(steps),
     )
 

@@ -31,14 +31,18 @@ from .minimal import (
     bipartite_parity_check,
     is_minimal_configuration,
 )
-from .perturb import apply_and_report, candidate_edges, verify_cv_ncv_theorem
+from .perturb import (
+    CFV_FAMILY,
+    apply_and_report,
+    candidate_edges,
+    verify_cv_ncv_theorem,
+)
 from .linalg import Record
 from .rng import SplitMix64
 from .trees import (
     cfvr_perfect_matching,
     end_vertex_core_vertices,
     incidence_rank_check,
-    inverse_subdivision,
     is_mc_tree,
     subdivision_charpoly_identity,
     tree_nullity_identity,
@@ -95,15 +99,12 @@ def _trial_trees(seed: int, max_n: int, index: int) -> list:
     rng = SplitMix64(seed)
     t = gen_random_tree(_size(rng, 2, max_n), rng.next_u64())
     part = classify_vertices(t)
+    mc_tree = is_mc_tree(t, part)
     out = [
         ("nullity_three_way", tree_nullity_identity(t).all_equal, t),
         ("core_independent", part.independent_cv, t),
-        (
-            "mc_routes_agree",
-            is_mc_tree(t, part).by_definition
-            == (inverse_subdivision(t) is not None),
-            t,
-        ),
+        ("mc_routes_agree",
+         mc_tree.by_definition == mc_tree.by_subdivision, t),
     ]
     # Pendant-pair deletions keep the nullity and every survivor's class.
     pair_ok = True
@@ -183,10 +184,7 @@ def _trial_subdivisions(seed: int, max_n: int, index: int) -> list:
         ),
         ("incidence_rank", incidence_rank_check(t), t),
     ]
-    inv = inverse_subdivision(s)
-    out.append(
-        ("inverse_roundtrip", inv is not None and inv[0] == t, s)
-    )
+    out.append(("inverse_roundtrip", mc_tree.smoothed == t, s))
     if s.n <= 16:
         out.append(
             ("charpoly_factorization", subdivision_charpoly_identity(t), t)
@@ -234,7 +232,7 @@ def _trial_perturbations(seed: int, max_n: int, index: int) -> list:
         g, part = _independent_cv_graph(rng, min(max_n, 10))
     out = []
     for cand in candidate_edges(g, part):
-        if cand.type_pair in ("NCV-NCV", "NCV-CFVR", "CFVR-CFVR"):
+        if cand.type_pair in CFV_FAMILY:
             try:
                 apply_and_report(g, cand, part)
                 out.append(("cfv_addition_theorems", True, g))

@@ -230,6 +230,69 @@ def test_basis_of_another_order_is_rejected_before_indexing():
     assert Graph(report["n"], report["edges"]) == g
 
 
+def test_off_kernel_claims_are_rejected_at_classification():
+    # supports, dimension and deleted nullities all agree with these
+    # claims, but A x != 0 (on P3, A x = (0, 6, 0))
+    for g, vector in ((gen_path(3), (1, 0, 5)),
+                      (gen_path(7), (1, 0, -1, 0, 1, 0, 5))):
+        claim = KernelBasis(g.n, (vector,))
+        with pytest.raises(TheoremViolationError,
+                           match="basis vector 0 is not in the kernel") as info:
+            classify_vertices(g, claim)
+        report = info.value.report
+        assert report["vector"] == 0 and report["basis"] == claim.vectors
+        assert Graph(report["n"], report["edges"]) == g
+
+
+def test_dependent_claim_is_rejected():
+    # C4: both vectors lie in the kernel and cover every vertex, but they
+    # span a line, not the kernel
+    g = gen_cycle(4)
+    claim = KernelBasis(4, ((1, 1, -1, -1), (2, 2, -2, -2)))
+    with pytest.raises(TheoremViolationError, match="dependent") as info:
+        classify_vertices(g, claim)
+    assert info.value.report["basis"] == claim.vectors
+    assert Graph(info.value.report["n"], info.value.report["edges"]) == g
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(drawn_graphs(), st.data())
+def test_claim_is_checked_and_never_stored(g, data):
+    # a claim made from the canonical basis by a unimodular transform
+    # (row swaps, sign changes, adding multiples of one row to another)
+    # passes and changes no field of the partition
+    part = classify_vertices(g)
+    vectors = [list(v) for v in part.kernel.vectors]
+    k = len(vectors)
+    if k:
+        vectors = [vectors[i] for i in data.draw(st.permutations(range(k)))]
+        for i, j, c in data.draw(st.lists(
+                st.tuples(st.integers(0, k - 1), st.integers(0, k - 1),
+                          st.integers(-3, 3)), max_size=6)):
+            if i == j:
+                vectors[i] = [-x for x in vectors[i]]
+            else:
+                vectors[i] = [a + c * b for a, b in zip(vectors[i],
+                                                        vectors[j])]
+    claim = KernelBasis(g.n, tuple(map(tuple, vectors)))
+    claimed = classify_vertices(g, claim)
+    assert claimed._asdict() == part._asdict() and claimed == part
+    # pushed off the kernel at a vertex with a neighbour, the same claim
+    # raises with a replayable report
+    touched = [v for v in range(g.n) if g.adjacency[v]]
+    if not k or not touched:
+        return
+    i = data.draw(st.integers(0, k - 1))
+    v = data.draw(st.sampled_from(touched))
+    vectors[i][v] += data.draw(st.sampled_from((-2, -1, 1, 2)))
+    off = KernelBasis(g.n, tuple(map(tuple, vectors)))
+    with pytest.raises(TheoremViolationError) as info:
+        classify_vertices(g, off)
+    report = info.value.report
+    assert report["basis"] == off.vectors
+    assert Graph(report["n"], report["edges"]) == g
+
+
 def test_core_labelling_block_shape():
     g = gen_path(7)
     lab = core_labelling(g)

@@ -1,5 +1,6 @@
 """Exact linear algebra against an independent Fraction-based oracle."""
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -44,6 +45,16 @@ def test_intmatrix_construction_and_equality():
 def test_intmatrix_ragged_rejected():
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
+
+
+def test_intmatrix_rejects_non_integer_entries():
+    # int() would truncate 0.5 and 3/2 (det -1 instead of -1/4) and
+    # parse strings; operator.index refuses all of them
+    for data in ([[0.5, 1], [1, Fraction(3, 2)]], [["1", "2"]],
+                 [[1.0]], [[Fraction(2, 1)]]):
+        with pytest.raises(TypeError):
+            IntMatrix(data)
+    assert IntMatrix([[True, 0], [0, 1]]).data == ((1, 0), (0, 1))
 
 
 def test_intmatrix_empty_needs_explicit_cols():

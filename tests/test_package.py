@@ -1,5 +1,6 @@
 """Package-level properties: version, import cost, and the result records."""
 
+import ast
 import copy
 import pickle
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import nullcore
-from nullcore.analysis import classify_vertices
+from nullcore.analysis import VertexPartition, classify_vertices
 from nullcore.cli import main
 from nullcore.graphs import VertexProvenance, gen_path
 from nullcore.linalg import KernelBasis
@@ -142,22 +143,76 @@ def test_lazy_package_attributes():
             getattr(nullcore, gone)
 
 
-def test_vertex_partition_equality_ignores_kernel():
+def test_vertex_partition_compares_as_a_tuple():
+    # every field is a function of the graph, even when a basis is
+    # claimed, so the records' plain tuple equality covers the kernel
+    for name in ("__eq__", "__ne__", "__hash__"):
+        assert name not in VertexPartition.__dict__
     part = classify_vertices(gen_path(5))
-    assert part.kernel is not None
-    # nor the rest of the reduction the partition keeps
-    bare = part._replace(kernel=None, d=None, y_block=None)
-    other = part._replace(kernel=KernelBasis(5, ((1, 0, 0, 0, 0),)), d=7,
-                          y_block=(None,) * 5)
-    for a in (part, bare, other):
-        for b in (part, bare, other):
-            assert a == b
-            assert not a != b
-            assert hash(a) == hash(b)
-    assert len({part, bare, other}) == 1
-    changed = part._replace(nullity=2)
-    assert part != changed
-    assert not part == changed
+    claimed = classify_vertices(gen_path(5),
+                                KernelBasis(5, ((-3, 0, 3, 0, -3),)))
+    assert claimed == part and not claimed != part
+    assert claimed.kernel.vectors == ((1, 0, -1, 0, 1),)
+    assert hash(claimed) == hash(part) == hash(tuple(part))
+    for field, value in (
+        ("nullity", 2),
+        ("kernel", KernelBasis(5, ((1, 0, 0, 0, 0),))),
+        ("d", 7),
+        ("y_block", (None,) * 5),
+    ):
+        changed = part._replace(**{field: value})
+        assert part != changed and not part == changed
+    assert len({part, part._replace(d=7)}) == 2
+
+
+def test_library_has_no_assert_statement():
+    # python -O strips assert, so every runtime guarantee must raise
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted((ROOT / "src" / "nullcore").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_guards_raise_under_python_O():
+    code = (
+        "import sys; sys.path.insert(0, %r)\n"
+        "from nullcore.analysis import classify_vertices\n"
+        "from nullcore.errors import TheoremViolationError\n"
+        "from nullcore.graphs import Graph, gen_cycle, gen_path\n"
+        "from nullcore.linalg import IntMatrix, KernelBasis\n"
+        "print(__debug__)\n"
+        "for g, claim in (\n"
+        "        (gen_path(3), KernelBasis(5, ((1, 0, -1, 0, 1),))),\n"
+        "        (gen_path(3), KernelBasis(3, ((0, 1, 0),))),\n"
+        "        (Graph(1), KernelBasis(1, ())),\n"
+        "        (gen_path(3), KernelBasis(3, ((1, 0, 5),))),\n"
+        "        (gen_cycle(4), KernelBasis(4, ((1, 1, -1, -1),\n"
+        "                                       (2, 2, -2, -2))))):\n"
+        "    try:\n"
+        "        classify_vertices(g, claim)\n"
+        "    except TheoremViolationError as error:\n"
+        "        print(error)\n"
+        "try:\n"
+        "    IntMatrix([[0.5]])\n"
+        "except TypeError:\n"
+        "    print('TypeError')\n" % str(ROOT / "src")
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-S", "-c", code],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines() == [
+        "False",
+        "basis of ambient dimension 5 does not fit 3 vertices",
+        "vertex 0: nullity 1 -> 0 contradicts supports",
+        "basis of dimension 0 contradicts nullity 1",
+        "basis vector 0 is not in the kernel",
+        "basis vectors are linearly dependent",
+        "TypeError",
+    ]
 
 
 def test_vertex_provenance_rejects_non_injective_map():

@@ -260,6 +260,18 @@ def test_safe_additions_flags_verified_independently():
             oracle.core_vertices(g2.n, list(g2.edges()))) == base.cv_set
 
 
+def test_scaled_claim_densifies_like_the_canonical_basis():
+    # the scaled basis spans the kernel of P7; the partition it gives is
+    # the canonical one, so the nullspace re-checks compare equal bases
+    p7 = gen_path(7)
+    part = classify_vertices(p7, KernelBasis(7, ((2, 0, -2, 0, 2, 0, -2),)))
+    assert part == classify_vertices(p7)
+    assert greedy_densify(p7, "nullspace", part)[1] == (
+        (1, 3), (1, 5), (3, 5))
+    report = apply_and_report(p7, EdgeCandidate(1, 3, "NCV-NCV"), part)
+    assert report.preserved["nullspace"]
+
+
 def test_greedy_densify_c4_is_fixed_point():
     final, added = greedy_densify(gen_cycle(4), "nullity")
     assert final == gen_cycle(4) and added == ()

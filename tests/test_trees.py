@@ -1,6 +1,7 @@
 """Pendant reduction, tree nullity, remote matchings, subdivisions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nullcore.analysis import classify_vertices, nullity
 from nullcore.errors import PreconditionError
@@ -67,6 +68,40 @@ def test_pendant_reduction_counts_matching_on_random_forests():
             assert t.has_edge(u, w)
             assert u not in used and w not in used
             used.update((u, w))
+
+
+def _min_scan_reduction(g):
+    """The rule pendant_reduction keeps, run the quadratic way: scan all
+    live vertices for the lowest-labelled end vertex at every step."""
+    alive = set(range(g.n))
+    degree = [g.degree(v) for v in range(g.n)]
+    steps = []
+    while True:
+        end = min((v for v in alive if degree[v] == 1), default=None)
+        if end is None:
+            return tuple(steps), tuple(sorted(alive))
+        partner = next(w for w in g.adjacency[end] if w in alive)
+        steps.append((end, partner))
+        for gone in (end, partner):
+            alive.remove(gone)
+            for w in g.adjacency[gone]:
+                if w in alive:
+                    degree[w] -= 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_pendant_reduction_matches_the_min_scan_rule(data):
+    # forests with isolated vertices, relabelled at random: vertex v > 0
+    # hangs off an earlier vertex or starts a component of its own
+    n = data.draw(st.integers(0, 40))
+    parents = [data.draw(st.integers(-1, v - 1)) for v in range(1, n)]
+    order = data.draw(st.permutations(range(n)))
+    g = Graph(n, [(order[p], order[v])
+                  for v, p in enumerate(parents, 1) if p >= 0])
+    trace = pendant_reduction(g)
+    assert (trace.steps, trace.isolated_remainder) == _min_scan_reduction(g)
+    assert trace.t == len(trace.steps)
 
 
 def test_tree_nullity_identity_three_ways():
