@@ -284,11 +284,13 @@ def core_labelling(
     part = classify_vertices(g) if partition is None else partition
     require_independent_cv(g, part)
 
+    neighbours = [set(row) for row in g.adjacency]
+
     def block(rows_src, cols_src) -> IntMatrix:
         return IntMatrix(
             [
-                [1 if g.has_edge(u, w) else 0 for w in cols_src]
-                for u in rows_src
+                [1 if w in near else 0 for w in cols_src]
+                for near in map(neighbours.__getitem__, rows_src)
             ],
             cols=len(cols_src),
         )

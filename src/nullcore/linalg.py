@@ -8,16 +8,19 @@ the row-swap sign, and the canonical integer nullspace basis is read
 directly off the reduced rows.  For a symmetric matrix the same
 elimination of [A | I], run in place on n-wide rows, also tells which
 systems A y = e_v are solvable and yields d times one solution of each.
-The characteristic polynomial uses the Faddeev-LeVerrier recurrence
-(whose divisions are exact for integer matrices), multiplying by the
-non-zero entries only.
+The elimination holds a large dense matrix as one int per row, its
+entries in signed slots whose width Hadamard's bound certifies, so a
+row update is a few big-integer operations, and any other matrix as
+lists of ints; both give the same integers.  The characteristic
+polynomial uses the Faddeev-LeVerrier recurrence (whose divisions are
+exact for integer matrices), multiplying by the non-zero entries only.
 
 Record, the base of every result record in the package, lives here too:
 every library path imports this module, and a module of its own would
 cost each command another import.
 """
 
-from math import gcd
+from math import gcd, isqrt
 from operator import index, itemgetter
 
 try:
@@ -266,7 +269,25 @@ def _gauss_jordan_int(
     the column is the current pivot times the unit vector at the row and
     is not stored; the step that pivots on the row leaves the old pivot
     in it and -factor in every other row.
+
+    Two routes compute exactly the same integers.  A matrix of at least
+    16 rows with at least 4 * (n_rows + 16) non-zero entries is reduced
+    on packed rows (_gauss_jordan_packed), where a row update is a few
+    big-integer operations on the whole row; any other matrix on list
+    rows (_gauss_jordan_lists), where an update touches entries one by
+    one but skips the many that stay zero in a sparse or small matrix.
+    The rule is the measured crossover on trees and G(n, p) (README).
     """
+    if n_rows >= 16 and (
+        n_rows * n_cols - sum(row.count(0) for row in rows_data)
+        >= 4 * (n_rows + 16)
+    ):
+        return _gauss_jordan_packed(rows_data, n_rows, n_cols, keep_t)
+    return _gauss_jordan_lists(rows_data, n_rows, n_cols, keep_t)
+
+
+def _gauss_jordan_lists(rows_data, n_rows, n_cols, keep_t):
+    """_gauss_jordan_int on rows kept as lists of ints."""
     pivots = []
     sign = 1
     prev = 1
@@ -304,7 +325,10 @@ def _gauss_jordan_int(
             if i == rank or (factor == 0 and piv == prev):
                 continue
             if factor == 0:
-                rows_data[i] = [piv * a // prev for a in row_i]
+                if piv == -prev:
+                    rows_data[i] = [-a for a in row_i]
+                else:
+                    rows_data[i] = [piv * a // prev for a in row_i]
             elif piv == prev:
                 for j in support:
                     row_i[j] -= factor * row_r[j] // prev
@@ -316,6 +340,116 @@ def _gauss_jordan_int(
         row_r[col] = prev if keep_t else 0
         pivots.append(col)
         prev = piv
+    return pivots, sign, prev, origin
+
+
+def _gauss_jordan_packed(rows_data, n_rows, n_cols, keep_t):
+    """_gauss_jordan_int on rows packed into one int each.
+
+    Row i is X_i, the sum of x_ij * 2**(k * (n_cols - 1 - j)) over its
+    entries x_ij, each in a signed slot of k bits, so the row update
+    (piv*X_i - f*X_r) // prev is two multiplications, a subtraction and
+    a division of integers.  The division is exact on the whole integer
+    because it is exact on every slot, so the product needs no spare
+    room; only the entries read back must fit their slots.  Each is a
+    minor of [A | I] (of A without keep_t), or the transient piv + prev
+    in the pivot row, so twice Hadamard's bound, the product of the
+    input row norms (counting the identity's 1 with keep_t), bounds them
+    all.  A slot gets two more bits than that, rounded up to whole bytes
+    so that a row packs and unpacks through bytes, and then a slot
+    decodes by rounding: the slots below it sum to less than half of
+    its unit.  Column 0 is the top slot, so without keep_t a row
+    shrinks as the leading columns are cleared.
+
+    live[i] has bit j set wherever entry j of row i may be non-zero, so
+    a row that is zero in the pivot column is passed over undecoded.
+    """
+    norms = 1
+    for row in rows_data:
+        norms *= max(1, sum(a * a for a in row) + keep_t)
+    width = ((2 * (isqrt(norms) + 1)).bit_length() + 9) // 8
+    k = 8 * width
+    mask = (1 << k) - 1
+    half = 1 << (k - 1)
+    # half in every slot, to move slot values into [0, 2**k) and back
+    bias = int.from_bytes(half.to_bytes(width, "big") * n_cols, "big")
+    xs = [
+        int.from_bytes(
+            b"".join([(a + half).to_bytes(width, "big") for a in row]), "big"
+        ) - bias
+        for row in rows_data
+    ]
+    live = [sum(1 << j for j, a in enumerate(row) if a) for row in rows_data]
+    factors = [0] * n_rows
+    pivots = []
+    sign = 1
+    prev = 1
+    origin = list(range(n_rows))
+    for col in range(n_cols):
+        bit = 1 << col
+        place = n_cols - 1 - col
+        shift = k * place - 1
+        for i in range(n_rows):
+            if not live[i] & bit:
+                factors[i] = 0
+                continue
+            x = xs[i]
+            if place:
+                # x / 2**(k*place) rounded to the nearest integer, mod 2**k
+                t = x >> shift
+                v = ((t >> 1) + (t & 1)) & mask
+            else:
+                v = x & mask
+            if v >= half:
+                v -= 1 << k
+            elif not v:
+                live[i] ^= bit
+            factors[i] = v
+        rank = len(pivots)
+        found = None
+        for i in range(rank, n_rows):
+            if factors[i]:
+                found = i
+                break
+        if found is None:
+            continue
+        if found != rank:
+            for seq in (xs, live, factors, origin):
+                seq[rank], seq[found] = seq[found], seq[rank]
+            sign = -sign
+        piv = factors[rank]
+        xr = xs[rank]
+        at_col = 1 << (k * place)
+        if keep_t:
+            xr += prev * at_col
+        live_r = live[rank] if keep_t else live[rank] ^ bit
+        for i in range(n_rows):
+            factor = factors[i]
+            if i == rank or (factor == 0 and piv == prev):
+                continue
+            if factor == 0:
+                xs[i] = -xs[i] if piv == -prev else piv * xs[i] // prev
+                continue
+            if piv == prev:
+                xs[i] -= factor * xr // prev
+            else:
+                xs[i] = (piv * xs[i] - factor * xr) // prev
+            live[i] = live[i] | live_r if keep_t else (live[i] ^ bit) | live_r
+        # the pivot slot ends as prev (T's column) or 0
+        xs[rank] = xr - piv * at_col
+        live[rank] = live_r
+        pivots.append(col)
+        prev = piv
+    size = width * n_cols
+    for i in range(n_rows):
+        if live[i]:
+            raw = (xs[i] + bias).to_bytes(size, "big")
+            rows_data[i] = [
+                int.from_bytes(raw[j:j + width], "big") - half
+                for j in range(0, size, width)
+            ]
+        else:
+            rows_data[i] = [0] * n_cols
     return pivots, sign, prev, origin
 
 

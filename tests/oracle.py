@@ -104,6 +104,30 @@ def unit_solution_entry(rows, v):
     return next((m[i][n] for i, p in enumerate(pivots) if p == v), Fraction(0))
 
 
+def unit_solution_entries(rows):
+    """[unit_solution_entry(rows, v) for each v] of a symmetric matrix,
+    read off one RREF of [rows | I] instead of one per v.
+
+    The rows whose left half is zero come last; A y = e_v is solvable
+    exactly when column v of the right half vanishes on all of them, and
+    then that column on the other rows is the solution with every free
+    entry 0, the same one unit_solution_entry reads.
+    """
+    n = len(rows)
+    augmented = [list(row) + [int(i == j) for j in range(n)]
+                 for i, row in enumerate(rows)]
+    m, pivots, _, _ = rref(augmented, 2 * n)
+    left = [p for p in pivots if p < n]
+    out = []
+    for v in range(n):
+        if any(m[i][n + v] for i in range(len(left), n)):
+            out.append(None)
+        else:
+            out.append(next((m[i][n + v] for i, p in enumerate(left)
+                             if p == v), Fraction(0)))
+    return out
+
+
 def gauss_rank(rows):
     return gauss_eliminate(rows)[0] if rows else 0
 

@@ -150,6 +150,27 @@ def test_one_elimination_classes_match_deletion_routes(g):
     assert part.cv_set == oracle.cv_by_deletion(g)
 
 
+@pytest.mark.parametrize("n, twin", [(18, False), (20, True), (24, False),
+                                     (28, True)])
+def test_dense_classes_match_oracle(n, twin):
+    # graphs this dense are eliminated on packed rows; the oracle reads
+    # the classes off one Fraction RREF of [A | I]
+    g = gen_random_graph(n - twin, 1, 2, 1000 + n)
+    if twin:
+        # vertex n - 1 copies the neighbourhood of vertex 0
+        g = Graph(n, list(g.edges()) + [(w, n - 1) for w in g.adjacency[0]])
+    assert 2 * g.m >= 4 * (n + 16)
+    rows = oracle.adjacency_rows(n, g.edges())
+    kernel = oracle.kernel_basis(rows, n)
+    tags = ["cv" if y is None else "cfv_upp" if y == 0 else "cfv_mid"
+            for y in oracle.unit_solution_entries(rows)]
+    part = classify_vertices(g)
+    assert part.kernel.vectors == kernel
+    assert part.class_tags() == tags
+    assert part.cv_set == tuple(sorted(part.kernel.supports()))
+    assert part.nullity == len(kernel) >= twin
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(drawn_graphs())
 def test_shared_kernel_matches_oracle(g):

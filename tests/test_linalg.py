@@ -1,11 +1,14 @@
 """Exact linear algebra against an independent Fraction-based oracle."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nullcore import linalg
+from nullcore.analysis import classify_vertices
 from nullcore.linalg import (
     IntMatrix,
     _gauss_jordan_int,
@@ -359,6 +362,117 @@ def test_elimination_clears_pivot_slots_on_rectangular(case):
     if len(rows) == n_cols:
         assert det(m) == oracle.gauss_det(rows)
         assert det(m) == (sign * d if len(pivots) == n_cols else 0)
+
+
+def _both_routes(rows, n_cols, keep_t):
+    """Run the list and the packed route on copies of rows; both the
+    result tuples and the reduced rows must agree."""
+    by_lists = [list(row) for row in rows]
+    by_packed = [list(row) for row in rows]
+    expected = linalg._gauss_jordan_lists(by_lists, len(rows), n_cols, keep_t)
+    got = linalg._gauss_jordan_packed(by_packed, len(rows), n_cols, keep_t)
+    assert got == expected
+    assert by_packed == by_lists
+
+
+@st.composite
+def dense_graph_adjacency(draw):
+    """Adjacency rows of G(n, p) with n from 16 to 40 and p in 1/4..3/4,
+    made from a drawn seed so that a draw stays cheap."""
+    n = draw(st.integers(16, 40))
+    quarters = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return oracle.adjacency_rows(
+        n, [(u, w) for u in range(n) for w in range(u + 1, n)
+            if rng.randrange(4) < quarters])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(int_matrices(),
+                 symmetric_matrices().map(lambda rows: (rows, len(rows))),
+                 planted_twin_adjacency().map(lambda rows: (rows, len(rows)))))
+@example(([[0, 2, 1], [3, 0, 0]], 3))
+@example(([[-3, 3], [3, -3]], 2))
+@example(([], 0))
+def test_packed_rows_match_list_rows(case):
+    rows, n_cols = case
+    _both_routes(rows, n_cols, False)
+    if len(rows) == n_cols:
+        _both_routes(rows, n_cols, True)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(dense_graph_adjacency())
+def test_packed_rows_match_list_rows_on_dense_graphs(rows):
+    for keep_t in (False, True):
+        _both_routes(rows, len(rows), keep_t)
+
+
+def _sylvester(n):
+    h = [[1]]
+    while len(h) < n:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+def _planted_duplicate(rows, source, copy):
+    """rows with row and column copy made equal to those of source,
+    keeping the matrix symmetric, so the two rows are equal."""
+    out = [list(row) for row in rows]
+    for i in range(len(out)):
+        out[i][copy] = out[i][source]
+    out[copy] = list(out[source])
+    return out
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_elimination_at_hadamards_bound(n):
+    # a Sylvester Hadamard matrix H is symmetric with entries +-1 and
+    # |det H| = n^(n/2), which is Hadamard's bound: the minors reach the
+    # width the packed rows are given, so any narrower slot would spill
+    h = _sylvester(n)
+    h_entries = oracle.unit_solution_entries(h)
+    negated = [[-x for x in row] for row in h]
+    twinned = _planted_duplicate(h, 3, n - 2)
+    # H is invertible, and -H y = e_v exactly when H (-y) = e_v
+    for rows, entries in ((h, h_entries),
+                          (negated, [-y for y in h_entries]),
+                          (twinned, oracle.unit_solution_entries(twinned))):
+        m = IntMatrix(rows)
+        r, swaps, product = oracle.gauss_eliminate(rows)
+        assert rank(m) == r
+        assert det(m) == (swaps * product if r == n else 0)
+        assert abs(det(m)) in (0, n ** (n // 2))
+        kernel = oracle.kernel_basis(rows, n)
+        assert nullspace_basis(m).vectors == kernel
+        basis, _, y_rows = _reduce_symmetric([list(row) for row in rows], n)
+        assert basis.vectors == kernel
+        assert [y is None for y in y_rows] == [y is None for y in entries]
+        assert all(y is None or (y[v] == 0) == (entries[v] == 0)
+                   for v, y in enumerate(y_rows))
+        for keep_t in (False, True):
+            _both_routes(rows, n, keep_t)
+
+
+def test_route_follows_size_and_fill(monkeypatch):
+    taken = []
+    for name in ("_gauss_jordan_lists", "_gauss_jordan_packed"):
+        def spy(*args, route=getattr(linalg, name), name=name):
+            taken.append(name)
+            return route(*args)
+
+        monkeypatch.setattr(linalg, name, spy)
+    dense24 = gen_random_graph(24, 1, 2, 5)
+    assert dense24.m >= 2 * (24 + 16)
+    classify_vertices(dense24)
+    assert taken == ["_gauss_jordan_packed"]
+    taken.clear()
+    classify_vertices(gen_random_tree(64, 3))
+    assert taken == ["_gauss_jordan_lists"]
+    taken.clear()
+    classify_vertices(gen_random_graph(12, 1, 2, 5))
+    rank(IntMatrix([[1] * 12] * 12))
+    assert taken == ["_gauss_jordan_lists"] * 2
 
 
 def test_nullspace_determinism():
