@@ -25,6 +25,7 @@ from .errors import (
 from .graphs import (
     Graph,
     _adjacency_rows,
+    _block,
     adjacency_matrix,
     induced_subgraph,
     is_unicyclic,
@@ -283,26 +284,14 @@ def core_labelling(
     """
     part = classify_vertices(g) if partition is None else partition
     require_independent_cv(g, part)
-
-    neighbours = [set(row) for row in g.adjacency]
-
-    def block(rows_src, cols_src) -> IntMatrix:
-        return IntMatrix(
-            [
-                [1 if w in near else 0 for w in cols_src]
-                for near in map(neighbours.__getitem__, rows_src)
-            ],
-            cols=len(cols_src),
-        )
-
     lab = CoreLabelling(
         cv=part.cv_set,
         ncv=part.ncv_set,
         remote=part.cfvr_set,
-        cv_to_ncv=block(part.cv_set, part.ncv_set),
-        ncv_inner=block(part.ncv_set, part.ncv_set),
-        ncv_to_remote=block(part.ncv_set, part.cfvr_set),
-        remote_inner=block(part.cfvr_set, part.cfvr_set),
+        cv_to_ncv=_block(g, part.cv_set, part.ncv_set),
+        ncv_inner=_block(g, part.ncv_set, part.ncv_set),
+        ncv_to_remote=_block(g, part.ncv_set, part.cfvr_set),
+        remote_inner=_block(g, part.cfvr_set, part.cfvr_set),
     )
     # the zero regions of the block shape (core-core and core-remote)
     # must really be zero in G: every neighbour of a core vertex is ncv
@@ -401,9 +390,9 @@ def slim_reduce(
 
     The reduction is advertised to disturb neither the nullity nor any
     survivor's class.  That holds for trees but not for every graph with
-    independent core vertices (see the remote_subgraph_nonsingular check),
-    so both claims are recomputed on the result; a violation raises
-    TheoremViolationError carrying a replayable report.
+    independent core vertices, and a singular remote block M decides it
+    in neither direction, so both claims are recomputed on the result; a
+    violation raises TheoremViolationError carrying a replayable report.
     """
     part = classify_vertices(g) if partition is None else partition
     require_independent_cv(g, part)

@@ -115,11 +115,6 @@ class VertexProvenance(Record):
                 seen.add(tag[1])
         return super().__new__(cls, to_source)
 
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make; validate there too
-        return cls(*iterable)
-
     def source_vertex(self, v: int):
         tag = self.to_source[v]
         return tag[1] if tag[0] == "vertex" else None
@@ -372,15 +367,24 @@ def is_bipartite(g: Graph):
                     return None
     v1 = tuple(v for v in range(g.n) if colour[v] == 0)
     v2 = tuple(v for v in range(g.n) if colour[v] == 1)
-    index2 = {w: j for j, w in enumerate(v2)}
-    cross = IntMatrix(
-        [
-            [1 if w in index2 and g.has_edge(u, w) else 0 for w in v2]
-            for u in v1
-        ],
-        cols=len(v2),
-    )
-    return BipartiteDecomposition(v1=v1, v2=v2, cross=cross)
+    return BipartiteDecomposition(v1=v1, v2=v2, cross=_block(g, v1, v2))
+
+
+def _block(g: Graph, rows, cols) -> IntMatrix:
+    """The submatrix of A(g) on the given rows and columns, in order.
+
+    Each row is set from the row vertex's adjacency list, so it costs
+    its degree plus the row's allocation.
+    """
+    column = {w: j for j, w in enumerate(cols)}
+    block = []
+    for u in rows:
+        row = [0] * len(cols)
+        for w in g.adjacency[u]:
+            if w in column:
+                row[column[w]] = 1
+        block.append(row)
+    return IntMatrix(block, cols=len(cols))
 
 
 def _adjacency_rows(g: Graph) -> list:

@@ -66,9 +66,10 @@ class Record(tuple, metaclass=_RecordType):
     A subclass lists its fields as class-body annotations, without
     defaults.  It is built by position or by keyword; a missing or
     extra field raises TypeError.  It has _fields, _make, _replace,
-    _asdict and __match_args__, compares and hashes as the plain tuple
-    of its fields, and pickles through __new__, so a subclass that
-    validates in __new__ also validates what it unpickles.
+    _asdict and __match_args__, and compares and hashes as the plain
+    tuple of its fields.  Every construction, _make/_replace/pickle/
+    deepcopy included, runs __new__, so a subclass that validates in
+    __new__ validates every record of its class.
     """
 
     _fields = ()
@@ -109,11 +110,7 @@ class Record(tuple, metaclass=_RecordType):
 
     @classmethod
     def _make(cls, iterable):
-        result = _tuple_new(cls, iterable)
-        if len(result) != len(cls._fields):
-            raise TypeError("Expected %d arguments, got %d"
-                            % (len(cls._fields), len(result)))
-        return result
+        return cls(*iterable)
 
     def _replace(self, /, **changes):
         result = self._make(map(changes.pop, self._fields, self))

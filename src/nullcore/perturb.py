@@ -6,6 +6,8 @@ with exact preservation flags; additions inside the core-forbidden part
 carry hard structural guarantees that are re-checked on every call.
 """
 
+from operator import attrgetter
+
 from .analysis import (
     VertexPartition,
     _in_kernel,
@@ -79,6 +81,14 @@ class PerturbationReport(Record):
         }
 
 
+# What each preserve mode compares between two partitions, in the
+# order of the report's flags.
+_PRESERVED = {
+    "nullity": attrgetter("nullity"),
+    "cv_set": attrgetter("cv_set"),
+    "nullspace": attrgetter("kernel.vectors"),
+}
+
 # Families named by their endpoint tags.  Additions within the
 # core-forbidden part obey: eta preserved <=> CV preserved, and eta
 # preserved => nullspace and labelling preserved.
@@ -125,14 +135,11 @@ def _build_report(
     part_before: VertexPartition,
 ) -> PerturbationReport:
     part_after = classify_vertices(h)
-    basis_before = part_before.kernel
-    basis_after = part_after.kernel
     preserved = {
-        "nullity": part_before.nullity == part_after.nullity,
-        "cv_set": part_before.cv_set == part_after.cv_set,
-        "nullspace": basis_before.vectors == basis_after.vectors,
-        "core_labelling": _labelling_preserved(part_before, part_after),
+        mode: read(part_before) == read(part_after)
+        for mode, read in _PRESERVED.items()
     }
+    preserved["core_labelling"] = _labelling_preserved(part_before, part_after)
     report = PerturbationReport(
         edge=edge,
         operation=operation,
@@ -140,8 +147,8 @@ def _build_report(
         eta_after=part_after.nullity,
         cv_before=part_before.cv_set,
         cv_after=part_after.cv_set,
-        kernel_before=basis_before,
-        kernel_after=basis_after,
+        kernel_before=part_before.kernel,
+        kernel_after=part_after.kernel,
         preserved=preserved,
     )
     # A single symmetric edge flip is a rank-2 update, so eta moves by
@@ -303,14 +310,11 @@ def verify_cv_ncv_theorem(
     return CvNcvReport(report, True, x, y)
 
 
-_PRESERVE_FLAGS = ("nullity", "cv_set", "nullspace")
-
-
 def _check_preserve(preserve: str):
-    if preserve not in _PRESERVE_FLAGS:
+    if preserve not in _PRESERVED:
         raise PreconditionError(
             "preserve must be one of %s, got %r"
-            % ("/".join(_PRESERVE_FLAGS), preserve)
+            % ("/".join(_PRESERVED), preserve)
         )
 
 
@@ -381,6 +385,7 @@ def greedy_densify(
     elimination per accepted edge plus one per CV-NCV candidate tried.
     """
     _check_preserve(preserve)
+    read = _PRESERVED[preserve]
     base = classify_vertices(g) if partition is None else partition
     part = base
     current = g
@@ -395,12 +400,7 @@ def greedy_densify(
         # the previous graph chains back to the original; verify that
         # directly anyway.
         part = classify_vertices(current)
-        if preserve == "nullity":
-            before, after = base.nullity, part.nullity
-        elif preserve == "cv_set":
-            before, after = base.cv_set, part.cv_set
-        else:
-            before, after = base.kernel.vectors, part.kernel.vectors
+        before, after = read(base), read(part)
         if before != after:
             raise TheoremViolationError(
                 "densification step (%d, %d) lost the %s property"

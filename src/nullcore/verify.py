@@ -66,11 +66,6 @@ class VerifySuiteConfig(Record):
             raise ValueError("trials must be at least 1")
         return super().__new__(cls, suite, max_n, trials, seed)
 
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make; validate there too
-        return cls(*iterable)
-
 
 class SuiteResult(Record):
     config: VerifySuiteConfig

@@ -34,8 +34,9 @@ from nullcore.graphs import (
     gen_random_graph,
     gen_random_tree,
     gen_star,
+    is_bipartite,
 )
-from nullcore.linalg import KernelBasis, det, rank
+from nullcore.linalg import IntMatrix, KernelBasis, det, rank
 from nullcore.rng import SplitMix64
 
 import oracle
@@ -337,6 +338,24 @@ def test_core_labelling_block_shape():
             assert assembled.entry(i, j) == 0
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(drawn_graphs())
+def test_blocks_hold_the_adjacency_entries(g):
+    # entry by entry, not only by shape: S of a bipartite graph, and the
+    # four labelling blocks with R and M non-empty
+    decomp = is_bipartite(g)
+    if decomp is not None:
+        for i, u in enumerate(decomp.v1):
+            for j, w in enumerate(decomp.v2):
+                assert decomp.cross.entry(i, j) == int(g.has_edge(u, w))
+    part = classify_vertices(g)
+    if part.nullity and part.independent_cv and part.cfvr_set:
+        lab = core_labelling(g, part)
+        a = adjacency_matrix(g)
+        assert lab.assembled() == IntMatrix(
+            [[a.entry(u, w) for w in lab.order] for u in lab.order])
+
+
 def test_core_labelling_rejects_adjacent_cores():
     with pytest.raises(NonIndependentCoreError) as info:
         core_labelling(gen_cycle(4))
@@ -429,6 +448,28 @@ def test_remote_singular_counterexample_pinned():
     assert report["nullity_after"] == 2
     # replayable: the report carries the original edges
     assert Graph(report["n"], report["edges"]) == g
+
+
+def test_remote_block_does_not_decide_slim_reduction():
+    # det M != 0, yet dropping the remote part raises the nullity
+    g = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 5), (2, 4), (3, 4)])
+    part = classify_vertices(g)
+    assert part.independent_cv and part.cfvr_set == (1, 5)
+    assert det(core_labelling(g, part).remote_inner) == -1
+    with pytest.raises(TheoremViolationError) as info:
+        slim_reduce(g, part)
+    assert info.value.report["nullity_before"] == 1
+    assert info.value.report["nullity_after"] == 2
+    # M = [0], yet the reduction keeps the nullity and every class
+    g = Graph(7, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3),
+                  (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (4, 5),
+                  (4, 6), (5, 6)])
+    part = classify_vertices(g)
+    assert part.independent_cv and part.cfvr_set == (1,)
+    assert core_labelling(g, part).remote_inner == IntMatrix([[0]])
+    reduced, prov = slim_reduce(g, part)
+    assert nullity(reduced) == part.nullity == 1
+    assert sorted(prov.vertex_map().values()) == [0, 2, 3, 4, 5, 6]
 
 
 def test_remote_singular_frequency_is_not_negligible():

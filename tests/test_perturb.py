@@ -245,8 +245,11 @@ def test_safe_additions_fixtures():
     safe = safe_additions(T9, "cv_set")
     assert all(c.type_pair not in ("CV-CV", "CV-CFVR") for c in safe)
     assert any((c.u, c.w) == (1, 8) for c in safe)
-    with pytest.raises(PreconditionError):
+    message = "preserve must be one of nullity/cv_set/nullspace, got 'rank'"
+    with pytest.raises(PreconditionError, match=message):
         safe_additions(T9, "rank")
+    with pytest.raises(PreconditionError, match=message):
+        greedy_densify(T9, "rank")
 
 
 def test_safe_additions_flags_verified_independently():
