@@ -72,14 +72,16 @@ class VertexPartition(Record):
     d: int
     y_block: tuple
 
+    def _part(self, v: int) -> str:
+        """The part of v: cv, ncv or cfvr."""
+        if v in self.cv_set:
+            return "cv"
+        return "ncv" if v in self.ncv_set else "cfvr"
+
     def part_tag(self, v: int) -> str:
         """DOT/report tag.  With independent core vertices the three-part
         view applies (cv/ncv/cfvr); otherwise fall back to the raw class."""
-        if self.independent_cv:
-            if v in self.cv_set:
-                return "cv"
-            return "ncv" if v in self.ncv_set else "cfvr"
-        return self.class_of[v].value
+        return self._part(v) if self.independent_cv else self.class_of[v].value
 
     def class_tags(self) -> list:
         return [c.value for c in self.class_of]
@@ -396,27 +398,39 @@ def slim_reduce(
     """
     part = classify_vertices(g) if partition is None else partition
     require_independent_cv(g, part)
-    keep = sorted(set(part.cv_set) | set(part.ncv_set))
-    reduced, prov = induced_subgraph(g, keep)
-    # with no remote vertex the result is g itself, already classified
-    reduced_part = part if not part.cfvr_set else classify_vertices(reduced)
-    changed = [
-        (old, part.class_of[old].value, reduced_part.class_of[new].value)
-        for new, old in prov.vertex_map().items()
-        if reduced_part.class_of[new] is not part.class_of[old]
-    ]
-    if reduced_part.nullity != part.nullity or changed:
+    reduced, prov, eta, changed = _delete_and_compare(
+        g, part, part.cv_set + part.ncv_set
+    )
+    if eta != part.nullity or changed:
         raise TheoremViolationError(
             "remote-vertex removal changed the nullity or a survivor's class",
             {
                 "edges": g.edges(),
                 "n": g.n,
                 "nullity_before": part.nullity,
-                "nullity_after": reduced_part.nullity,
+                "nullity_after": eta,
                 "class_changes": changed,
             },
         )
     return reduced, prov
+
+
+def _delete_and_compare(g: Graph, part: VertexPartition, keep) -> tuple:
+    """Keep only the vertices in keep and reclassify.
+
+    Returns (subgraph, provenance, its nullity, changes), where changes
+    lists (old label, class before, class after) for every survivor whose
+    class moved.  part is the partition of g.
+    """
+    sub, prov = induced_subgraph(g, keep)
+    # with nothing deleted the subgraph is g itself, already classified
+    sub_part = part if sub.n == g.n else classify_vertices(sub)
+    changed = [
+        (old, part.class_of[old].value, sub_part.class_of[new].value)
+        for new, old in prov.vertex_map().items()
+        if sub_part.class_of[new] is not part.class_of[old]
+    ]
+    return sub, prov, sub_part.nullity, changed
 
 
 def is_slim(g: Graph) -> bool:

@@ -357,9 +357,6 @@ def _gauss_jordan_packed(rows_data, n_rows, n_cols, keep_t):
     decodes by rounding: the slots below it sum to less than half of
     its unit.  Column 0 is the top slot, so without keep_t a row
     shrinks as the leading columns are cleared.
-
-    live[i] has bit j set wherever entry j of row i may be non-zero, so
-    a row that is zero in the pivot column is passed over undecoded.
     """
     norms = 1
     for row in rows_data:
@@ -376,20 +373,15 @@ def _gauss_jordan_packed(rows_data, n_rows, n_cols, keep_t):
         ) - bias
         for row in rows_data
     ]
-    live = [sum(1 << j for j, a in enumerate(row) if a) for row in rows_data]
     factors = [0] * n_rows
     pivots = []
     sign = 1
     prev = 1
     origin = list(range(n_rows))
     for col in range(n_cols):
-        bit = 1 << col
         place = n_cols - 1 - col
         shift = k * place - 1
         for i in range(n_rows):
-            if not live[i] & bit:
-                factors[i] = 0
-                continue
             x = xs[i]
             if place:
                 # x / 2**(k*place) rounded to the nearest integer, mod 2**k
@@ -397,11 +389,7 @@ def _gauss_jordan_packed(rows_data, n_rows, n_cols, keep_t):
                 v = ((t >> 1) + (t & 1)) & mask
             else:
                 v = x & mask
-            if v >= half:
-                v -= 1 << k
-            elif not v:
-                live[i] ^= bit
-            factors[i] = v
+            factors[i] = v - (1 << k) if v >= half else v
         rank = len(pivots)
         found = None
         for i in range(rank, n_rows):
@@ -411,7 +399,7 @@ def _gauss_jordan_packed(rows_data, n_rows, n_cols, keep_t):
         if found is None:
             continue
         if found != rank:
-            for seq in (xs, live, factors, origin):
+            for seq in (xs, factors, origin):
                 seq[rank], seq[found] = seq[found], seq[rank]
             sign = -sign
         piv = factors[rank]
@@ -419,34 +407,22 @@ def _gauss_jordan_packed(rows_data, n_rows, n_cols, keep_t):
         at_col = 1 << (k * place)
         if keep_t:
             xr += prev * at_col
-        live_r = live[rank] if keep_t else live[rank] ^ bit
         for i in range(n_rows):
             factor = factors[i]
             if i == rank or (factor == 0 and piv == prev):
                 continue
-            if factor == 0:
-                xs[i] = -xs[i] if piv == -prev else piv * xs[i] // prev
-                continue
-            if piv == prev:
-                xs[i] -= factor * xr // prev
-            else:
-                xs[i] = (piv * xs[i] - factor * xr) // prev
-            live[i] = live[i] | live_r if keep_t else (live[i] ^ bit) | live_r
+            xs[i] = (piv * xs[i] - factor * xr) // prev
         # the pivot slot ends as prev (T's column) or 0
         xs[rank] = xr - piv * at_col
-        live[rank] = live_r
         pivots.append(col)
         prev = piv
     size = width * n_cols
     for i in range(n_rows):
-        if live[i]:
-            raw = (xs[i] + bias).to_bytes(size, "big")
-            rows_data[i] = [
-                int.from_bytes(raw[j:j + width], "big") - half
-                for j in range(0, size, width)
-            ]
-        else:
-            rows_data[i] = [0] * n_cols
+        raw = (xs[i] + bias).to_bytes(size, "big")
+        rows_data[i] = [
+            int.from_bytes(raw[j:j + width], "big") - half
+            for j in range(0, size, width)
+        ]
     return pivots, sign, prev, origin
 
 

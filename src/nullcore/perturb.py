@@ -18,24 +18,10 @@ from .errors import PreconditionError, TheoremViolationError
 from .graphs import Graph, add_edge, delete_edge
 from .linalg import KernelBasis, Record
 
-# Tag components in display order; joining order below never changes.
-_PART_ORDER = {"CV": 0, "NCV": 1, "CFVR": 2}
-
-
-def _part_name(v: int, partition: VertexPartition) -> str:
-    if v in partition.cv_set:
-        return "CV"
-    if v in partition.ncv_set:
-        return "NCV"
-    return "CFVR"
-
-
 def _type_pair(u: int, w: int, partition: VertexPartition) -> str:
-    a = _part_name(u, partition)
-    b = _part_name(w, partition)
-    if _PART_ORDER[a] > _PART_ORDER[b]:
-        a, b = b, a
-    return a + "-" + b
+    parts = sorted((partition._part(u), partition._part(w)),
+                   key=("cv", "ncv", "cfvr").index)
+    return "-".join(parts).upper()
 
 
 class EdgeCandidate(Record):

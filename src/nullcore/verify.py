@@ -7,6 +7,7 @@ fixed order, so equal inputs and seeds give identical summaries.
 """
 
 from .analysis import (
+    _delete_and_compare,
     classify_vertices,
     no_single_core_neighbour_check,
     nullity,
@@ -22,7 +23,6 @@ from .graphs import (
     gen_random_graph,
     gen_random_tree,
     gen_random_unicyclic,
-    induced_subgraph,
     subdivision,
 )
 from .minimal import (
@@ -88,6 +88,15 @@ def _size(rng: SplitMix64, lo: int, max_n: int) -> int:
     return lo + rng.below(max_n - lo + 1)
 
 
+def _holds(check, *args) -> bool:
+    """Whether check(*args) returns without a TheoremViolationError."""
+    try:
+        check(*args)
+    except TheoremViolationError:
+        return False
+    return True
+
+
 def _trial_trees(seed: int, max_n: int, index: int) -> list:
     if max_n < 2:
         return []
@@ -106,14 +115,10 @@ def _trial_trees(seed: int, max_n: int, index: int) -> list:
     for u in range(t.n):
         if t.degree(u) != 1:
             continue
-        w = t.adjacency[u][0]
-        keep = [v for v in range(t.n) if v not in (u, w)]
-        sub, prov = induced_subgraph(t, keep)
-        sub_part = classify_vertices(sub)
-        if sub_part.nullity != part.nullity or any(
-            sub_part.class_of[new] is not part.class_of[old]
-            for new, old in prov.vertex_map().items()
-        ):
+        pair = (u, t.adjacency[u][0])
+        keep = [v for v in range(t.n) if v not in pair]
+        _, _, eta, changed = _delete_and_compare(t, part, keep)
+        if eta != part.nullity or changed:
             pair_ok = False
             break
     out.append(("pendant_pair_classes", pair_ok, t))
@@ -132,11 +137,9 @@ def _trial_trees(seed: int, max_n: int, index: int) -> list:
             ("remote_perfect_matching",
              cfvr_perfect_matching(t, part) is not None, t)
         )
-        try:
-            slim_reduce(t, part)
-            out.append(("slim_reduction_faithful", True, t))
-        except TheoremViolationError:
-            out.append(("slim_reduction_faithful", False, t))
+        out.append(
+            ("slim_reduction_faithful", _holds(slim_reduce, t, part), t)
+        )
     return out
 
 
@@ -228,17 +231,11 @@ def _trial_perturbations(seed: int, max_n: int, index: int) -> list:
     out = []
     for cand in candidate_edges(g, part):
         if cand.type_pair in CFV_FAMILY:
-            try:
-                apply_and_report(g, cand, part)
-                out.append(("cfv_addition_theorems", True, g))
-            except TheoremViolationError:
-                out.append(("cfv_addition_theorems", False, g))
+            ok = _holds(apply_and_report, g, cand, part)
+            out.append(("cfv_addition_theorems", ok, g))
         elif cand.type_pair == "CV-NCV" and part.independent_cv:
-            try:
-                verify_cv_ncv_theorem(g, cand, part)
-                out.append(("cv_ncv_conditional", True, g))
-            except TheoremViolationError:
-                out.append(("cv_ncv_conditional", False, g))
+            ok = _holds(verify_cv_ncv_theorem, g, cand, part)
+            out.append(("cv_ncv_conditional", ok, g))
     return out
 
 

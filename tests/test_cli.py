@@ -47,6 +47,16 @@ def c4_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def slim6_file(tmp_path):
+    # dropping its remote vertices raises the nullity (test_analysis pins
+    # the same graph), so reduce --slim breaks a guarantee
+    path = tmp_path / "slim6.g"
+    path.write_text(serialize_edge_list(Graph(
+        6, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 5), (2, 4), (3, 4)])))
+    return str(path)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -83,6 +93,29 @@ def test_analyze_dot(capsys, p7_file):
     assert out.startswith("graph G {")
     assert "0 [part=cv];" in out
     assert "1 [part=ncv];" in out
+
+
+def test_analyze_dot_without_independent_core(capsys, tmp_path):
+    # adjacent core vertices: the tags fall back to the raw classes
+    g = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 3), (1, 4),
+                  (1, 5), (2, 4), (2, 5), (3, 4)])
+    path = tmp_path / "g.g"
+    path.write_text(serialize_edge_list(g))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--dot")
+    assert code == 0
+    tags = ["cfv_mid", "cv", "cv", "cfv_upp", "cv", "cv"]
+    for v, tag in enumerate(tags):
+        assert "  %d [part=%s];\n" % (v, tag) in out
+
+
+def test_guarantee_violation_is_exit_4(capsys, slim6_file):
+    code, out, err = run_cli(capsys, "reduce", slim6_file, "--slim")
+    assert code == 4 and out == ""
+    assert err.startswith("guarantee violated: ")
+    report = json.loads(err.splitlines()[-1])
+    replay = Graph(report["n"], [tuple(e) for e in report["edges"]])
+    with open(slim6_file) as f:
+        assert replay == parse_edge_list(f.read())
 
 
 def test_analyze_is_deterministic(capsys, p7_file):
@@ -241,6 +274,12 @@ def test_gen_kinds_map_onto_the_generators(capsys):
 def test_suite_choices_match_verify():
     # the parser lists the suites without importing nullcore.verify
     assert cli._SUITES == nullcore.verify.SUITES
+
+
+def test_preserve_choices_match_perturb():
+    # every --preserve choice names a property that perturb compares
+    assert sorted(cli._PRESERVE_ALIASES.values()) == sorted(
+        nullcore.perturb._PRESERVED)
 
 
 def test_usage_error_is_exit_1():
@@ -418,12 +457,14 @@ def test_perturb_classifies_input_once(capsys, monkeypatch, p7_file, mode):
     ["verify", "--suite", "bogus"],
     ["analyze"],
     ["gen", "-h"],
+    ["reduce", "SLIM6", "--slim"],
 ])
 def test_script_matches_main(capsys, tmp_path, monkeypatch, p7_file, c4_file,
-                             argv):
+                             slim6_file, argv):
     # the script's way out (os._exit after a flush) loses no output and
-    # keeps every exit code: 0, 1 (usage), 2 (input), 3 (precondition)
-    files = {"P7": p7_file, "C4": c4_file}
+    # keeps every exit code: 0, 1 (usage), 2 (input), 3 (precondition),
+    # 4 (guarantee violated)
+    files = {"P7": p7_file, "C4": c4_file, "SLIM6": slim6_file}
     argv = [files.get(a, a) for a in argv]
     monkeypatch.chdir(tmp_path)
     try:
