@@ -36,7 +36,6 @@ from .linalg import (
     Record,
     _reduce_symmetric,
     det,
-    nullspace_basis,
     rank,
 )
 
@@ -117,24 +116,19 @@ class CoreLabelling(Record):
 
     def assembled(self) -> IntMatrix:
         """The permuted adjacency matrix rebuilt from the four blocks."""
-        a, b, c = len(self.cv), len(self.ncv), len(self.remote)
-        n = a + b + c
+        a, b = len(self.cv), len(self.ncv)
+        n = a + b + len(self.remote)
         rows = [[0] * n for _ in range(n)]
-        for i in range(a):
-            for j in range(b):
-                x = self.cv_to_ncv.entry(i, j)
-                rows[i][a + j] = x
-                rows[a + j][i] = x
-        for i in range(b):
-            for j in range(b):
-                rows[a + i][a + j] = self.ncv_inner.entry(i, j)
-            for j in range(c):
-                x = self.ncv_to_remote.entry(i, j)
-                rows[a + i][a + b + j] = x
-                rows[a + b + j][a + i] = x
-        for i in range(c):
-            for j in range(c):
-                rows[a + b + i][a + b + j] = self.remote_inner.entry(i, j)
+        # N and M are symmetric, so their mirror writes agree
+        for r0, c0, block in (
+            (0, a, self.cv_to_ncv),
+            (a, a, self.ncv_inner),
+            (a, a + b, self.ncv_to_remote),
+            (a + b, a + b, self.remote_inner),
+        ):
+            for i, row in enumerate(block.data):
+                for j, x in enumerate(row):
+                    rows[r0 + i][c0 + j] = rows[c0 + j][r0 + i] = x
         return IntMatrix(rows, cols=n)
 
     def blocks_json(self) -> dict:
@@ -194,7 +188,7 @@ def classify_vertices(g: Graph, basis: KernelBasis | None = None) -> VertexParti
         cv_set=cv,
         ncv_set=ncv,
         cfvr_set=cfvr,
-        independent_cv=_first_adjacent_core_pair(g, cv) is None,
+        independent_cv=_first_adjacent_pair(g, cv) is None,
         kernel=kernel,
         d=d,
         y_block=y_block,
@@ -261,18 +255,20 @@ def _in_kernel(g: Graph, x: tuple) -> bool:
     return all(sum(x[w] for w in row) == 0 for row in g.adjacency)
 
 
-def _first_adjacent_core_pair(g: Graph, cv_sorted) -> tuple | None:
-    cv = set(cv_sorted)
-    for u in cv_sorted:
+def _first_adjacent_pair(g: Graph, vertices) -> tuple | None:
+    """The first edge (u, w), u < w, inside the sorted vertex tuple
+    vertices, or None when those vertices are pairwise non-adjacent."""
+    inside = set(vertices)
+    for u in vertices:
         for w in g.adjacency[u]:
-            if w > u and w in cv:
+            if w > u and w in inside:
                 return (u, w)
     return None
 
 
 def require_independent_cv(g: Graph, partition: VertexPartition):
     """Raise NonIndependentCoreError naming the first adjacent core pair."""
-    pair = _first_adjacent_core_pair(g, partition.cv_set)
+    pair = _first_adjacent_pair(g, partition.cv_set)
     if pair is not None:
         raise NonIndependentCoreError(pair)
 
@@ -337,7 +333,7 @@ def _block_checks(part: VertexPartition, lab: CoreLabelling) -> list:
     ncv_count = len(lab.ncv)
     rank_q = rank(q)
     # Q' is eliminated separately from Q, so eta_qt is not read off rank_q
-    eta_qt = nullspace_basis(q.transpose()).dimension
+    eta_qt = cv_count - rank(q.transpose())
     det_m = det(lab.remote_inner)
     full_column_rank = rank_q == ncv_count
     return [
@@ -477,32 +473,24 @@ def unicyclic_analysis(g: Graph) -> UnicyclicReport:
     part = classify_vertices(g)
     r = len(cycle)
     tags = tuple(part.class_of[v].value for v in cycle)
-    checks = []
-    if r % 4 != 0:
-        checks.append(
-            TheoremCheck(
-                "off_multiple_cycle_core_independent",
-                part.independent_cv,
-                {"cycle_length": r},
-            )
+    if r % 4:
+        check = TheoremCheck(
+            "off_multiple_cycle_core_independent",
+            part.independent_cv,
+            {"cycle_length": r},
+        )
+    elif all(part.class_of[v] is VertexClass.CV for v in cycle):
+        check = TheoremCheck(
+            "all_core_cycle_nullity_two",
+            part.nullity >= 2,
+            {"cycle_length": r, "nullity": part.nullity},
         )
     else:
-        if any(part.class_of[v] is not VertexClass.CV for v in cycle):
-            checks.append(
-                TheoremCheck(
-                    "forbidden_attachment_core_independent",
-                    part.independent_cv,
-                    {"cycle_length": r},
-                )
-            )
-        if all(part.class_of[v] is VertexClass.CV for v in cycle):
-            checks.append(
-                TheoremCheck(
-                    "all_core_cycle_nullity_two",
-                    part.nullity >= 2,
-                    {"cycle_length": r, "nullity": part.nullity},
-                )
-            )
+        check = TheoremCheck(
+            "forbidden_attachment_core_independent",
+            part.independent_cv,
+            {"cycle_length": r},
+        )
     return UnicyclicReport(
         cycle=tuple(cycle),
         cycle_length=r,
@@ -510,7 +498,7 @@ def unicyclic_analysis(g: Graph) -> UnicyclicReport:
         cycle_classes=tags,
         nullity=part.nullity,
         independent_cv=part.independent_cv,
-        checks=tuple(checks),
+        checks=(check,),
     )
 
 

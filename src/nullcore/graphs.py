@@ -149,19 +149,22 @@ def parse_edge_list(text: str) -> Graph:
 
     Raises a distinct error (with the offending line number) for a malformed
     header, an out-of-range vertex, a self-loop, or a duplicate edge.  A
-    header n above MAX_VERTICES counts as malformed.
+    header n above MAX_VERTICES counts as malformed.  A number is ASCII
+    digits after an optional minus sign: a line with '+', '_' or any
+    non-ASCII character is malformed, though int() would read it.
     """
     meaningful = []
     for idx, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
-        meaningful.append((idx, stripped))
+        plain = line.isascii() and "_" not in line and "+" not in line
+        meaningful.append((idx, line, plain))
     if not meaningful:
         raise MalformedHeaderError(1, "missing 'n m' header")
-    head_no, head = meaningful[0]
+    head_no, head, plain = meaningful[0]
     parts = head.split()
-    if len(parts) != 2:
+    if len(parts) != 2 or not plain:
         raise MalformedHeaderError(head_no, f"expected 'n m', got {head!r}")
     try:
         n, m = int(parts[0]), int(parts[1])
@@ -181,9 +184,9 @@ def parse_edge_list(text: str) -> Graph:
         )
     edges = []
     seen = set()
-    for line_no, line in body:
+    for line_no, line, plain in body:
         fields = line.split()
-        ok = len(fields) == 2
+        ok = plain and len(fields) == 2
         u = w = -1
         if ok:
             try:
@@ -332,16 +335,13 @@ def is_unicyclic(g: Graph):
     start = min(cycle_vertices)
     on_cycle = set(cycle_vertices)
     first = min(w for w in g.adjacency[start] if w in on_cycle)
-    cycle = [start, first]
+    cycle = [start]
     prev, cur = start, first
     while cur != start:
-        nxt = next(
+        cycle.append(cur)
+        prev, cur = cur, next(
             w for w in g.adjacency[cur] if w in on_cycle and w != prev
         )
-        if nxt == start:
-            break
-        cycle.append(nxt)
-        prev, cur = cur, nxt
     return cycle
 
 

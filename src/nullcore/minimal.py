@@ -11,6 +11,7 @@ the reports here verify exactly.
 from .analysis import (
     TheoremCheck,
     VertexPartition,
+    _first_adjacent_pair,
     classify_vertices,
     nullity,
 )
@@ -22,6 +23,15 @@ from .graphs import (
     is_connected,
 )
 from .linalg import Record, rank
+
+
+def _bipartition(g: Graph):
+    """The BipartiteDecomposition of g; PreconditionError if g has an odd
+    cycle."""
+    decomp = is_bipartite(g)
+    if decomp is None:
+        raise PreconditionError("graph is not bipartite")
+    return decomp
 
 
 class MCReport(Record):
@@ -55,12 +65,7 @@ def is_minimal_configuration(
     part = classify_vertices(g) if partition is None else partition
     cv = set(part.cv_set)
     periphery = tuple(v for v in range(g.n) if v not in cv)
-    periphery_set = set(periphery)
-    independent = all(
-        w not in periphery_set
-        for v in periphery
-        for w in g.adjacency[v]
-    )
+    independent = _first_adjacent_pair(g, periphery) is None
     core, _ = induced_subgraph(g, part.cv_set)
     core_nullity = nullity(core)
     size_identity = len(periphery) + 1 == core_nullity
@@ -107,9 +112,7 @@ def bipartite_nullity1_structure(
     """Structure forced on a bipartite graph of nullity 1: odd order,
     class sizes n//2 and n//2 + 1, core vertices inside the larger class,
     and an admissible core-labelling."""
-    decomp = is_bipartite(g)
-    if decomp is None:
-        raise PreconditionError("graph is not bipartite")
+    decomp = _bipartition(g)
     part = classify_vertices(g) if partition is None else partition
     if part.nullity != 1:
         raise PreconditionError(f"nullity is {part.nullity}, not 1")
@@ -158,9 +161,7 @@ def bipartite_mc_slim_equivalence(
     """For bipartite graphs with classes of different sizes: being a
     minimal configuration must coincide with being a connected slim graph
     of nullity 1 whose core is the larger class."""
-    decomp = is_bipartite(g)
-    if decomp is None:
-        raise PreconditionError("graph is not bipartite")
+    decomp = _bipartition(g)
     v1, v2 = decomp.v1, decomp.v2
     if len(v1) == len(v2):
         return McSlimEquivalence(False, None, None, None)
@@ -182,9 +183,7 @@ def bipartite_parity_check(
 ) -> bool:
     """Nullity and order of a bipartite graph share parity; verified via
     the cross-matrix identity eta = n - 2 rank(S)."""
-    decomp = is_bipartite(g)
-    if decomp is None:
-        raise PreconditionError("graph is not bipartite")
+    decomp = _bipartition(g)
     eta = nullity(g) if partition is None else partition.nullity
     eta_cross = g.n - 2 * rank(decomp.cross)
     return eta == eta_cross and (eta - g.n) % 2 == 0

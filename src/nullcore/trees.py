@@ -9,13 +9,13 @@ directions and verify the rank facts that make it work.
 from .analysis import (
     VertexPartition,
     classify_vertices,
-    core_labelling,
     nullity,
 )
 from .errors import PreconditionError
 from .graphs import (
     Graph,
     VertexProvenance,
+    _block,
     adjacency_matrix,
     incidence_matrix,
     induced_subgraph,
@@ -26,6 +26,12 @@ from .graphs import (
 )
 from .linalg import Record, char_poly, rank
 from . import minimal
+
+
+def _require_tree(g: Graph):
+    """Raise PreconditionError unless g is a tree."""
+    if not is_tree(g):
+        raise PreconditionError("requires a tree")
 
 
 class ReductionTrace(Record):
@@ -94,8 +100,7 @@ class TreeNullityIdentity(Record):
 def tree_nullity_identity(g: Graph) -> TreeNullityIdentity:
     """The tree nullity three ways: isolated remainder of the reduction,
     exact rank, and n - 2t."""
-    if not is_tree(g):
-        raise PreconditionError("nullity identity requires a tree")
+    _require_tree(g)
     trace = pendant_reduction(g)
     eta_reduction = len(trace.isolated_remainder)
     eta_rank = nullity(g)
@@ -122,8 +127,7 @@ def end_vertex_core_vertices(
     core vertices at all; that case is flagged instead of raising so that
     batch runs over random trees keep going.
     """
-    if not is_tree(g):
-        raise PreconditionError("requires a tree")
+    _require_tree(g)
     part = classify_vertices(g) if partition is None else partition
     if part.nullity == 0:
         return EndVertexCores((), True)
@@ -138,8 +142,7 @@ def cfvr_perfect_matching(
     """Perfect matching of the forest induced on the remote vertices of a
     tree, in original labels; None when that forest has no perfect matching
     (never the case for a tree)."""
-    if not is_tree(g):
-        raise PreconditionError("requires a tree")
+    _require_tree(g)
     part = classify_vertices(g) if partition is None else partition
     remote, prov = induced_subgraph(g, part.cfvr_set)
     trace = pendant_reduction(remote)
@@ -161,8 +164,7 @@ def inverse_subdivision(g: Graph) -> tuple | None:
     vertices only.  Returns (smoothed tree, provenance to T' labels),
     or None when T' is not a subdivision.
     """
-    if not is_tree(g):
-        raise PreconditionError("requires a tree")
+    _require_tree(g)
     decomp = is_bipartite(g)
     v1, v2 = decomp.v1, decomp.v2
     if len(v1) == len(v2):
@@ -201,8 +203,7 @@ def is_mc_tree(
 ) -> McTreeReport:
     """Decide whether a tree is a minimal configuration, via the definition
     and via subdivision recognition; the two must agree."""
-    if not is_tree(g):
-        raise PreconditionError("requires a tree")
+    _require_tree(g)
     part = classify_vertices(g) if partition is None else partition
     mc = minimal.is_minimal_configuration(g, part)
     inv = inverse_subdivision(g)
@@ -210,8 +211,8 @@ def is_mc_tree(
     ncv_count = len(part.ncv_set)
     q_full = None
     if part.nullity > 0:
-        # tree core vertices are independent, so the labelling exists
-        q_full = rank(core_labelling(g, part).cv_to_ncv) == ncv_count
+        # tree core vertices are independent, so Q is the cv x ncv block
+        q_full = rank(_block(g, part.cv_set, part.ncv_set)) == ncv_count
     return McTreeReport(
         is_mc=mc.is_mc and inv is not None,
         by_definition=mc.is_mc,
@@ -226,8 +227,7 @@ def is_mc_tree(
 
 def incidence_rank_check(g: Graph) -> bool:
     """Full incidence rank and unit nullity of the subdivision, together."""
-    if not is_tree(g):
-        raise PreconditionError("requires a tree")
+    _require_tree(g)
     if rank(incidence_matrix(g)) != g.m:
         return False
     s, _ = subdivision(g)

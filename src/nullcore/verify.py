@@ -17,7 +17,6 @@ from .analysis import (
 )
 from .errors import TheoremViolationError
 from .graphs import (
-    Graph,
     gen_cycle,
     gen_random_bipartite,
     gen_random_graph,
@@ -29,7 +28,6 @@ from .minimal import (
     bipartite_mc_slim_equivalence,
     bipartite_nullity1_structure,
     bipartite_parity_check,
-    is_minimal_configuration,
 )
 from .perturb import (
     CFV_FAMILY,
@@ -167,14 +165,14 @@ def _trial_subdivisions(seed: int, max_n: int, index: int) -> list:
     s, _ = subdivision(t)
     part = classify_vertices(s)
     inserted = tuple(range(t.n, t.n + t.m))
-    mc = is_minimal_configuration(s, part)
     mc_tree = is_mc_tree(s, part)
+    periphery = tuple(sorted(part.ncv_set + part.cfvr_set))
     out = [
         ("unit_nullity", part.nullity == 1, s),
         ("core_set_is_original", part.cv_set == tuple(range(t.n)), s),
         (
             "periphery_is_inserted",
-            mc.is_mc and mc.periphery == inserted, s,
+            mc_tree.by_definition and periphery == inserted, s,
         ),
         (
             "matching_count_is_ncv",

@@ -132,6 +132,15 @@ def test_analyze_parse_error_exit_2(capsys, tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("edge", ["0 +1", "1_0 0", "1 ２"])
+def test_analyze_loose_integer_exit_2(capsys, tmp_path, edge):
+    bad = tmp_path / "loose.g"
+    bad.write_text("12 1\n" + edge + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(bad))
+    assert (code, out) == (2, "")
+    assert "line 2: expected 'u w'" in err
+
+
 def test_analyze_oversized_header_exit_2(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(nullcore.graphs, "MAX_VERTICES", 3)
     big = tmp_path / "big.g"

@@ -108,6 +108,36 @@ def test_parse_error_classes_and_line_numbers():
         assert issubclass(exc, EdgeListParseError)
 
 
+# One spelling per character class that int() reads but the format
+# does not: a plus sign, a digit separator, a non-ASCII digit.
+_LOOSE_INTEGERS = ("+1", "1_0", "\uff12")
+
+
+@pytest.mark.parametrize("loose", _LOOSE_INTEGERS)
+def test_header_integers_are_strict(loose):
+    for head in (f"{loose} 0", f"12 {loose}"):
+        with pytest.raises(MalformedHeaderError, match="expected 'n m'") as info:
+            parse_edge_list(f"# comment\n{head}\n")
+        assert info.value.line_no == 2
+
+
+@pytest.mark.parametrize("loose", _LOOSE_INTEGERS)
+def test_edge_integers_are_strict(loose):
+    for line in (f"{loose} 0", f"0 {loose}"):
+        with pytest.raises(EdgeListParseError, match="expected 'u w'") as info:
+            parse_edge_list(f"12 2\n3 4\n{line}\n")
+        assert type(info.value) is EdgeListParseError
+        assert info.value.line_no == 3
+
+
+def test_minus_sign_still_reaches_the_range_checks():
+    with pytest.raises(MalformedHeaderError, match="counts must be non-negative"):
+        parse_edge_list("3 -1\n")
+    with pytest.raises(VertexRangeError):
+        parse_edge_list("3 1\n-1 2\n")
+    assert parse_edge_list("12 1\n10 0\n").edges() == ((0, 10),)
+
+
 def test_header_vertex_count_is_capped(monkeypatch):
     # A small cap stands in for the real one; nothing large is allocated.
     monkeypatch.setattr(nullcore.graphs, "MAX_VERTICES", 5)

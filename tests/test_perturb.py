@@ -376,6 +376,97 @@ def test_greedy_densify_guards_raise_theorem_violation(monkeypatch):
         assert info.value.report["edges"] == []
 
 
+def _forge_after(monkeypatch, g, e, **fields):
+    """classify_vertices, as perturb sees it, gives g + e the true
+    partition with fields replaced; every other graph is classified."""
+    h = add_edge(g, e.u, e.w)
+    forged = classify_vertices(h)._replace(**fields)
+    monkeypatch.setattr(
+        nullcore.perturb, "classify_vertices",
+        lambda x: forged if x == h else classify_vertices(x),
+    )
+
+
+def _raises_replayable(g, match, check, *args):
+    with pytest.raises(TheoremViolationError, match=match) as info:
+        check(g, *args)
+    report = info.value.report
+    assert Graph(report["n"], report["edges"]) == g
+    return report
+
+
+# P5 has cores {0, 2, 4} and core neighbours {1, 3}; (1, 3) is NCV-NCV.
+_P5_NCV = EdgeCandidate(1, 3, "NCV-NCV")
+_OTHER_P5_KERNEL = KernelBasis(5, ((1, 0, -1, 0, 0),))
+
+
+def test_core_forbidden_biconditional_guard(monkeypatch):
+    # the forged after side keeps the nullity but loses core vertex 4
+    _forge_after(monkeypatch, gen_path(5), _P5_NCV,
+                 cv_set=(0, 2), kernel=_OTHER_P5_KERNEL)
+    report = _raises_replayable(
+        gen_path(5), "broke the nullity/core biconditional",
+        apply_and_report, _P5_NCV, classify_vertices(gen_path(5)))
+    assert report["cv"] == [[0, 2, 4], [0, 2]]
+
+
+def test_core_forbidden_nullity_keeps_nullspace_guard(monkeypatch):
+    # nullity and core set kept, kernel basis changed
+    _forge_after(monkeypatch, gen_path(5), _P5_NCV, kernel=_OTHER_P5_KERNEL)
+    report = _raises_replayable(
+        gen_path(5), "failed to preserve the nullspace and labelling",
+        apply_and_report, _P5_NCV, classify_vertices(gen_path(5)))
+    assert report["preserved"]["nullity"] and report["preserved"]["cv_set"]
+    assert not report["preserved"]["nullspace"]
+
+
+_MET_EDGE = EdgeCandidate(0, 3, "CV-NCV")
+
+
+def test_cv_ncv_nullity_guard(monkeypatch):
+    # labelling kept, nullity 3 -> 4 with a different kernel
+    met_after = classify_vertices(add_edge(MET_TREE, 0, 3))
+    _forge_after(
+        monkeypatch, MET_TREE, _MET_EDGE, nullity=4,
+        kernel=KernelBasis(11, met_after.kernel.vectors + ((0,) * 11,)),
+    )
+    report = _raises_replayable(
+        MET_TREE, "changed the nullity from 3 to 4",
+        verify_cv_ncv_theorem, _MET_EDGE, classify_vertices(MET_TREE))
+    assert report["eta"] == [3, 4]
+
+
+def test_cv_ncv_x_witness_guard():
+    # the base partition is handed the kernel of the new graph, so the
+    # old witness stays in the kernel after the addition
+    part = classify_vertices(MET_TREE)
+    after = classify_vertices(add_edge(MET_TREE, 0, 3))
+    report = _raises_replayable(
+        MET_TREE, "old kernel vector unexpectedly survived",
+        verify_cv_ncv_theorem, _MET_EDGE, part._replace(kernel=after.kernel))
+    assert report["x_witness"][0] != 0
+
+
+def test_cv_ncv_y_witness_guard(monkeypatch):
+    # the new graph is handed the kernel of the base graph
+    part = classify_vertices(MET_TREE)
+    _forge_after(monkeypatch, MET_TREE, _MET_EDGE, kernel=part.kernel)
+    report = _raises_replayable(
+        MET_TREE, "new kernel vector unexpectedly lies in the old kernel",
+        verify_cv_ncv_theorem, _MET_EDGE, part)
+    assert report["y_witness"][0] != 0
+
+
+def test_cv_ncv_kernel_vector_hitting_guard():
+    # a base kernel with no vector at core vertex 0
+    part = classify_vertices(MET_TREE)
+    forged = part._replace(kernel=KernelBasis(11, ()))
+    report = _raises_replayable(
+        MET_TREE, "no kernel vector is non-zero at core vertex 0",
+        verify_cv_ncv_theorem, _MET_EDGE, forged)
+    assert report["vertex"] == 0 and report["basis"] == ()
+
+
 _MODES = ("nullity", "cv_set", "nullspace")
 
 

@@ -258,3 +258,28 @@ def test_is_mc_tree_classifies_once(monkeypatch):
         calls.clear()
         is_mc_tree(g)
         assert calls == [g]
+
+
+
+# C4 has a cycle and two disjoint edges are not connected; C5 is odd.
+_NOT_TREES = {"C4": gen_cycle(4), "2K2": Graph(4, [(0, 1), (2, 3)])}
+_TREE_CHECKS = (
+    tree_nullity_identity, end_vertex_core_vertices, cfvr_perfect_matching,
+    inverse_subdivision, is_mc_tree, incidence_rank_check)
+_BIPARTITE_CHECKS = (
+    nullcore.minimal.bipartite_nullity1_structure,
+    nullcore.minimal.bipartite_mc_slim_equivalence,
+    nullcore.minimal.bipartite_parity_check)
+
+
+@pytest.mark.parametrize("check, g, message", [
+    pytest.param(check, g, "requires a tree", id=f"{check.__name__}-{name}")
+    for check in _TREE_CHECKS for name, g in _NOT_TREES.items()
+] + [
+    pytest.param(check, gen_cycle(5), "graph is not bipartite",
+                 id=f"{check.__name__}-C5")
+    for check in _BIPARTITE_CHECKS
+])
+def test_graph_family_guards(check, g, message):
+    with pytest.raises(PreconditionError, match=message):
+        check(g)

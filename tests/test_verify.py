@@ -6,6 +6,8 @@ import pytest
 
 import nullcore.analysis
 import nullcore.verify
+from nullcore.errors import TheoremViolationError
+from nullcore.graphs import Graph
 from nullcore.verify import (
     SUITES,
     SuiteResult,
@@ -114,3 +116,35 @@ def test_trial_classifies_its_graph_once(monkeypatch, suite):
         rejected += calls[0] != graph
     assert singular >= 10
     assert (rejected > 0) == (suite == "perturbations")
+
+
+def test_failing_checks_are_tallied_and_capped(monkeypatch):
+    # Each trial fails two checks and passes one; 60 trials give 120
+    # failures, of which the first 100 are kept, in trial order.
+    def failing_trial(seed, max_n, index):
+        g = Graph(index + 1)
+        return [("a", False, g), ("b", True, g), ("c", False, g)]
+
+    monkeypatch.setitem(nullcore.verify._TRIALS, "trees", failing_trial)
+    result = run_suite(VerifySuiteConfig("trees", 5, 60, 0))
+    assert result.tallies == {
+        "trees/a": [0, 60], "trees/b": [60, 0], "trees/c": [0, 60]}
+    assert result.ok is False
+    assert nullcore.verify._COUNTEREXAMPLE_CAP == 100
+    assert result.counterexamples == tuple(
+        (key, Graph(index + 1))
+        for index in range(50) for key in ("trees/a", "trees/c"))
+
+
+def test_raising_slim_reduction_counts_as_fail(monkeypatch):
+    def broken(g, partition=None):
+        raise TheoremViolationError("forced", {"n": g.n, "edges": g.edges()})
+
+    monkeypatch.setattr(nullcore.verify, "slim_reduce", broken)
+    result = run_suite(VerifySuiteConfig("trees", 10, 30, 4))
+    singular = sum(result.tallies["trees/two_core_end_vertices"])
+    assert singular > 0
+    assert result.tallies["trees/slim_reduction_faithful"] == [0, singular]
+    assert not result.ok
+    failed = [key for key, _ in result.counterexamples]
+    assert failed == ["trees/slim_reduction_faithful"] * singular
