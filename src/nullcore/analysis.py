@@ -443,10 +443,7 @@ def is_core_graph(g: Graph) -> bool:
 def is_half_core(g: Graph) -> bool:
     """Bipartite with the core vertices as one colour class and the
     core-forbidden vertices as the other."""
-    part = classify_vertices(g)
-    if part.nullity == 0:
-        return g.n == 0
-    cv = set(part.cv_set)
+    cv = set(classify_vertices(g).cv_set)
     return all((u in cv) != (w in cv) for u, w in g.edges())
 
 

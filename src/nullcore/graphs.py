@@ -187,7 +187,6 @@ def parse_edge_list(text: str) -> Graph:
     for line_no, line, plain in body:
         fields = line.split()
         ok = plain and len(fields) == 2
-        u = w = -1
         if ok:
             try:
                 u, w = int(fields[0]), int(fields[1])
@@ -217,18 +216,12 @@ def serialize_edge_list(g: Graph) -> str:
 
 
 def add_edge(g: Graph, u: int, w: int) -> Graph:
-    if u == w:
-        raise ValueError("cannot add a self-loop")
-    if not (0 <= u < g.n and 0 <= w < g.n):
-        raise ValueError(f"vertex out of range: ({u},{w})")
-    if g.has_edge(u, w):
-        raise ValueError(f"edge ({u},{w}) already present")
+    """g plus the edge uw; Graph raises ValueError for a self-loop, an
+    endpoint out of range or an edge already present."""
     return Graph(g.n, g.edges() + ((min(u, w), max(u, w)),))
 
 
 def delete_edge(g: Graph, u: int, w: int) -> Graph:
-    if u == w:
-        raise ValueError("no self-loops to delete")
     if not g.has_edge(u, w):
         raise ValueError(f"edge ({u},{w}) not present")
     key = (min(u, w), max(u, w))
@@ -434,8 +427,6 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     _check_size(n)
     if n == 1:
         return Graph(1)
-    if n == 2:
-        return Graph(2, [(0, 1)])
     # heapq and the rng are imported by the generators that use them, so
     # the commands that only read a graph never load them
     import heapq

@@ -80,10 +80,8 @@ def is_minimal_configuration(
         )
     if g.n == 2:
         failures.append("definition excludes |V|=2")
-    # a single vertex is K1 and always qualifies; order 2 never does
-    is_mc = g.n == 1 or (g.n >= 3 and not failures)
     return MCReport(
-        is_mc=is_mc,
+        is_mc=not failures,
         nullity=part.nullity,
         core_subgraph=core,
         periphery=periphery,

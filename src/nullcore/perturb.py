@@ -104,7 +104,6 @@ def _labelling_preserved(
         before.cv_set == after.cv_set
         and after.independent_cv
         and before.ncv_set == after.ncv_set
-        and before.cfvr_set == after.cfvr_set
     )
 
 

@@ -129,11 +129,9 @@ def end_vertex_core_vertices(
     """
     _require_tree(g)
     part = classify_vertices(g) if partition is None else partition
-    if part.nullity == 0:
-        return EndVertexCores((), True)
     cv = set(part.cv_set)
     ends = tuple(v for v in range(g.n) if g.degree(v) == 1 and v in cv)
-    return EndVertexCores(ends, False)
+    return EndVertexCores(ends, part.nullity == 0)
 
 
 def cfvr_perfect_matching(
@@ -167,8 +165,6 @@ def inverse_subdivision(g: Graph) -> tuple | None:
     _require_tree(g)
     decomp = is_bipartite(g)
     v1, v2 = decomp.v1, decomp.v2
-    if len(v1) == len(v2):
-        return None
     originals, inserted = (v1, v2) if len(v1) > len(v2) else (v2, v1)
     if len(inserted) != len(originals) - 1:
         return None

@@ -47,6 +47,11 @@ from .trees import (
 )
 
 _COUNTEREXAMPLE_CAP = 100
+# Largest max_n a suite accepts.  A trial classifies graphs of up to
+# max_n vertices by a cubic elimination on n x n rows, on several graphs
+# per trial: one perturbations trial on a tree drawn at n = max_n takes
+# 2.6 s at 64 and 53 s at 128 (2-vCPU Xeon).
+_MAX_N = 64
 
 
 class VerifySuiteConfig(Record):
@@ -60,6 +65,8 @@ class VerifySuiteConfig(Record):
             raise ValueError("unknown suite %r" % suite)
         if max_n < 1:
             raise ValueError("max_n must be at least 1")
+        if max_n > _MAX_N:
+            raise ValueError("max_n must be at most %d" % _MAX_N)
         if trials < 1:
             raise ValueError("trials must be at least 1")
         return super().__new__(cls, suite, max_n, trials, seed)

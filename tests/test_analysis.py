@@ -617,3 +617,11 @@ def test_eta_equals_cv_minus_rank_q():
         assert full == (
             part.nullity == len(part.cv_set) - len(part.ncv_set)
         )
+
+
+def test_half_core_needs_a_kernel_on_a_non_empty_graph():
+    # nullity 0: no core vertex, so every edge has no core end
+    for g in (gen_path(4), gen_cycle(6), Graph(2, [(0, 1)])):
+        assert nullity(g) == 0
+        assert not is_half_core(g)
+    assert is_half_core(Graph(0))

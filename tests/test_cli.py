@@ -582,3 +582,16 @@ def test_json_writer_matches_json_dumps(payload):
 def test_json_writer_rejects_what_it_does_not_write(bad):
     with pytest.raises(TypeError):
         cli._json_text(bad)
+
+
+def test_verify_max_n_over_the_cap_exit_1(capsys, tmp_path, monkeypatch):
+    def never(config):
+        raise AssertionError("run_suite called")
+
+    monkeypatch.setattr(nullcore.verify, "run_suite", never)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "verify", "--max-n", "65")
+    assert code == 1
+    assert out == ""
+    assert err == "invalid request: max_n must be at most 64\n"
+    assert list(tmp_path.iterdir()) == []

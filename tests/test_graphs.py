@@ -382,3 +382,45 @@ def test_unicyclic_matches_listing_of_non_edges():
         for seed in range(40):
             assert gen_random_unicyclic(n, seed) == _unicyclic_by_listing(
                 n, seed), (n, seed)
+
+
+def test_add_edge_rejects_what_graph_rejects():
+    p3 = gen_path(3)
+    for u, w in ((1, 1), (0, 3), (3, 0), (-1, 2), (2, -1), (0, 1), (1, 0)):
+        with pytest.raises(ValueError):
+            add_edge(p3, u, w)
+
+
+def test_delete_edge_rejects_a_self_loop():
+    with pytest.raises(ValueError):
+        delete_edge(gen_path(3), 1, 1)
+
+
+def test_random_tree_on_two_vertices():
+    for seed in (0, 1, 7, 2**64 - 1):
+        assert gen_random_tree(2, seed) == Graph(2, [(0, 1)])
+
+
+def test_header_that_int_refuses_is_malformed():
+    # ASCII, no '+' or '_', two fields: only int() rejects it
+    with pytest.raises(MalformedHeaderError, match="expected 'n m'"):
+        parse_edge_list("--1 2\n")
+
+
+def test_has_edge_with_an_endpoint_out_of_range():
+    g = gen_path(3)
+    for u, w in ((0, 3), (3, 0), (-1, 0), (0, -1)):
+        assert not g.has_edge(u, w)
+
+
+def test_graph_is_immutable_and_has_a_repr():
+    g = Graph(3, [(1, 2)])
+    with pytest.raises(AttributeError):
+        g.n = 4
+    assert repr(g) == "Graph(n=3, edges=((1, 2),))"
+
+
+def test_rng_below_rejects_an_empty_range():
+    for bound in (0, -1):
+        with pytest.raises(ValueError):
+            SplitMix64(0).below(bound)

@@ -542,3 +542,17 @@ def test_charpoly_trailing_zeros_count_nullity_for_adjacency():
                 break
             trailing += 1
         assert trailing == n - oracle.gauss_rank(m.to_lists())
+
+
+def test_intmatrix_shape_guards():
+    m = IntMatrix([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2]], cols=3)
+    with pytest.raises(ValueError):
+        m @ m
+    assert not m.is_symmetric()
+    with pytest.raises(ValueError):
+        char_poly(m)
+    with pytest.raises(AttributeError):
+        m.rows = 3
+    assert repr(m) == "IntMatrix(2x3)"

@@ -197,3 +197,21 @@ def test_bipartite_parity():
         # parity statement double-checked against the oracle rank
         eta = oracle.nullity_of(g.n, list(g.edges()))
         assert (g.n - eta) % 2 == 0
+
+
+def test_mc_on_orders_zero_to_two():
+    cases = (
+        (Graph(0), False,
+         ("nullity is 0, not 1", "periphery size 0 + 1 != core nullity 0")),
+        (Graph(1), True, ()),
+        (Graph(2), False,
+         ("nullity is 2, not 1", "periphery size 0 + 1 != core nullity 2",
+          "definition excludes |V|=2")),
+        (Graph(2, [(0, 1)]), False,
+         ("nullity is 0, not 1", "periphery induces at least one edge",
+          "periphery size 2 + 1 != core nullity 0",
+          "definition excludes |V|=2")),
+    )
+    for g, is_mc, failures in cases:
+        rep = is_minimal_configuration(g)
+        assert (rep.is_mc, rep.failures) == (is_mc, failures), g

@@ -7,7 +7,9 @@ import pytest
 import nullcore.analysis
 import nullcore.verify
 from nullcore.errors import TheoremViolationError
-from nullcore.graphs import Graph
+from nullcore.analysis import classify_vertices
+from nullcore.graphs import Graph, is_tree
+from nullcore.rng import SplitMix64
 from nullcore.verify import (
     SUITES,
     SuiteResult,
@@ -148,3 +150,27 @@ def test_raising_slim_reduction_counts_as_fail(monkeypatch):
     assert not result.ok
     failed = [key for key, _ in result.counterexamples]
     assert failed == ["trees/slim_reduction_faithful"] * singular
+
+
+def test_config_caps_max_n():
+    assert VerifySuiteConfig("all", 64, 1, 0).max_n == 64
+    with pytest.raises(ValueError, match="max_n must be at most 64"):
+        VerifySuiteConfig("all", 65, 1, 0)
+
+
+def test_trials_below_their_floor_draw_nothing():
+    # trees, bipartite and perturbations need 2 vertices and unicyclic 3;
+    # only subdivisions draws at max_n = 1
+    result = run_suite(VerifySuiteConfig("all", 1, 3, 0))
+    assert result.ok
+    assert {name.split("/")[0] for name in result.tallies} == {"subdivisions"}
+
+
+def test_independent_cv_graph_falls_back_to_a_tree(monkeypatch):
+    # C4 has adjacent core vertices, so every draw is rejected
+    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    monkeypatch.setattr(nullcore.verify, "gen_random_graph",
+                        lambda n, num, den, seed: c4)
+    g, part = nullcore.verify._independent_cv_graph(SplitMix64(5), 10)
+    assert is_tree(g) and 2 <= g.n <= 10
+    assert part == classify_vertices(g)
