@@ -51,14 +51,18 @@ class VertexPartition(Record):
 
     ncv_set holds the core-forbidden vertices with a core neighbour;
     cfvr_set holds the rest of the core-forbidden vertices.  The last
-    three fields keep what classify_vertices read off its elimination of
-    [A | I] into [R | T].  kernel is the canonical basis of ker A.  d is
-    the common pivot of R, and y_block[u] is None for a core vertex u
-    and otherwise the right half of the row of [R | T] whose pivot lies
-    in column u, which is d * y for a solution y of A y = e_u; its entry
-    at a core-forbidden w is the same for every solution.  Every field
-    is a function of the graph, so partitions compare and hash as plain
-    tuples.
+    three fields keep what classify_vertices read off its one reduction
+    of A (linalg._reduce_symmetric).  kernel is the canonical basis of
+    ker A.  d is a non-zero integer, and y_block[u] is None for a core
+    vertex u and otherwise d * y for a solution y of A y = e_u, so
+    A y_block[u] = d e_u exactly; its entry at a core-forbidden w is d
+    times the y_w that every solution shares.  Which d and which y
+    depend on the route: on a sparse graph d is the common pivot of the
+    elimination of [A | I] into [R | T] and y_block[u] the row of T at
+    u's pivot; on a dense one d is det A[B, B] for the principal block
+    that bordering grew and y_block[u] is u's row of adj A[B, B], zero
+    off B.  Every field is a function of the graph, so partitions
+    compare and hash as plain tuples.
     """
 
     nullity: int
@@ -154,13 +158,13 @@ def nullity(g: Graph) -> int:
 
 def classify_vertices(g: Graph, basis: KernelBasis | None = None) -> VertexPartition:
     """Core vertices and the split of the rest, all read off one
-    elimination of [A | I].
+    reduction of A (linalg._reduce_symmetric).
 
     v is a core vertex exactly when A y = e_v has no solution, and
     deleting it drops the nullity by one.  Otherwise deleting v keeps
     the nullity when the solutions have y_v != 0 (cfv_mid) and raises it
     by one when y_v = 0 (cfv_upp).  A given basis is a claim, checked
-    against that elimination and never stored: unless it is a basis of
+    against that reduction and never stored: unless it is a basis of
     ker A, TheoremViolationError is raised with a replayable report.
     """
     n = g.n

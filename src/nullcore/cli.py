@@ -69,6 +69,13 @@ def _json_parts(value, indent: str, out: list):
             out.append("[]")
             return
         inner = indent + "  "
+        if all(type(item) is int for item in value):
+            # a row of ints (not bools, which print as true/false) in
+            # one join
+            out.append("[\n" + inner
+                       + (",\n" + inner).join(map(int.__repr__, value))
+                       + "\n" + indent + "]")
+            return
         separator = "[\n" + inner
         for item in value:
             out.append(separator)

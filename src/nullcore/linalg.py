@@ -2,16 +2,21 @@
 
 Everything here is arbitrary-precision and tolerance-free.  One
 fraction-free Gauss-Jordan elimination on Python ints (Bareiss one-step
-division, applied above and below each pivot) serves every routine:
-rank is the number of pivots, the determinant is the last pivot times
-the row-swap sign, and the canonical integer nullspace basis is read
-directly off the reduced rows.  For a symmetric matrix the same
-elimination of [A | I], run in place on n-wide rows, also tells which
-systems A y = e_v are solvable and yields d times one solution of each.
-The elimination holds a large dense matrix as one int per row, its
-entries in signed slots whose width Hadamard's bound certifies, so a
-row update is a few big-integer operations, and any other matrix as
-lists of ints; both give the same integers.  The characteristic
+division, applied above and below each pivot) serves rank, det and
+nullspace_basis: rank is the number of pivots, the determinant is the
+last pivot times the row-swap sign, and the canonical integer nullspace
+basis is read directly off the reduced rows.  The elimination holds a
+large dense matrix as one int per row, its entries in signed slots whose
+width Hadamard's bound certifies, so a row update is a few big-integer
+operations, and any other matrix as lists of ints; both give the same
+integers.
+
+A symmetric matrix also gets, for every v with A y = e_v solvable, d
+times one solution y.  A sparse or small one is eliminated beside the
+identity, [A | I] in place on n-wide list rows.  A dense one is
+bordered instead: the adjugate of a growing non-singular principal
+block is kept on packed rows and grown by 1 x 1 or 2 x 2 steps, at
+about a third of the elimination's cost.  The characteristic
 polynomial uses the Faddeev-LeVerrier recurrence (whose divisions are
 exact for integer matrices), multiplying by the non-zero entries only.
 
@@ -20,6 +25,7 @@ every library path imports this module, and a module of its own would
 cost each command another import.
 """
 
+from itertools import chain
 from math import gcd, isqrt
 from operator import index, itemgetter
 
@@ -84,18 +90,19 @@ class Record(tuple, metaclass=_RecordType):
         if len(args) > len(fields):
             raise TypeError("%s takes %d fields but %d were given"
                             % (cls.__name__, len(fields), len(args)))
+        rest = fields[len(args):]
         for name in kwargs:
-            if name not in fields:
+            if name not in rest:
+                if name in fields:
+                    raise TypeError("%s got multiple values for field %r"
+                                    % (cls.__name__, name))
                 raise TypeError("%s got an unexpected field %r"
                                 % (cls.__name__, name))
-            if fields.index(name) < len(args):
-                raise TypeError("%s got multiple values for field %r"
-                                % (cls.__name__, name))
-        missing = [name for name in fields[len(args):] if name not in kwargs]
+        missing = [name for name in rest if name not in kwargs]
         if missing:
             raise TypeError("%s is missing the fields %s"
                             % (cls.__name__, ", ".join(missing)))
-        return args + tuple(map(kwargs.__getitem__, fields[len(args):]))
+        return args + tuple(map(kwargs.__getitem__, rest))
 
     @classmethod
     def _make(cls, iterable):
@@ -233,6 +240,45 @@ class CharPoly(Record):
         return self.coefficients[-1]
 
 
+def _is_dense(rows_data, n_rows: int, n_cols: int) -> bool:
+    """Whether a matrix goes to the packed routes: at least 16 rows and
+    at least 4 * (n_rows + 16) non-zero entries.  The rule is the
+    measured crossover on trees and G(n, p) (README)."""
+    return n_rows >= 16 and (
+        n_rows * n_cols - sum(row.count(0) for row in rows_data)
+        >= 4 * (n_rows + 16)
+    )
+
+
+def _slot_bytes(rows_data, n_rows: int, n_cols: int) -> int:
+    """Bytes per signed slot of a packed route on this matrix.
+
+    Every value a packed route stores or decodes is a minor of the
+    matrix, of order at most m = min(n_rows, n_cols).  Hadamard's bound,
+    the product of the row norms, bounds them all; for a {0, 1} matrix
+    so does (m + 1)^((m + 1) / 2) / 2^m, Hadamard's bound on the +-1
+    matrix of order m + 1 that borders it, which is smaller on dense
+    rows.  A slot gets the bit length of twice the smaller bound plus
+    two bits, rounded up to whole bytes so that a row packs and unpacks
+    through bytes; then a slot decodes by rounding, as the slots below
+    it sum to less than half of its unit.
+    """
+    norms = 1
+    binary = True
+    for row in rows_data:
+        ones = row.count(1)
+        if binary and ones + row.count(0) == len(row):
+            norms *= max(1, ones)
+        else:
+            binary = False
+            norms *= max(1, sum(a * a for a in row))
+    bound = isqrt(norms) + 1
+    if binary:
+        m = min(n_rows, n_cols)
+        bound = min(bound, (isqrt((m + 1) ** (m + 1)) >> m) + 1)
+    return ((2 * bound).bit_length() + 9) // 8
+
+
 def _gauss_jordan_int(
     rows_data: list[list[int]], n_rows: int, n_cols: int, keep_t=False
 ):
@@ -256,19 +302,16 @@ def _gauss_jordan_int(
     is not stored; the step that pivots on the row leaves the old pivot
     in it and -factor in every other row.
 
-    Two routes compute exactly the same integers.  A matrix of at least
-    16 rows with at least 4 * (n_rows + 16) non-zero entries is reduced
-    on packed rows (_gauss_jordan_packed), where a row update is a few
-    big-integer operations on the whole row; any other matrix on list
-    rows (_gauss_jordan_lists), where an update touches entries one by
-    one but skips the many that stay zero in a sparse or small matrix.
-    The rule is the measured crossover on trees and G(n, p) (README).
+    Two routes compute exactly the same integers.  A dense matrix
+    (_is_dense) without keep_t is reduced on packed rows
+    (_gauss_jordan_packed), where a row update is a few big-integer
+    operations on the whole row; any other matrix on list rows
+    (_gauss_jordan_lists), where an update touches entries one by one
+    but skips the many that stay zero in a sparse or small matrix.  A
+    dense [A | I] is not eliminated at all: _reduce_symmetric borders it.
     """
-    if n_rows >= 16 and (
-        n_rows * n_cols - sum(row.count(0) for row in rows_data)
-        >= 4 * (n_rows + 16)
-    ):
-        return _gauss_jordan_packed(rows_data, n_rows, n_cols, keep_t)
+    if not keep_t and _is_dense(rows_data, n_rows, n_cols):
+        return _gauss_jordan_packed(rows_data, n_rows, n_cols)
     return _gauss_jordan_lists(rows_data, n_rows, n_cols, keep_t)
 
 
@@ -331,30 +374,22 @@ def _gauss_jordan_lists(rows_data, n_rows, n_cols, keep_t):
     return pivots, sign, prev, origin
 
 
-def _gauss_jordan_packed(rows_data, n_rows, n_cols, keep_t):
-    """_gauss_jordan_int on rows packed into one int each.
+def _gauss_jordan_packed(rows_data, n_rows, n_cols):
+    """_gauss_jordan_int without keep_t on rows packed into one int each.
 
     Row i is X_i, the sum of x_ij * 2**(k * (n_cols - 1 - j)) over its
-    entries x_ij, each in a signed slot of k bits, so the row update
-    (piv*X_i - f*X_r) // prev is two multiplications, a subtraction and
-    a division of integers.  The division is exact on the whole integer
-    because it is exact on every slot, so the product needs no spare
-    room; only the entries read back must fit their slots.  Each is a
-    minor of [A | I] (of A without keep_t), or the transient piv + prev
-    in the pivot row, so twice Hadamard's bound, the product of the
-    input row norms (counting the identity's 1 with keep_t), bounds them
-    all.  A slot gets two more bits than that, rounded up to whole bytes
-    so that a row packs and unpacks through bytes, and then a slot
-    decodes by rounding: the slots below it sum to less than half of
-    its unit.  Column 0 is the top slot, so without keep_t a row
-    shrinks as the leading columns are cleared.
+    entries x_ij, each in a signed slot of k bits (_slot_bytes), so the
+    row update (piv*X_i - f*X_r) // prev is two multiplications, a
+    subtraction and a division of integers.  The division is exact on
+    the whole integer because it is exact on every slot, so the product
+    needs no spare room; only the entries read back must fit their
+    slots, and each is a minor of the input.  Column 0 is the top slot,
+    so a row shrinks as the leading columns are cleared.
     """
-    norms = 1
-    for row in rows_data:
-        norms *= max(1, sum(a * a for a in row) + keep_t)
-    width = ((2 * (isqrt(norms) + 1)).bit_length() + 9) // 8
+    width = _slot_bytes(rows_data, n_rows, n_cols)
     k = 8 * width
     mask = (1 << k) - 1
+    low = (1 << (k + 1)) - 1
     half = 1 << (k - 1)
     # half in every slot, to move slot values into [0, 2**k) and back
     bias = int.from_bytes(half.to_bytes(width, "big") * n_cols, "big")
@@ -373,13 +408,12 @@ def _gauss_jordan_packed(rows_data, n_rows, n_cols, keep_t):
         place = n_cols - 1 - col
         shift = k * place - 1
         for i in range(n_rows):
-            x = xs[i]
             if place:
-                # x / 2**(k*place) rounded to the nearest integer, mod 2**k
-                t = x >> shift
-                v = ((t >> 1) + (t & 1)) & mask
+                # x / 2**(k*place) rounded to the nearest integer, mod
+                # 2**k: the rounding reads one bit below the slot
+                v = ((((xs[i] >> shift) & low) + 1) >> 1) & mask
             else:
-                v = x & mask
+                v = xs[i] & mask
             factors[i] = v - (1 << k) if v >= half else v
         rank = len(pivots)
         found = None
@@ -395,16 +429,13 @@ def _gauss_jordan_packed(rows_data, n_rows, n_cols, keep_t):
             sign = -sign
         piv = factors[rank]
         xr = xs[rank]
-        at_col = 1 << (k * place)
-        if keep_t:
-            xr += prev * at_col
         for i in range(n_rows):
             factor = factors[i]
             if i == rank or (factor == 0 and piv == prev):
                 continue
             xs[i] = (piv * xs[i] - factor * xr) // prev
-        # the pivot slot ends as prev (T's column) or 0
-        xs[rank] = xr - piv * at_col
+        # the pivot slot ends as 0
+        xs[rank] = xr - (piv << (k * place))
         pivots.append(col)
         prev = piv
     size = width * n_cols
@@ -417,12 +448,20 @@ def _gauss_jordan_packed(rows_data, n_rows, n_cols, keep_t):
     return pivots, sign, prev, origin
 
 
+def _primitive(vec) -> tuple:
+    """vec divided by its entry gcd and signed so that its first
+    non-zero entry is positive."""
+    g = gcd(*vec)
+    if next(x for x in vec if x != 0) < 0:
+        g = -g
+    return tuple(x // g for x in vec)
+
+
 def _kernel_from_reduced(data, pivots, d: int, n_cols: int) -> KernelBasis:
     """Canonical kernel basis read off a fraction-free reduced echelon form.
 
     For each free column f the kernel vector has d at f, -R[i][f] at the
-    pivot column of row i and 0 elsewhere; it is divided by its entry gcd
-    and signed so that its first non-zero entry is positive.
+    pivot column of row i and 0 elsewhere, made primitive (_primitive).
     """
     pivot_set = set(pivots)
     vectors = []
@@ -433,11 +472,38 @@ def _kernel_from_reduced(data, pivots, d: int, n_cols: int) -> KernelBasis:
         vec[free] = d
         for i, p in enumerate(pivots):
             vec[p] = -data[i][free]
-        g = gcd(*vec)
-        if next(x for x in vec if x != 0) < 0:
-            g = -g
-        vectors.append(tuple(x // g for x in vec))
+        vectors.append(_primitive(vec))
     return KernelBasis(ambient=n_cols, vectors=tuple(vectors))
+
+
+def _canonical_basis(vectors: list, n: int) -> KernelBasis:
+    """The canonical basis of a kernel from any basis of it, as lists.
+
+    Column f is free exactly when f is the largest support index of
+    some kernel vector, and the canonical vector for f is the kernel
+    vector that is non-zero at f and zero at every other free column.
+    So a Gauss-Jordan reduction of the basis, its columns taken from
+    right to left, leaves the canonical vectors up to scale, one row per
+    free column: O(eta^2 n) steps for eta vectors.  Each combined row is
+    made primitive at once, which keeps the entries small and leaves a
+    row with nothing to eliminate as it is.
+    """
+    rest = [list(vec) for vec in vectors]
+    done = []
+    for col in range(n - 1, -1, -1):
+        i = next((i for i, row in enumerate(rest) if row[col]), None)
+        if i is None:
+            continue
+        pivot_row = rest.pop(i)
+        p = pivot_row[col]
+        for row in rest + done:
+            f = row[col]
+            if f:
+                row[:] = _primitive([p * a - f * b
+                                     for a, b in zip(row, pivot_row)])
+        done.append(pivot_row)
+    return KernelBasis(ambient=n,
+                       vectors=tuple(map(_primitive, reversed(done))))
 
 
 def rank(m: IntMatrix) -> int:
@@ -470,11 +536,27 @@ def nullspace_basis(m: IntMatrix) -> KernelBasis:
 
 
 def _reduce_symmetric(data: list, n: int) -> tuple:
-    """Reduce [A | I] in place for a symmetric n x n A given as n rows of A.
+    """The kernel of a symmetric n x n A, given as n rows, and d times a
+    solution of every solvable A y = e_v.
 
-    Returns (basis, d, y_rows).  y_rows[v] is None when A y = e_v has no
-    solution; otherwise it is the right half of the row whose pivot lies
-    in column v, which is d * y for one solution y.
+    Returns (basis, d, y_rows): the canonical basis of ker A, a non-zero
+    integer d, and for each v either None, when A y = e_v has no
+    solution, or the integer vector d * y for one solution y.  A dense
+    A (_is_dense) is bordered (_reduce_by_bordering), any other one
+    eliminated beside the identity (_reduce_by_elimination), which
+    rewrites data.  The two routes give the same basis, the same None
+    pattern and the same zero pattern of y_v, but d and y of their own.
+    """
+    if _is_dense(data, n, n):
+        return _reduce_by_bordering(data, n)
+    return _reduce_by_elimination(data, n)
+
+
+def _reduce_by_elimination(data: list, n: int) -> tuple:
+    """_reduce_symmetric by reducing [A | I] in place to [R | T].
+
+    y_rows[v] is the right half of the row whose pivot lies in column v,
+    and d is the common pivot of R.
 
     Fraction-free Gauss-Jordan leaves [R | T] with T A = R, R in reduced
     echelon form and every pivot equal to d.  The rows of T below the
@@ -503,6 +585,152 @@ def _reduce_symmetric(data: list, n: int) -> tuple:
     )
     basis = _kernel_from_reduced(data, pivots, d, n)
     return basis, d, y_rows
+
+
+def _reduce_by_bordering(rows: list, n: int) -> tuple:
+    """_reduce_symmetric by bordering (the escalator method): grow a
+    non-singular principal block A[B, B], keeping d = det A[B, B] and
+    T = adj A[B, B].
+
+    For v outside B let b_v = A[B, v] and W = T b_v; then
+    sigma = d a_vv - b_v' W is d times the Schur complement of v.  If
+    sigma != 0, v joins B (a 1 x 1 step): the bordered block has
+    determinant sigma and adjugate [[(sigma T + W W') / d, -W], [-W', d]].
+    If sigma = 0, as it always is on a bipartite graph, v joins together
+    with a partner u outside B for which tau = d a_uv - b_u' W != 0 (a
+    2 x 2 step, Bunch and Parlett 1971).  With s = sigma_u, the pair's
+    Schur complement is [[s, tau], [tau, 0]] / d, the new determinant
+    is -tau^2 / d, and the new adjugate is spelled out where the step
+    is taken.  Every value stored is an adjugate entry, a minor of A,
+    so every division is exact (Sylvester's identity).  The partner is
+    sought among v's neighbours not yet met, then among the pending
+    vertices, those for which no step was found.  The vertices are
+    taken in index order; then each pending one is retried, in order,
+    if B has grown since its last try, until none is left to retry.
+    Every vertex outside B then has sigma = 0 and every pair of them
+    tau = 0 with the final B (tau is symmetric, and the later of the
+    two tried the earlier), so the Schur complement of A[B, B] is zero:
+    |B| is the rank of A, and eta vertices pend.
+
+    T sits on packed rows, one int per vertex of B: slot j holds the
+    j-th vertex of B from the low end, in signed slots of _slot_bytes.
+    So T b_v is a sum of rows and a row update a few big-integer
+    operations, about n^3 / 3 slot operations against n^3 for the
+    elimination of [A | I].  Each pending w gives the kernel vector
+    d e_w - T b_w (on B), which _canonical_basis makes canonical.  A
+    vertex v outside every kernel support is in B, and y_rows[v] is
+    its row of T, zero off B: d times the solution of A y = e_v that is
+    supported on B.
+    """
+    width = _slot_bytes(rows, n, n)
+    k = 8 * width
+    half = 1 << (k - 1)
+    links = [[(j, a) for j, a in enumerate(row) if a and j != v]
+             for v, row in enumerate(rows)]
+    slot = [None] * n  # vertex -> its slot of T, None outside B
+    order = []  # the vertices of B, order[j] in slot j
+    t = []  # the packed rows of T, by slot
+    d = 1
+    bias = 0  # half in every slot of B, to decode the signed slots
+    pending = {}  # vertex with no step yet -> |B| at its last try
+
+    def decode(x):
+        """The slot values of a packed row over B."""
+        raw = (x + bias).to_bytes(width * len(t), "little")
+        return [int.from_bytes(raw[i:i + width], "little") - half
+                for i in range(0, len(raw), width)]
+
+    def product(v):
+        """T b_v, packed and decoded."""
+        x = 0
+        for j, a in links[v]:
+            i = slot[j]
+            if i is not None:
+                x += t[i] if a == 1 else a * t[i]
+        return x, decode(x)
+
+    def schur(u, v, support):
+        """d a_uv - b_u' W, for W = T b_v given as the (vertex, entry)
+        pairs of its non-zero entries."""
+        row = rows[u]
+        return d * row[v] - sum(x * row[j] for j, x in support)
+
+    def take(v):
+        """Border A[B, B] by v, or by v and a partner, or else mark v
+        pending with the size of B it was tried with."""
+        nonlocal d, bias
+        x_v, w_v = product(v)
+        support = [(j, x) for j, x in zip(order, w_v) if x]
+        sigma = schur(v, v, support)
+        top = 1 << (k * len(t))  # the unit of the next slot
+        if sigma:
+            x_v -= d * top
+            t[:] = [(sigma * r + w * x_v) // d for r, w in zip(t, w_v)]
+            t.append(-x_v)
+            joined = (v,)
+            bias += half * top
+            d = sigma
+        else:
+            tau = 0
+            met = [j for j, _ in links[v]
+                   if slot[j] is None and j not in pending]
+            for u in chain(met, pending):
+                if u != v:
+                    tau = schur(u, v, support)
+                    if tau:
+                        break
+            if not tau:
+                pending[v] = len(order)
+                return
+            x_u, w_u = product(u)
+            s = schur(u, u, [(j, x) for j, x in zip(order, w_u) if x])
+            after = top << k  # the unit of the slot after that
+            x_u -= d * top
+            x_v -= d * after
+            # T_i <- (D T_i + alpha_i x_u + beta_i x_v) / d^2, with
+            # D = -tau^2, d times the new determinant,
+            # alpha_i = -tau w_v,i and beta_i = s w_v,i - tau w_u,i
+            dd = d * d
+            square = tau * tau
+            t[:] = [(-square * r - tau * wv * x_u
+                     + (s * wv - tau * wu) * x_v) // dd
+                    for r, wu, wv in zip(t, w_u, w_v)]
+            # the rows of u and v: -alpha / d and -beta / d on B, then
+            # the adjugate [[0, -tau], [-tau, s]] of the pair
+            t.append(tau * x_v // d)
+            t.append((tau * x_u - s * x_v) // d)
+            joined = (u, v)
+            bias += half * (top + after)
+            d = -square // d
+        for w in joined:
+            slot[w] = len(order)
+            order.append(w)
+            pending.pop(w, None)
+
+    for v in range(n):
+        if slot[v] is None:
+            take(v)
+    while stale := [v for v, size in pending.items() if size < len(order)]:
+        for v in stale:
+            if slot[v] is None:
+                take(v)
+    kernel = []
+    for w in pending:
+        vec = [0] * n
+        vec[w] = d
+        for j, x in zip(order, product(w)[1]):
+            vec[j] = -x
+        kernel.append(vec)
+    basis = _canonical_basis(kernel, n)
+    core = basis.supports()
+    y_rows = []
+    for v in range(n):
+        if v in core:
+            y_rows.append(None)
+        else:
+            row = decode(t[slot[v]])
+            y_rows.append(tuple(0 if i is None else row[i] for i in slot))
+    return basis, d, tuple(y_rows)
 
 
 def char_poly(m: IntMatrix) -> CharPoly:

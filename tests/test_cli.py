@@ -9,7 +9,7 @@ from enum import IntEnum
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import nullcore.graphs
 import nullcore.perturb
@@ -571,6 +571,8 @@ json_payloads = st.recursive(
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(json_payloads)
+@example([[0, -7, 2**70], (3,)])
+@example([1, True, 0, False])
 def test_json_writer_matches_json_dumps(payload):
     assert cli._json_text(payload) == json.dumps(payload, indent=2) + "\n"
 

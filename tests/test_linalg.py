@@ -364,15 +364,41 @@ def test_elimination_clears_pivot_slots_on_rectangular(case):
         assert det(m) == (sign * d if len(pivots) == n_cols else 0)
 
 
-def _both_routes(rows, n_cols, keep_t):
+def _both_routes(rows, n_cols):
     """Run the list and the packed route on copies of rows; both the
     result tuples and the reduced rows must agree."""
     by_lists = [list(row) for row in rows]
     by_packed = [list(row) for row in rows]
-    expected = linalg._gauss_jordan_lists(by_lists, len(rows), n_cols, keep_t)
-    got = linalg._gauss_jordan_packed(by_packed, len(rows), n_cols, keep_t)
+    expected = linalg._gauss_jordan_lists(by_lists, len(rows), n_cols, False)
+    got = linalg._gauss_jordan_packed(by_packed, len(rows), n_cols)
     assert got == expected
     assert by_packed == by_lists
+
+
+def _bordering_matches_lists(rows):
+    """Border a symmetric matrix and eliminate [A | I] on list rows.
+
+    Both must give the same kernel basis, the same None pattern and the
+    same zero pattern of y_v.  Bordering's own d and y must satisfy
+    A y = d e_v exactly, with y symmetric on the non-core block.
+    Returns the bordered y_rows.
+    """
+    n = len(rows)
+    basis, d, y_rows = linalg._reduce_by_bordering(
+        [list(row) for row in rows], n)
+    expected, _, expected_y = linalg._reduce_by_elimination(
+        [list(row) for row in rows], n)
+    assert basis == expected
+    assert [y is None for y in y_rows] == [y is None for y in expected_y]
+    assert [y is None or y[v] == 0 for v, y in enumerate(y_rows)] == [
+        y is None or y[v] == 0 for v, y in enumerate(expected_y)]
+    solvable = [v for v, y in enumerate(y_rows) if y is not None]
+    for v in solvable:
+        y = y_rows[v]
+        assert [sum(a * b for a, b in zip(row, y)) for row in rows] == [
+            d * (u == v) for u in range(n)]
+        assert all(y[w] == y_rows[w][v] for w in solvable)
+    return y_rows
 
 
 @st.composite
@@ -387,6 +413,59 @@ def dense_graph_adjacency(draw):
             if rng.randrange(4) < quarters])
 
 
+@st.composite
+def dense_bipartite_adjacency(draw):
+    """Adjacency rows of a random bipartite graph, n from 16 to 40, each
+    cross pair kept with probability 1/4..3/4: its Schur complements
+    have a zero diagonal, so bordering takes 2 x 2 steps only."""
+    n = draw(st.integers(16, 40))
+    quarters = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    side = [rng.randrange(2) for _ in range(n)]
+    return oracle.adjacency_rows(
+        n, [(u, w) for u in range(n) for w in range(u + 1, n)
+            if side[u] != side[w] and rng.randrange(4) < quarters])
+
+
+@st.composite
+def dense_twin_adjacency(draw):
+    """Adjacency rows of G(n, p), n from 16 to 40, in which one vertex
+    copies the neighbourhood of another, so the nullity is positive."""
+    rows = draw(dense_graph_adjacency())
+    source, copy = draw(st.permutations(range(len(rows))))[:2]
+    return _planted_duplicate(rows, source, copy)
+
+
+@st.composite
+def dense_signed_symmetric(draw):
+    """A symmetric matrix, n from 16 to 40, with off-diagonal entries in
+    -2..2, a diagonal in +-1, +-2 and, in half the draws, a planted
+    duplicate row."""
+    n = draw(st.integers(16, 40))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.choice((-2, -1, 1, 2))
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.randint(-2, 2)
+    if draw(st.booleans()):
+        rows = _planted_duplicate(rows, *rng.sample(range(n), 2))
+    return rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(dense_graph_adjacency(), dense_bipartite_adjacency(),
+                 dense_twin_adjacency(), dense_signed_symmetric()))
+def test_bordering_matches_elimination_on_dense_matrices(rows):
+    y_rows = _bordering_matches_lists(rows)
+    n = len(rows)
+    if n <= 28:
+        expected = oracle.unit_solution_entries(rows)
+        assert [y is None for y in y_rows] == [y is None for y in expected]
+        assert all(y is None or (y[v] == 0) == (expected[v] == 0)
+                   for v, y in enumerate(y_rows))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.one_of(int_matrices(),
                  symmetric_matrices().map(lambda rows: (rows, len(rows))),
@@ -396,16 +475,17 @@ def dense_graph_adjacency(draw):
 @example(([], 0))
 def test_packed_rows_match_list_rows(case):
     rows, n_cols = case
-    _both_routes(rows, n_cols, False)
-    if len(rows) == n_cols:
-        _both_routes(rows, n_cols, True)
+    _both_routes(rows, n_cols)
+    if len(rows) == n_cols and all(
+            rows[i][j] == rows[j][i] for i in range(n_cols) for j in range(i)):
+        _bordering_matches_lists(rows)
 
 
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)
 @given(dense_graph_adjacency())
 def test_packed_rows_match_list_rows_on_dense_graphs(rows):
-    for keep_t in (False, True):
-        _both_routes(rows, len(rows), keep_t)
+    _both_routes(rows, len(rows))
+    _bordering_matches_lists(rows)
 
 
 def _sylvester(n):
@@ -434,29 +514,39 @@ def test_elimination_at_hadamards_bound(n):
     h_entries = oracle.unit_solution_entries(h)
     negated = [[-x for x in row] for row in h]
     twinned = _planted_duplicate(h, 3, n - 2)
+    # H without its first row and column, with 1 -> 0 and -1 -> 1, is a
+    # symmetric {0, 1} matrix of order n - 1 whose |det| is
+    # n^(n/2) / 2^(n-1), the bound that gives a {0, 1} matrix its slots
+    binary = [[(1 - x) // 2 for x in row[1:]] for row in h[1:]]
     # H is invertible, and -H y = e_v exactly when H (-y) = e_v
-    for rows, entries in ((h, h_entries),
-                          (negated, [-y for y in h_entries]),
-                          (twinned, oracle.unit_solution_entries(twinned))):
+    for rows, entries, extreme in (
+            (h, h_entries, n ** (n // 2)),
+            (negated, [-y for y in h_entries], n ** (n // 2)),
+            (twinned, oracle.unit_solution_entries(twinned), 0),
+            (binary, oracle.unit_solution_entries(binary),
+             n ** (n // 2) >> (n - 1))):
+        order = len(rows)
         m = IntMatrix(rows)
         r, swaps, product = oracle.gauss_eliminate(rows)
         assert rank(m) == r
-        assert det(m) == (swaps * product if r == n else 0)
-        assert abs(det(m)) in (0, n ** (n // 2))
-        kernel = oracle.kernel_basis(rows, n)
+        assert det(m) == (swaps * product if r == order else 0)
+        assert abs(det(m)) == extreme
+        kernel = oracle.kernel_basis(rows, order)
         assert nullspace_basis(m).vectors == kernel
-        basis, _, y_rows = _reduce_symmetric([list(row) for row in rows], n)
+        basis, _, y_rows = _reduce_symmetric([list(row) for row in rows],
+                                             order)
         assert basis.vectors == kernel
         assert [y is None for y in y_rows] == [y is None for y in entries]
         assert all(y is None or (y[v] == 0) == (entries[v] == 0)
                    for v, y in enumerate(y_rows))
-        for keep_t in (False, True):
-            _both_routes(rows, n, keep_t)
+        _both_routes(rows, order)
+        _bordering_matches_lists(rows)
 
 
 def test_route_follows_size_and_fill(monkeypatch):
     taken = []
-    for name in ("_gauss_jordan_lists", "_gauss_jordan_packed"):
+    for name in ("_gauss_jordan_lists", "_gauss_jordan_packed",
+                 "_reduce_by_bordering"):
         def spy(*args, route=getattr(linalg, name), name=name):
             taken.append(name)
             return route(*args)
@@ -465,6 +555,9 @@ def test_route_follows_size_and_fill(monkeypatch):
     dense24 = gen_random_graph(24, 1, 2, 5)
     assert dense24.m >= 2 * (24 + 16)
     classify_vertices(dense24)
+    assert taken == ["_reduce_by_bordering"]
+    taken.clear()
+    rank(adjacency_matrix(dense24))
     assert taken == ["_gauss_jordan_packed"]
     taken.clear()
     classify_vertices(gen_random_tree(64, 3))

@@ -290,16 +290,26 @@ def test_record_construction_by_position_and_keyword():
     assert (by_position.u, by_position.w, by_position.type_pair) == (
         0, 2, "NCV-NCV")
     assert KernelBasis(ambient=1, vectors=()) == KernelBasis(1, ())
-    for args, kwargs in (
-        ((0, 2), {}),                                  # missing
-        ((0, 2, "NCV-NCV", 5), {}),                    # extra
-        ((), {"u": 0, "w": 2}),                        # missing
-        ((), {"u": 0, "w": 2, "type_pair": "x", "v": 1}),  # extra
-        ((), {"u": 0, "w": 2, "kind": "x"}),           # wrong name
-        ((0, 2, "x"), {"u": 0}),                       # given twice
+    missing = "EdgeCandidate is missing the fields type_pair"
+    twice = "EdgeCandidate got multiple values for field 'u'"
+    for args, kwargs, message in (
+        ((0, 2), {}, missing),
+        ((0, 2, "NCV-NCV", 5), {},
+         "EdgeCandidate takes 3 fields but 4 were given"),
+        ((), {"u": 0, "w": 2}, missing),
+        ((), {"u": 0, "w": 2, "type_pair": "x", "v": 1},
+         "EdgeCandidate got an unexpected field 'v'"),
+        ((), {"u": 0, "w": 2, "kind": "x"},
+         "EdgeCandidate got an unexpected field 'kind'"),
+        ((0, 2, "x"), {"u": 0}, twice),
+        # the first offending keyword names the error
+        ((0,), {"u": 1, "kind": 2}, twice),
+        ((0,), {"kind": 2, "u": 1},
+         "EdgeCandidate got an unexpected field 'kind'"),
     ):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError) as raised:
             EdgeCandidate(*args, **kwargs)
+        assert str(raised.value) == message
     with pytest.raises(TypeError):
         EdgeCandidate._make([0, 2])
     with pytest.raises(TypeError):

@@ -31,9 +31,9 @@ import tempfile
 # (kind, sizes) for the random generators, each at every seed in _SEEDS
 _RANDOM = (
     ("tree", (1, 2, 9, 16, 32, 64)),
-    ("graph", (8, 16, 24, 32, 48)),
+    ("graph", (8, 16, 24, 32, 48, 64)),
     ("unicyclic", (12, 32)),
-    ("bipartite", (7, 9, 11)),
+    ("bipartite", (7, 9, 11, 32, 40)),
 )
 _SEEDS = (0, 3)
 _FIXED = (("path", 7), ("cycle", 4), ("cycle", 8), ("star", 5))
