@@ -1,24 +1,25 @@
 """Exact integer matrix kernel.
 
-Everything here is arbitrary-precision and tolerance-free.  One
-fraction-free Gauss-Jordan elimination on Python ints (Bareiss one-step
-division, applied above and below each pivot) serves rank, det and
-nullspace_basis: rank is the number of pivots, the determinant is the
-last pivot times the row-swap sign, and the canonical integer nullspace
-basis is read directly off the reduced rows.  The elimination holds a
-large dense matrix as one int per row, its entries in signed slots whose
-width Hadamard's bound certifies, so a row update is a few big-integer
-operations, and any other matrix as lists of ints; both give the same
-integers.
+Everything here is arbitrary-precision and tolerance-free.  There are
+two kernels.  One fraction-free Gauss-Jordan elimination on list rows of
+Python ints (Bareiss one-step division, applied above and below each
+pivot) serves rank, det and nullspace_basis: rank is the number of
+pivots, the determinant is the last pivot times the row-swap sign, and
+the canonical integer nullspace basis is read directly off the reduced
+rows.  A dense symmetric matrix is bordered instead (the escalator
+method): the adjugate of a growing non-singular principal block is kept
+on packed rows, one int per row with the entries in signed slots whose
+width Hadamard's bound certifies, and grown by 1 x 1 or 2 x 2 steps, at
+about a third of the cost of eliminating [A | I].  Its rank is n minus the
+nullity, its determinant the block's determinant at full rank, and its
+kernel basis the same canonical one.
 
 A symmetric matrix also gets, for every v with A y = e_v solvable, d
-times one solution y.  A sparse or small one is eliminated beside the
-identity, [A | I] in place on n-wide list rows.  A dense one is
-bordered instead: the adjugate of a growing non-singular principal
-block is kept on packed rows and grown by 1 x 1 or 2 x 2 steps, at
-about a third of the elimination's cost.  The characteristic
-polynomial uses the Faddeev-LeVerrier recurrence (whose divisions are
-exact for integer matrices), multiplying by the non-zero entries only.
+times one solution y: bordering reads it off the adjugate, and a sparse
+or small matrix is eliminated beside the identity, [A | I] in place on
+n-wide list rows.  The characteristic polynomial uses the
+Faddeev-LeVerrier recurrence (whose divisions are exact for integer
+matrices), multiplying by the non-zero entries only.
 
 Record, the base of every result record in the package, lives here too:
 every library path imports this module, and a module of its own would
@@ -240,32 +241,30 @@ class CharPoly(Record):
         return self.coefficients[-1]
 
 
-def _is_dense(rows_data, n_rows: int, n_cols: int) -> bool:
-    """Whether a matrix goes to the packed routes: at least 16 rows and
-    at least 4 * (n_rows + 16) non-zero entries.  The rule is the
-    measured crossover on trees and G(n, p) (README)."""
-    return n_rows >= 16 and (
-        n_rows * n_cols - sum(row.count(0) for row in rows_data)
-        >= 4 * (n_rows + 16)
-    )
+def _is_dense(rows, n: int) -> bool:
+    """Whether a symmetric n x n matrix is bordered on packed rows
+    (_reduce_by_bordering): at least 16 rows and at least 4 * (n + 16)
+    non-zero entries.  The rule is the measured crossover on trees and
+    G(n, p) (README)."""
+    return n >= 16 and (
+        n * n - sum(row.count(0) for row in rows) >= 4 * (n + 16))
 
 
-def _slot_bytes(rows_data, n_rows: int, n_cols: int) -> int:
-    """Bytes per signed slot of a packed route on this matrix.
+def _slot_bytes(rows, n: int) -> int:
+    """Bytes per signed slot of the packed rows that bordering keeps
+    for a symmetric n x n matrix.
 
-    Every value a packed route stores or decodes is a minor of the
-    matrix, of order at most m = min(n_rows, n_cols).  Hadamard's bound,
-    the product of the row norms, bounds them all; for a {0, 1} matrix
-    so does (m + 1)^((m + 1) / 2) / 2^m, Hadamard's bound on the +-1
-    matrix of order m + 1 that borders it, which is smaller on dense
-    rows.  A slot gets the bit length of twice the smaller bound plus
-    two bits, rounded up to whole bytes so that a row packs and unpacks
-    through bytes; then a slot decodes by rounding, as the slots below
-    it sum to less than half of its unit.
+    Every value bordering stores or decodes is a minor of the matrix, of
+    order at most n.  Hadamard's bound, the product of the row norms,
+    bounds them all; for a {0, 1} matrix so does
+    (n + 1)^((n + 1) / 2) / 2^n, Hadamard's bound on the +-1 matrix of
+    order n + 1 that borders it, which is smaller on dense rows.  A slot
+    gets the bit length of twice the smaller bound plus two bits,
+    rounded up to whole bytes so that a row unpacks through bytes.
     """
     norms = 1
     binary = True
-    for row in rows_data:
+    for row in rows:
         ones = row.count(1)
         if binary and ones + row.count(0) == len(row):
             norms *= max(1, ones)
@@ -274,8 +273,7 @@ def _slot_bytes(rows_data, n_rows: int, n_cols: int) -> int:
             norms *= max(1, sum(a * a for a in row))
     bound = isqrt(norms) + 1
     if binary:
-        m = min(n_rows, n_cols)
-        bound = min(bound, (isqrt((m + 1) ** (m + 1)) >> m) + 1)
+        bound = min(bound, (isqrt((n + 1) ** (n + 1)) >> n) + 1)
     return ((2 * bound).bit_length() + 9) // 8
 
 
@@ -302,21 +300,10 @@ def _gauss_jordan_int(
     is not stored; the step that pivots on the row leaves the old pivot
     in it and -factor in every other row.
 
-    Two routes compute exactly the same integers.  A dense matrix
-    (_is_dense) without keep_t is reduced on packed rows
-    (_gauss_jordan_packed), where a row update is a few big-integer
-    operations on the whole row; any other matrix on list rows
-    (_gauss_jordan_lists), where an update touches entries one by one
-    but skips the many that stay zero in a sparse or small matrix.  A
-    dense [A | I] is not eliminated at all: _reduce_symmetric borders it.
+    The rows are lists of ints, and an update skips the entries that
+    stay zero in a sparse or small matrix.  A dense symmetric matrix is
+    not eliminated at all: _reduced and _reduce_symmetric border it.
     """
-    if not keep_t and _is_dense(rows_data, n_rows, n_cols):
-        return _gauss_jordan_packed(rows_data, n_rows, n_cols)
-    return _gauss_jordan_lists(rows_data, n_rows, n_cols, keep_t)
-
-
-def _gauss_jordan_lists(rows_data, n_rows, n_cols, keep_t):
-    """_gauss_jordan_int on rows kept as lists of ints."""
     pivots = []
     sign = 1
     prev = 1
@@ -371,80 +358,6 @@ def _gauss_jordan_lists(rows_data, n_rows, n_cols, keep_t):
         row_r[col] = prev if keep_t else 0
         pivots.append(col)
         prev = piv
-    return pivots, sign, prev, origin
-
-
-def _gauss_jordan_packed(rows_data, n_rows, n_cols):
-    """_gauss_jordan_int without keep_t on rows packed into one int each.
-
-    Row i is X_i, the sum of x_ij * 2**(k * (n_cols - 1 - j)) over its
-    entries x_ij, each in a signed slot of k bits (_slot_bytes), so the
-    row update (piv*X_i - f*X_r) // prev is two multiplications, a
-    subtraction and a division of integers.  The division is exact on
-    the whole integer because it is exact on every slot, so the product
-    needs no spare room; only the entries read back must fit their
-    slots, and each is a minor of the input.  Column 0 is the top slot,
-    so a row shrinks as the leading columns are cleared.
-    """
-    width = _slot_bytes(rows_data, n_rows, n_cols)
-    k = 8 * width
-    mask = (1 << k) - 1
-    low = (1 << (k + 1)) - 1
-    half = 1 << (k - 1)
-    # half in every slot, to move slot values into [0, 2**k) and back
-    bias = int.from_bytes(half.to_bytes(width, "big") * n_cols, "big")
-    xs = [
-        int.from_bytes(
-            b"".join([(a + half).to_bytes(width, "big") for a in row]), "big"
-        ) - bias
-        for row in rows_data
-    ]
-    factors = [0] * n_rows
-    pivots = []
-    sign = 1
-    prev = 1
-    origin = list(range(n_rows))
-    for col in range(n_cols):
-        place = n_cols - 1 - col
-        shift = k * place - 1
-        for i in range(n_rows):
-            if place:
-                # x / 2**(k*place) rounded to the nearest integer, mod
-                # 2**k: the rounding reads one bit below the slot
-                v = ((((xs[i] >> shift) & low) + 1) >> 1) & mask
-            else:
-                v = xs[i] & mask
-            factors[i] = v - (1 << k) if v >= half else v
-        rank = len(pivots)
-        found = None
-        for i in range(rank, n_rows):
-            if factors[i]:
-                found = i
-                break
-        if found is None:
-            continue
-        if found != rank:
-            for seq in (xs, factors, origin):
-                seq[rank], seq[found] = seq[found], seq[rank]
-            sign = -sign
-        piv = factors[rank]
-        xr = xs[rank]
-        for i in range(n_rows):
-            factor = factors[i]
-            if i == rank or (factor == 0 and piv == prev):
-                continue
-            xs[i] = (piv * xs[i] - factor * xr) // prev
-        # the pivot slot ends as 0
-        xs[rank] = xr - (piv << (k * place))
-        pivots.append(col)
-        prev = piv
-    size = width * n_cols
-    for i in range(n_rows):
-        raw = (xs[i] + bias).to_bytes(size, "big")
-        rows_data[i] = [
-            int.from_bytes(raw[j:j + width], "big") - half
-            for j in range(0, size, width)
-        ]
     return pivots, sign, prev, origin
 
 
@@ -506,20 +419,45 @@ def _canonical_basis(vectors: list, n: int) -> KernelBasis:
                        vectors=tuple(map(_primitive, reversed(done))))
 
 
+def _reduced(m: IntMatrix, want_basis: bool) -> tuple:
+    """(rank, det, basis) of m from its one reduction: the one place
+    where rank, det and nullspace_basis choose their kernel.
+
+    A dense symmetric m (_is_dense) is bordered (_reduce_by_bordering):
+    the rank is n - eta, det is bordering's d = det A[B, B] when eta = 0
+    and 0 otherwise, and the basis is the canonical one bordering
+    returns.  Any other m is eliminated on list rows (_gauss_jordan_int):
+    the rank is the number of pivots, det the last pivot times the
+    row-swap sign at full rank and 0 otherwise, and the basis is read
+    off the reduced rows (_kernel_from_reduced) only if want_basis, so
+    rank and det build none; it is None otherwise.  det is 0 for a
+    non-square m.
+    """
+    data = [list(r) for r in m.data]
+    n = m.rows
+    if n == m.cols and _is_dense(data, n) and m.is_symmetric():
+        basis, d, _ = _reduce_by_bordering(data, n)
+        eta = basis.dimension
+        return n - eta, 0 if eta else d, basis
+    pivots, sign, d, _ = _gauss_jordan_int(data, n, m.cols)
+    r = len(pivots)
+    return (r, sign * d if r == n == m.cols else 0,
+            _kernel_from_reduced(data, pivots, d, m.cols) if want_basis
+            else None)
+
+
 def rank(m: IntMatrix) -> int:
     """Exact rank over the rationals."""
-    data = [list(r) for r in m.data]
-    pivots, _, _, _ = _gauss_jordan_int(data, m.rows, m.cols)
-    return len(pivots)
+    return _reduced(m, False)[0]
 
 
 def det(m: IntMatrix) -> int:
-    """Exact determinant of a square matrix (Bareiss)."""
+    """Exact determinant of a square matrix: fraction-free (Bareiss)
+    elimination, or the determinant bordering ends with on a dense
+    symmetric matrix."""
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
-    data = [list(r) for r in m.data]
-    pivots, sign, d, _ = _gauss_jordan_int(data, m.rows, m.cols)
-    return sign * d if len(pivots) == m.rows else 0
+    return _reduced(m, False)[1]
 
 
 def nullspace_basis(m: IntMatrix) -> KernelBasis:
@@ -528,11 +466,10 @@ def nullspace_basis(m: IntMatrix) -> KernelBasis:
     The fraction-free reduced echelon form R of m has every pivot equal
     to d, so for each free column f the kernel vector with every other
     free entry 0 is d at f and -R[i][f] at the pivot of row i, made
-    primitive and sign-normalised.
+    primitive and sign-normalised.  A dense symmetric m is bordered
+    instead, which reaches the same canonical basis (_reduced).
     """
-    data = [list(r) for r in m.data]
-    pivots, _, d, _ = _gauss_jordan_int(data, m.rows, m.cols)
-    return _kernel_from_reduced(data, pivots, d, m.cols)
+    return _reduced(m, True)[2]
 
 
 def _reduce_symmetric(data: list, n: int) -> tuple:
@@ -547,7 +484,7 @@ def _reduce_symmetric(data: list, n: int) -> tuple:
     rewrites data.  The two routes give the same basis, the same None
     pattern and the same zero pattern of y_v, but d and y of their own.
     """
-    if _is_dense(data, n, n):
+    if _is_dense(data, n):
         return _reduce_by_bordering(data, n)
     return _reduce_by_elimination(data, n)
 
@@ -622,7 +559,7 @@ def _reduce_by_bordering(rows: list, n: int) -> tuple:
     its row of T, zero off B: d times the solution of A y = e_v that is
     supported on B.
     """
-    width = _slot_bytes(rows, n, n)
+    width = _slot_bytes(rows, n)
     k = 8 * width
     half = 1 << (k - 1)
     links = [[(j, a) for j, a in enumerate(row) if a and j != v]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nullcore import linalg
-from nullcore.analysis import classify_vertices
+from nullcore.analysis import classify_vertices, core_labelling
 from nullcore.linalg import (
     IntMatrix,
     _gauss_jordan_int,
@@ -19,7 +19,12 @@ from nullcore.linalg import (
     nullspace_basis,
     rank,
 )
-from nullcore.graphs import adjacency_matrix, gen_random_graph, gen_random_tree
+from nullcore.graphs import (
+    adjacency_matrix,
+    gen_random_bipartite,
+    gen_random_graph,
+    gen_random_tree,
+)
 from nullcore.rng import SplitMix64
 
 import oracle
@@ -364,17 +369,6 @@ def test_elimination_clears_pivot_slots_on_rectangular(case):
         assert det(m) == (sign * d if len(pivots) == n_cols else 0)
 
 
-def _both_routes(rows, n_cols):
-    """Run the list and the packed route on copies of rows; both the
-    result tuples and the reduced rows must agree."""
-    by_lists = [list(row) for row in rows]
-    by_packed = [list(row) for row in rows]
-    expected = linalg._gauss_jordan_lists(by_lists, len(rows), n_cols, False)
-    got = linalg._gauss_jordan_packed(by_packed, len(rows), n_cols)
-    assert got == expected
-    assert by_packed == by_lists
-
-
 def _bordering_matches_lists(rows):
     """Border a symmetric matrix and eliminate [A | I] on list rows.
 
@@ -466,26 +460,41 @@ def test_bordering_matches_elimination_on_dense_matrices(rows):
                    for v, y in enumerate(y_rows))
 
 
+def _bordered_matches_list_rows(rows):
+    """rank, det and nullspace_basis of a symmetric matrix read off
+    bordering (rank n - eta, det d when eta = 0, else 0, and bordering's
+    basis) must equal the list-row readout, and so must the public
+    functions, whichever kernel they choose.  Returns that readout."""
+    n = len(rows)
+    basis, d, _ = linalg._reduce_by_bordering([list(row) for row in rows], n)
+    eta = basis.dimension
+    data = [list(row) for row in rows]
+    pivots, sign, last, _ = _gauss_jordan_int(data, n, n)
+    expected = (len(pivots), sign * last if len(pivots) == n else 0,
+                _kernel_from_reduced(data, pivots, last, n))
+    assert (n - eta, 0 if eta else d, basis) == expected
+    m = IntMatrix(rows, cols=n)
+    assert (rank(m), det(m), nullspace_basis(m)) == expected
+    return expected
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.one_of(int_matrices(),
-                 symmetric_matrices().map(lambda rows: (rows, len(rows))),
-                 planted_twin_adjacency().map(lambda rows: (rows, len(rows)))))
-@example(([[0, 2, 1], [3, 0, 0]], 3))
-@example(([[-3, 3], [3, -3]], 2))
-@example(([], 0))
-def test_packed_rows_match_list_rows(case):
-    rows, n_cols = case
-    _both_routes(rows, n_cols)
-    if len(rows) == n_cols and all(
-            rows[i][j] == rows[j][i] for i in range(n_cols) for j in range(i)):
+@given(st.one_of(dense_graph_adjacency(), dense_bipartite_adjacency(),
+                 dense_twin_adjacency(), dense_signed_symmetric(),
+                 symmetric_matrices(), planted_twin_adjacency()))
+@example([[-3, 3], [3, -3]])
+@example([])
+def test_bordered_primitives_match_list_rows(rows):
+    # the small draws border matrices below the dense rule as well, and
+    # keep the checks of y that ran on them
+    r, d, basis = _bordered_matches_list_rows(rows)
+    n = len(rows)
+    if n < 16:
         _bordering_matches_lists(rows)
-
-
-@settings(max_examples=8, deadline=None, derandomize=True, database=None)
-@given(dense_graph_adjacency())
-def test_packed_rows_match_list_rows_on_dense_graphs(rows):
-    _both_routes(rows, len(rows))
-    _bordering_matches_lists(rows)
+    if n <= 28:
+        assert r == oracle.gauss_rank(rows)
+        assert d == oracle.gauss_det(rows)
+        assert basis.vectors == oracle.kernel_basis(rows, n)
 
 
 def _sylvester(n):
@@ -539,17 +548,16 @@ def test_elimination_at_hadamards_bound(n):
         assert [y is None for y in y_rows] == [y is None for y in entries]
         assert all(y is None or (y[v] == 0) == (entries[v] == 0)
                    for v, y in enumerate(y_rows))
-        _both_routes(rows, order)
+        _bordered_matches_list_rows(rows)
         _bordering_matches_lists(rows)
 
 
 def test_route_follows_size_and_fill(monkeypatch):
     taken = []
-    for name in ("_gauss_jordan_lists", "_gauss_jordan_packed",
-                 "_reduce_by_bordering"):
-        def spy(*args, route=getattr(linalg, name), name=name):
+    for name in ("_gauss_jordan_int", "_reduce_by_bordering"):
+        def spy(*args, route=getattr(linalg, name), name=name, **kwargs):
             taken.append(name)
-            return route(*args)
+            return route(*args, **kwargs)
 
         monkeypatch.setattr(linalg, name, spy)
     dense24 = gen_random_graph(24, 1, 2, 5)
@@ -558,14 +566,26 @@ def test_route_follows_size_and_fill(monkeypatch):
     assert taken == ["_reduce_by_bordering"]
     taken.clear()
     rank(adjacency_matrix(dense24))
-    assert taken == ["_gauss_jordan_packed"]
+    assert taken == ["_reduce_by_bordering"]
+    # Q of a dense bipartite graph is as full, but not symmetric
+    q = core_labelling(gen_random_bipartite(40, 0)).cv_to_ncv
+    assert q.rows >= 16 and not q.is_symmetric()
+    assert sum(x != 0 for row in q.data for x in row) >= 4 * (q.rows + 16)
+    taken.clear()
+    rank(q)
+    assert taken == ["_gauss_jordan_int"]
+    taken.clear()
+    # and so is a square one: ones on and above the diagonal
+    assert det(IntMatrix([[int(i <= j) for j in range(24)]
+                          for i in range(24)])) == 1
+    assert taken == ["_gauss_jordan_int"]
     taken.clear()
     classify_vertices(gen_random_tree(64, 3))
-    assert taken == ["_gauss_jordan_lists"]
+    assert taken == ["_gauss_jordan_int"]
     taken.clear()
     classify_vertices(gen_random_graph(12, 1, 2, 5))
     rank(IntMatrix([[1] * 12] * 12))
-    assert taken == ["_gauss_jordan_lists"] * 2
+    assert taken == ["_gauss_jordan_int"] * 2
 
 
 def test_nullspace_determinism():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nullcore.analysis import VertexClass, classify_vertices, nullity
+from nullcore.analysis import VertexClass, classify_vertices
 from nullcore.errors import PreconditionError, TheoremViolationError
 from nullcore.graphs import (
     Graph,

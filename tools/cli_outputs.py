@@ -10,9 +10,10 @@ file the command wrote, so two checkouts that print the same lines
 behave the same on every command listed.  The graphs are written by
 `nullcore gen` of the same checkout (each gen is a row of its own) into
 a temporary directory, which is also the working directory of every
-command.  The child environment is fixed (PATH, PYTHONPATH,
-PYTHONHASHSEED=0, LC_ALL=C, PYTHONUTF8=1, PYTHONDONTWRITEBYTECODE=1),
-so nothing is written into the checkout.
+command; a planted-twin graph is a gen graph plus a twin of vertex 0.
+The child environment is fixed (PATH, PYTHONPATH, PYTHONHASHSEED=0,
+LC_ALL=C, PYTHONUTF8=1, PYTHONDONTWRITEBYTECODE=1), so nothing is
+written into the checkout.
 
 Usage (standard library only):
 
@@ -36,6 +37,11 @@ _RANDOM = (
     ("bipartite", (7, 9, 11, 32, 40)),
 )
 _SEEDS = (0, 3)
+# G(n, 1/2) from `gen graph` at every seed in _SEEDS, plus a twin of
+# vertex 0 (a new last vertex with the same neighbours and no edge to
+# vertex 0), as the benchmark plants them: analyze then takes det of the
+# remote block M, 14-15 rows at n = 31 and dense with 22-36 rows above
+_TWIN_SIZES = (31, 47, 63)
 _FIXED = (("path", 7), ("cycle", 4), ("cycle", 8), ("star", 5))
 # perturb runs only on graphs up to this order: densify costs one
 # elimination per accepted edge and per CV-NCV candidate tried
@@ -68,7 +74,22 @@ def _graphs():
                             ("gen", kind, str(n), str(seed))))
     for kind, n in _FIXED:
         out.append(("%s-%d.g" % (kind, n), ("gen", kind, str(n))))
+    # a twin graph's row is the gen of its base, which main extends
+    for n in _TWIN_SIZES:
+        for seed in _SEEDS:
+            out.append(("twin-%d-s%d.g" % (n + 1, seed),
+                        ("gen", "graph", str(n), str(seed))))
     return out
+
+
+def _with_twin(text):
+    """The edge list text plus a twin of vertex 0."""
+    head, *lines = text.decode().splitlines()
+    n = int(head.split()[0])
+    edges = [tuple(map(int, line.split())) for line in lines]
+    edges += [(u if w == 0 else w, n) for u, w in edges if 0 in (u, w)]
+    return "".join(["%d %d\n" % (n + 1, len(edges))]
+                   + ["%d %d\n" % edge for edge in edges]).encode()
 
 
 def _run(argv, cwd, env):
@@ -121,6 +142,8 @@ def main(argv) -> int:
             if code != 0:
                 print("gen failed: %s" % " ".join(gen), file=sys.stderr)
                 return 1
+            if name.startswith("twin-"):
+                text = _with_twin(text)
             pathlib.Path(cwd, name).write_bytes(text)
             if int(text.split()[0]) <= _PERTURB_MAX_N:
                 small.append(name)
