@@ -485,7 +485,8 @@ def _reduce_symmetric(data: list, n: int) -> tuple:
     pattern and the same zero pattern of y_v, but d and y of their own.
     """
     if _is_dense(data, n):
-        return _reduce_by_bordering(data, n)
+        basis, d, y_rows = _reduce_by_bordering(data, n)
+        return basis, d, tuple(y_rows)
     return _reduce_by_elimination(data, n)
 
 
@@ -557,7 +558,9 @@ def _reduce_by_bordering(rows: list, n: int) -> tuple:
     d e_w - T b_w (on B), which _canonical_basis makes canonical.  A
     vertex v outside every kernel support is in B, and y_rows[v] is
     its row of T, zero off B: d times the solution of A y = e_v that is
-    supported on B.
+    supported on B.  y_rows is a lazy iterable that decodes each row as
+    it is read, so rank, det and nullspace_basis, which read none, pay
+    for none.
     """
     width = _slot_bytes(rows, n)
     k = 8 * width
@@ -660,14 +663,14 @@ def _reduce_by_bordering(rows: list, n: int) -> tuple:
         kernel.append(vec)
     basis = _canonical_basis(kernel, n)
     core = basis.supports()
-    y_rows = []
-    for v in range(n):
+
+    def y_row(v):
         if v in core:
-            y_rows.append(None)
-        else:
-            row = decode(t[slot[v]])
-            y_rows.append(tuple(0 if i is None else row[i] for i in slot))
-    return basis, d, tuple(y_rows)
+            return None
+        row = decode(t[slot[v]])
+        return tuple(0 if i is None else row[i] for i in slot)
+
+    return basis, d, map(y_row, range(n))
 
 
 def char_poly(m: IntMatrix) -> CharPoly:

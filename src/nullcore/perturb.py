@@ -4,6 +4,9 @@ Candidate edges are tagged by the classes of their endpoints (core, core
 neighbour, remote).  Applying a candidate produces a before/after report
 with exact preservation flags; additions inside the core-forbidden part
 carry hard structural guarantees that are re-checked on every call.
+The safe-addition screen and greedy densification classify no candidate
+graph: one rule (_keeps) decides every screened addition from the
+kernel and the reduction the base partition keeps.
 """
 
 from operator import attrgetter
@@ -79,6 +82,8 @@ _PRESERVED = {
 # core-forbidden part obey: eta preserved <=> CV preserved, and eta
 # preserved => nullspace and labelling preserved.
 CFV_FAMILY = frozenset({"NCV-NCV", "NCV-CFVR", "CFVR-CFVR"})
+# The families safe_additions offers
+_SCREENED = CFV_FAMILY | {"CV-NCV"}
 
 
 def candidate_edges(g: Graph, partition: VertexPartition | None = None):
@@ -303,40 +308,57 @@ def _check_preserve(preserve: str):
         )
 
 
-def _keeps_nullity(part: VertexPartition, u: int, w: int) -> bool:
-    """Whether adding uw keeps eta, for core-forbidden u and w, read off
-    the reduction the partition keeps.
+def _keeps(part: VertexPartition, u: int, w: int, preserve: str) -> bool:
+    """Whether adding uw keeps the preserve property, for a CV-NCV
+    candidate or one with both ends core-forbidden, read off the kernel
+    and the reduction the partition keeps.
 
-    Adding uw adds U C U' to A, with U = [e_u e_w] and C the 2 x 2 swap.
-    Both e_u and e_w lie in the column space of A, so rank additivity
-    (Marsaglia and Styan 1974) gives eta(G + uw) = eta(G) + nullity(K),
-    K = C^-1 + U' Y U for any Y with A Y A = A.  With T_uw = y_block[u][w],
+    Adding uw adds E_uw = U C U' to A, with U = [e_u e_w] and C the 2 x 2
+    swap.  When u and w are both core-forbidden, e_u and e_w lie in the
+    column space of A, and rank additivity (Marsaglia and Styan 1974)
+    gives eta(G + uw) = eta(G) + nullity(K), K = C^-1 + U' Y U for any Y
+    with A Y A = A.  With T_uw = y_block[u][w],
     d K = [[T_uu, d + T_uw], [d + T_wu, T_ww]], so eta is kept exactly
-    when that 2 x 2 determinant is non-zero.
+    when that determinant is non-zero.  Every kernel vector vanishes at
+    u and w, so ker A lies in ker(A + E_uw): a kept eta keeps the kernel,
+    its canonical basis and the core set, and a raised one brings a
+    kernel vector that is non-zero at u or w.  One verdict serves every
+    mode.
+
+    For core u and core-forbidden w, take b in ker A with b_u != 0.  A
+    solution x of (A + E_uw) x = 0 has b' A x = -b_u x_w = 0, so
+    x = k - x_u y_w for a k in ker A, and x_w = -x_u T_ww / d.  So eta is
+    kept exactly when T_ww = 0 (w is cfv_upp) and otherwise drops by one.
+    A kernel vector k with k_u != 0 gives (A + E_uw) k = k_u e_w, so the
+    kernel is never kept.  When eta is, the new kernel is spanned by the
+    b_u k - k_u b for k in ker A, which vanish at u, and by
+    x = (d + T_wu) b - b_u T_w, which is d b_u at u; its core set is the
+    union of their supports.
     """
-    d, yu, yw = part.d, part.y_block[u], part.y_block[w]
-    return yu[u] * yw[w] != (d + yu[w]) * (d + yw[u])
+    d, t = part.d, part.y_block
+    if t[u] is not None and t[w] is not None:
+        return t[u][u] * t[w][w] != (d + t[u][w]) * (d + t[w][u])
+    if t[w] is None:
+        u, w = w, u
+    if t[w][w] or preserve == "nullspace":
+        return False
+    if preserve == "nullity":
+        return True
+    kernel = part.kernel.vectors
+    b = next(k for k in kernel if k[u])
+    bu, tw = b[u], t[w]
+    spanning = [[bu * x - k[u] * y for x, y in zip(k, b)] for k in kernel]
+    spanning.append([(d + tw[u]) * y - bu * x for x, y in zip(tw, b)])
+    return {v for x in spanning for v, a in enumerate(x) if a} == set(
+        part.cv_set)
 
 
 def _safe_candidates(g: Graph, part: VertexPartition, preserve: str):
-    """The candidates of safe_additions, one at a time in (u, w) order.
-
-    A candidate with both endpoints core-forbidden is decided by the
-    rank-two rule alone, in every mode: every kernel vector vanishes at
-    u and w, so ker A lies in ker(A + E_uw).  An unchanged nullity then
-    means an unchanged kernel, canonical basis and core set; a raised
-    one brings a kernel vector that is non-zero at u or w, so the core
-    set changes.  A CV-NCV candidate is added and classified by
-    apply_and_report.
-    """
+    """The candidates of safe_additions, one at a time in (u, w) order,
+    each decided by _keeps from the partition alone."""
     for cand in candidate_edges(g, part):
-        if cand.type_pair in CFV_FAMILY:
-            keeps = _keeps_nullity(part, cand.u, cand.w)
-        elif cand.type_pair == "CV-NCV":
-            keeps = apply_and_report(g, cand, part).preserved[preserve]
-        else:
-            continue
-        if keeps:
+        if cand.type_pair in _SCREENED and _keeps(
+                part, cand.u, cand.w, preserve):
             yield cand
 
 
@@ -348,9 +370,10 @@ def safe_additions(
     preserve is one of nullity, cv_set, nullspace.  CV-CV and CV-CFVR
     candidates are never offered: an edge inside the core or from the
     core to the remote part invalidates the labelling scheme itself,
-    whatever it does to the chosen flag.  A partition passed in must be
-    classify_vertices(g); the screen costs one elimination per CV-NCV
-    candidate and none for the others.
+    whatever it does to the chosen flag.  Every other candidate is
+    decided by _keeps from the partition's kernel and reduction, so the
+    screen costs one elimination, for g, and none when a partition is
+    passed in; that partition must be classify_vertices(g).
     """
     _check_preserve(preserve)
     part = classify_vertices(g) if partition is None else partition
@@ -367,7 +390,8 @@ def greedy_densify(
     accepted edge, so the result is maximal by inclusion, not a claimed
     maximum-cardinality optimum.  That re-check classifies the new graph
     once, and its partition screens the next step, so the run costs one
-    elimination per accepted edge plus one per CV-NCV candidate tried.
+    elimination for g (none when a partition is passed in) plus one per
+    accepted edge.
     """
     _check_preserve(preserve)
     read = _PRESERVED[preserve]

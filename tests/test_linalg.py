@@ -380,6 +380,7 @@ def _bordering_matches_lists(rows):
     n = len(rows)
     basis, d, y_rows = linalg._reduce_by_bordering(
         [list(row) for row in rows], n)
+    y_rows = tuple(y_rows)
     expected, _, expected_y = linalg._reduce_by_elimination(
         [list(row) for row in rows], n)
     assert basis == expected

@@ -7,6 +7,7 @@ from nullcore.analysis import VertexClass, classify_vertices
 from nullcore.errors import PreconditionError, TheoremViolationError
 from nullcore.graphs import (
     Graph,
+    _adjacency_rows,
     add_edge,
     gen_cycle,
     gen_path,
@@ -209,34 +210,63 @@ def test_verify_cv_ncv_sweep_random_trees():
     assert met > 0 and unmet > 0
 
 
-def _count_calls(monkeypatch, module, name):
-    """Wrap module.name so every call is appended to the returned list."""
+def _count_calls(monkeypatch, module, *names):
+    """Wrap each module.name so every call is appended to the one
+    returned list."""
     calls = []
-    real = getattr(module, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(real):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(module, name, counted)
+    for name in names:
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
     return calls
 
 
+def _count_eliminations(monkeypatch):
+    """Every elimination linalg runs, on list rows or bordered."""
+    return _count_calls(monkeypatch, nullcore.linalg, "_gauss_jordan_int",
+                        "_reduce_by_bordering")
+
+
+def _planted_twins(n, copies, seed):
+    """G(n - copies, 1/2) in which each of the first copies vertices gets
+    a twin (a new vertex with its neighbours and no edge to it), so the
+    twins are core and their neighbours core-forbidden."""
+    base = n - copies
+    edges = list(gen_random_graph(base, 1, 2, seed).edges())
+    for source in range(copies):
+        edges += [(u if w == source else w, base + source)
+                  for u, w in edges if source in (u, w)]
+    return Graph(n, edges)
+
+
+_TWINS_17 = _planted_twins(17, 2, 4)
+
+
 def test_safe_additions_eliminates_once_per_graph(monkeypatch):
-    # The base graph is eliminated once; the rank-two rule decides every
-    # candidate inside the core-forbidden part from that elimination, and
-    # each CV-NCV candidate costs one elimination of its own.
-    cv_ncv = [c for c in candidate_edges(T9) if c.type_pair == "CV-NCV"]
-    assert cv_ncv and any(
-        c.type_pair in CFV_FAMILY for c in candidate_edges(T9))
-    elims = _count_calls(monkeypatch, nullcore.linalg, "_gauss_jordan_int")
-    safe_additions(T9, "nullspace")
-    assert len(elims) == 1 + len(cv_ncv)
-    # a partition handed in is not classified again
-    part = classify_vertices(T9)
-    elims.clear()
-    safe_additions(T9, "nullspace", part)
-    assert len(elims) == len(cv_ncv)
+    # The base graph is eliminated once, on list rows (T9) or bordered
+    # (_TWINS_17), and every candidate, CV-NCV or inside the
+    # core-forbidden part, is decided from that elimination.
+    elims = _count_eliminations(monkeypatch)
+    reports = _count_calls(monkeypatch, nullcore.perturb, "apply_and_report")
+    assert nullcore.linalg._is_dense(_adjacency_rows(_TWINS_17), 17)
+    for g in (T9, _TWINS_17):
+        tags = {c.type_pair for c in candidate_edges(g)}
+        assert "CV-NCV" in tags and tags & CFV_FAMILY
+        for mode in _MODES:
+            elims.clear()
+            safe_additions(g, mode)
+            assert len(elims) == 1
+            # a partition handed in is not classified again
+            part = classify_vertices(g)
+            elims.clear()
+            safe_additions(g, mode, part)
+            assert elims == []
+    assert reports == []
 
 
 def test_safe_additions_fixtures():
@@ -494,26 +524,34 @@ def small_graphs(draw):
 
 
 def _screen_against_reports(g):
-    """Check the rank-two rule against apply_and_report on every candidate
-    inside the core-forbidden part; returns the verdicts."""
+    """Check the screen's rule against apply_and_report on every CV-NCV
+    candidate and every candidate inside the core-forbidden part, in
+    every mode, and for n <= 8 its nullity and core-set verdicts against
+    the oracle.  Returns the partition and, per candidate, whether it is
+    CV-NCV and the nullity and core-set verdicts."""
     part = classify_vertices(g)
     verdicts = []
     offered = {}
     for cand in candidate_edges(g, part):
         if cand.type_pair in ("CV-CV", "CV-CFVR"):
             continue
-        report = apply_and_report(g, cand, part)
-        offered[cand] = report.preserved
-        if cand.type_pair not in CFV_FAMILY:
-            continue
-        keeps = nullcore.perturb._keeps_nullity(part, cand.u, cand.w)
-        assert keeps is not None
-        assert [report.preserved[mode] for mode in _MODES] == [keeps] * 3
+        flags = apply_and_report(g, cand, part).preserved
+        offered[cand] = flags
+        keeps = {mode: nullcore.perturb._keeps(part, cand.u, cand.w, mode)
+                 for mode in _MODES}
+        assert keeps == {mode: flags[mode] for mode in _MODES}, cand
+        cv_ncv = cand.type_pair == "CV-NCV"
+        # a core end always moves the kernel; otherwise one verdict
+        assert not keeps["nullspace"] if cv_ncv else (
+            len(set(keeps.values())) == 1)
         if g.n <= 8:
             h = add_edge(g, cand.u, cand.w)
-            assert (oracle.nullity_of(h.n, list(h.edges()))
-                    == part.nullity) == keeps
-        verdicts.append(keeps)
+            edges = list(h.edges())
+            assert (oracle.nullity_of(h.n, edges)
+                    == part.nullity) == keeps["nullity"]
+            assert (tuple(oracle.core_vertices(h.n, edges))
+                    == part.cv_set) == keeps["cv_set"]
+        verdicts.append((cv_ncv, keeps["nullity"], keeps["cv_set"]))
     # the listing equals one full report per candidate, in every mode
     for mode in _MODES:
         assert safe_additions(g, mode) == [
@@ -527,9 +565,16 @@ def test_rank_two_screen_matches_full_report(g):
     _screen_against_reports(g)
 
 
+# Every outcome of the screen, for (CV-NCV, eta kept, core set kept):
+# inside the core-forbidden part the two verdicts agree, and a CV-NCV
+# addition that drops eta takes its core end out of the core.
+_OUTCOMES = {(False, True, True), (False, False, False),
+             (True, True, True), (True, True, False), (True, False, False)}
+
+
 def test_rank_two_screen_covers_both_outcomes_with_and_without_cores():
     rng = SplitMix64(2024)
-    seen = {}
+    seen = set()
     for i in range(90):
         n = 3 + rng.below(10)
         seed = rng.next_u64()
@@ -538,11 +583,27 @@ def test_rank_two_screen_covers_both_outcomes_with_and_without_cores():
         else:
             g = gen_random_graph(n, 1, 2 + i % 2, seed)
         part, verdicts = _screen_against_reports(g)
-        for keeps in verdicts:
-            key = (part.independent_cv, keeps)
-            seen[key] = seen.get(key, 0) + 1
-    assert set(seen) == {(True, True), (True, False),
-                         (False, True), (False, False)}, seen
+        seen.update((part.independent_cv,) + v for v in verdicts)
+    assert seen == {(cores,) + outcome for cores in (True, False)
+                    for outcome in _OUTCOMES}, seen
+
+
+def test_screen_matches_full_report_on_bordered_graphs():
+    # Planted twins in G(n, 1/2) are dense from n = 18 (below that many
+    # fall under the _is_dense line), so their partitions carry
+    # bordering's d and y rows; two twins give CV-NCV candidates.  None
+    # of them keeps the core set through a CV-NCV addition, so MET_TREE
+    # beside K_13 adds one that does.
+    k13 = gen_random_graph(13, 1, 1, 0)
+    graphs = [_planted_twins(n, copies, 10 * n + copies)
+              for n in range(18, 25) for copies in (1, 2)]
+    graphs.append(Graph(24, list(MET_TREE.edges())
+                        + [(u + 11, w + 11) for u, w in k13.edges()]))
+    seen = set()
+    for g in graphs:
+        assert nullcore.linalg._is_dense(_adjacency_rows(g), g.n)
+        seen.update(_screen_against_reports(g)[1])
+    assert seen == _OUTCOMES, seen
 
 
 def _densify_one_report_per_candidate(g, preserve):
@@ -577,34 +638,17 @@ def test_greedy_densify_matches_one_report_per_candidate():
     assert total > 50
 
 
-def _cv_ncv_tried(g, added):
-    """CV-NCV candidates a lazy densify tries: at each step those up to
-    the accepted edge, and at the last step all of them."""
-    tried = 0
-    current = g
-    for edge in list(added) + [None]:
-        for cand in candidate_edges(current):
-            tried += cand.type_pair == "CV-NCV"
-            if (cand.u, cand.w) == edge:
-                break
-        if edge is not None:
-            current = add_edge(current, *edge)
-    return tried
-
-
 @pytest.mark.parametrize("preserve", _MODES)
 def test_greedy_densify_elimination_count(monkeypatch, preserve):
-    # One elimination for the base graph, one per accepted edge (its
-    # re-check, reused by the next step) and one per CV-NCV candidate
-    # tried; candidates inside the core-forbidden part cost none.
+    # One elimination for the base graph and one per accepted edge (its
+    # re-check, reused by the next step); no candidate costs one.
     graphs = [T9, MET_TREE, gen_path(7), gen_random_tree(12, 5),
-              gen_random_graph(9, 1, 2, 3)]
+              gen_random_graph(9, 1, 2, 3), _TWINS_17]
     for g in graphs:
-        elims = _count_calls(monkeypatch, nullcore.linalg,
-                             "_gauss_jordan_int")
+        elims = _count_eliminations(monkeypatch)
         reports = _count_calls(monkeypatch, nullcore.perturb,
                                "apply_and_report")
         _, added = greedy_densify(g, preserve)
         monkeypatch.undo()
-        assert len(reports) == _cv_ncv_tried(g, added)
-        assert len(elims) == 1 + len(added) + len(reports), g.edges()
+        assert reports == []
+        assert len(elims) == 1 + len(added), g.edges()

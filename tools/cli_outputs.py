@@ -43,9 +43,11 @@ _SEEDS = (0, 3)
 # remote block M, 14-15 rows at n = 31 and dense with 22-36 rows above
 _TWIN_SIZES = (31, 47, 63)
 _FIXED = (("path", 7), ("cycle", 4), ("cycle", 8), ("star", 5))
-# perturb runs only on graphs up to this order: densify costs one
-# elimination per accepted edge and per CV-NCV candidate tried
-_PERTURB_MAX_N = 12
+# perturb runs only on graphs up to this order, tree-16 included (9 and
+# 24 CV-NCV candidates at the two seeds).  Densify costs one elimination
+# per accepted edge; checkouts that screen each CV-NCV candidate by an
+# elimination of its own take seconds per row above this order
+_PERTURB_MAX_N = 16
 _PER_GRAPH = (("analyze",), ("analyze", "--dot"), ("mc",),
               ("reduce", "--slim"), ("reduce", "--pendant"))
 _VERIFY_SEEDS = (0, 5, 9)
