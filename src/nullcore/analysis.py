@@ -178,25 +178,35 @@ def classify_vertices(g: Graph, basis: KernelBasis | None = None) -> VertexParti
     if basis is not None:
         _check_claimed_basis(g, basis, kernel.dimension, class_of)
     cv = tuple(v for v in range(n) if y_block[v] is None)
-    cv_set = set(cv)
-    ncv = tuple(
-        v
-        for v in range(n)
-        if v not in cv_set and any(w in cv_set for w in g.adjacency[v])
-    )
-    ncv_set = set(ncv)
-    cfvr = tuple(v for v in range(n) if v not in cv_set and v not in ncv_set)
+    ncv, cfvr, independent = _labelling_parts(g, cv)
     return VertexPartition(
         nullity=kernel.dimension,
         class_of=class_of,
         cv_set=cv,
         ncv_set=ncv,
         cfvr_set=cfvr,
-        independent_cv=_first_adjacent_pair(g, cv) is None,
+        independent_cv=independent,
         kernel=kernel,
         d=d,
         y_block=y_block,
     )
+
+
+def _labelling_parts(g: Graph, cv: tuple) -> tuple:
+    """(ncv_set, cfvr_set, independent_cv) of g, given its core
+    vertices cv in ascending order: the core-forbidden vertices with a
+    core neighbour, the other core-forbidden vertices, and whether no
+    two core vertices are adjacent."""
+    cv_set = set(cv)
+    ncv = tuple(
+        v
+        for v in range(g.n)
+        if v not in cv_set and any(w in cv_set for w in g.adjacency[v])
+    )
+    ncv_set = set(ncv)
+    cfvr = tuple(
+        v for v in range(g.n) if v not in cv_set and v not in ncv_set)
+    return ncv, cfvr, _first_adjacent_pair(g, cv) is None
 
 
 def _check_claimed_basis(g: Graph, basis: KernelBasis, eta: int, class_of):

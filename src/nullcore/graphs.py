@@ -216,9 +216,22 @@ def serialize_edge_list(g: Graph) -> str:
 
 
 def add_edge(g: Graph, u: int, w: int) -> Graph:
-    """g plus the edge uw; Graph raises ValueError for a self-loop, an
-    endpoint out of range or an edge already present."""
-    return Graph(g.n, g.edges() + ((min(u, w), max(u, w)),))
+    """g plus the edge uw, built from g's adjacency lists without
+    checking them again.  A self-loop, an endpoint out of range or an
+    edge already present goes to Graph, which raises its ValueError for
+    the edge (min(u, w), max(u, w))."""
+    n = g.n
+    a, b = min(u, w), max(u, w)
+    if not 0 <= a < b < n or b in g.adjacency[a]:
+        return Graph(n, g.edges() + ((a, b),))
+    adjacency = list(g.adjacency)
+    adjacency[a] = tuple(sorted(adjacency[a] + (b,)))
+    adjacency[b] = tuple(sorted(adjacency[b] + (a,)))
+    h = object.__new__(Graph)
+    object.__setattr__(h, "n", n)
+    object.__setattr__(h, "adjacency", tuple(adjacency))
+    object.__setattr__(h, "_edge_count", g.m + 1)
+    return h
 
 
 def delete_edge(g: Graph, u: int, w: int) -> Graph:
@@ -423,14 +436,17 @@ def gen_star(n: int) -> Graph:
 
 def gen_random_tree(n: int, seed: int) -> Graph:
     """Uniform random labelled tree: random Pruefer sequence, decoded with
-    the smallest-leaf rule.  Same (n, seed) always gives the same tree."""
+    the smallest-leaf rule.  Same (n, seed) always gives the same tree.
+
+    The decoder runs in linear time: a pointer moves up through the
+    vertices to the next leaf, and a vertex that becomes a leaf below
+    the pointer is the smallest leaf at once, so it is taken next.
+    """
     _check_size(n)
     if n == 1:
         return Graph(1)
-    # heapq and the rng are imported by the generators that use them, so
-    # the commands that only read a graph never load them
-    import heapq
-
+    # the rng is imported by the generators that use it, so the commands
+    # that only read a graph never load it
     from .rng import SplitMix64
 
     rng = SplitMix64(seed)
@@ -438,18 +454,18 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
+    ptr = degree.index(1)
+    leaf = ptr
     edges = []
     for x in seq:
-        v = heapq.heappop(leaves)
-        edges.append((min(v, x), max(v, x)))
+        edges.append((min(leaf, x), max(leaf, x)))
         degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    w = heapq.heappop(leaves)
-    edges.append((min(u, w), max(u, w)))
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            ptr = degree.index(1, ptr + 1)
+            leaf = ptr
+    edges.append((leaf, n - 1))
     return Graph(n, edges)
 
 

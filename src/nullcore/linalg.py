@@ -302,7 +302,8 @@ def _gauss_jordan_int(
 
     The rows are lists of ints, and an update skips the entries that
     stay zero in a sparse or small matrix.  A dense symmetric matrix is
-    not eliminated at all: _reduced and _reduce_symmetric border it.
+    not eliminated at all: _reduced, _reduce_symmetric and
+    _symmetric_kernel border it.
     """
     pivots = []
     sign = 1
@@ -488,6 +489,19 @@ def _reduce_symmetric(data: list, n: int) -> tuple:
         basis, d, y_rows = _reduce_by_bordering(data, n)
         return basis, d, tuple(y_rows)
     return _reduce_by_elimination(data, n)
+
+
+def _symmetric_kernel(data: list, n: int) -> KernelBasis:
+    """The canonical basis of ker A for a symmetric n x n A given as n
+    rows, which it rewrites: _reduce_symmetric without the y rows.
+
+    The route is the one _reduced takes for nullspace_basis of A, so a
+    sparse A is eliminated alone, not beside the identity.
+    """
+    if _is_dense(data, n):
+        return _reduce_by_bordering(data, n)[0]
+    pivots, _, d, _ = _gauss_jordan_int(data, n, n)
+    return _kernel_from_reduced(data, pivots, d, n)
 
 
 def _reduce_by_elimination(data: list, n: int) -> tuple:

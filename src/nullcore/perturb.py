@@ -4,6 +4,9 @@ Candidate edges are tagged by the classes of their endpoints (core, core
 neighbour, remote).  Applying a candidate produces a before/after report
 with exact preservation flags; additions inside the core-forbidden part
 carry hard structural guarantees that are re-checked on every call.
+Each report reads the changed graph through one elimination of its own,
+for the kernel alone: the flags need the kernel, the core set and the
+labelling parts, never the split of the core-forbidden vertices.
 The safe-addition screen and greedy densification classify no candidate
 graph: one rule (_keeps) decides every screened addition from the
 kernel and the reduction the base partition keeps.
@@ -14,17 +17,27 @@ from operator import attrgetter
 from .analysis import (
     VertexPartition,
     _in_kernel,
+    _labelling_parts,
     classify_vertices,
     require_independent_cv,
 )
 from .errors import PreconditionError, TheoremViolationError
-from .graphs import Graph, add_edge, delete_edge
-from .linalg import KernelBasis, Record
+from .graphs import Graph, _adjacency_rows, add_edge, delete_edge
+from .linalg import KernelBasis, Record, _symmetric_kernel
+
+_PARTS = ("cv", "ncv", "cfvr")
+# _TAGS[i][j] tags an edge between the parts _PARTS[i] and _PARTS[j]:
+# their type pair, the earlier part first
+_TAGS = tuple(
+    tuple("-".join(_PARTS[k] for k in sorted((i, j))).upper()
+          for j in range(3))
+    for i in range(3)
+)
+
 
 def _type_pair(u: int, w: int, partition: VertexPartition) -> str:
-    parts = sorted((partition._part(u), partition._part(w)),
-                   key=("cv", "ncv", "cfvr").index)
-    return "-".join(parts).upper()
+    return _TAGS[_PARTS.index(partition._part(u))][
+        _PARTS.index(partition._part(w))]
 
 
 class EdgeCandidate(Record):
@@ -93,17 +106,44 @@ def candidate_edges(g: Graph, partition: VertexPartition | None = None):
     semantics only when the core vertices are independent.
     """
     part = classify_vertices(g) if partition is None else partition
-    out = []
+    return [EdgeCandidate(*c) for c in _tagged_non_edges(g, part)]
+
+
+def _tagged_non_edges(g: Graph, part: VertexPartition):
+    """(u, w, type pair) for every non-adjacent pair u < w of g, in
+    (u, w) order, tagged from the part of each vertex, looked up once."""
+    index = [_PARTS.index(part._part(v)) for v in range(g.n)]
     for u in range(g.n):
         row = set(g.adjacency[u])
+        tags = _TAGS[index[u]]
         for w in range(u + 1, g.n):
             if w not in row:
-                out.append(EdgeCandidate(u, w, _type_pair(u, w, part)))
-    return out
+                yield u, w, tags[index[w]]
+
+
+class _KernelState(Record):
+    """What a report reads of the changed graph, from one elimination
+    of its adjacency matrix for the kernel alone (_kernel_state): the
+    fields of the same name of its VertexPartition."""
+
+    nullity: int
+    cv_set: tuple
+    ncv_set: tuple
+    independent_cv: bool
+    kernel: KernelBasis
+
+
+def _kernel_state(h: Graph) -> _KernelState:
+    """The kernel of A(h), eliminated from scratch, its supports as the
+    core set, and the labelling parts that core set gives."""
+    kernel = _symmetric_kernel(_adjacency_rows(h), h.n)
+    cv = tuple(sorted(kernel.supports()))
+    ncv, _, independent = _labelling_parts(h, cv)
+    return _KernelState(kernel.dimension, cv, ncv, independent, kernel)
 
 
 def _labelling_preserved(
-    before: VertexPartition, after: VertexPartition
+    before: VertexPartition, after: _KernelState
 ) -> bool:
     return (
         before.cv_set == after.cv_set
@@ -124,7 +164,7 @@ def _build_report(
     operation: str,
     part_before: VertexPartition,
 ) -> PerturbationReport:
-    part_after = classify_vertices(h)
+    part_after = _kernel_state(h)
     preserved = {
         mode: read(part_before) == read(part_after)
         for mode, read in _PRESERVED.items()
@@ -243,16 +283,6 @@ class CvNcvReport(Record):
     y_witness: tuple | None
 
 
-def _kernel_vector_hitting(basis: KernelBasis, v: int, replay: dict) -> tuple:
-    for vec in basis.vectors:
-        if vec[v] != 0:
-            return vec
-    raise TheoremViolationError(
-        "no kernel vector is non-zero at core vertex %d" % v,
-        report=replay | {"vertex": v, "basis": basis.vectors},
-    )
-
-
 def verify_cv_ncv_theorem(
     g: Graph, e: EdgeCandidate, partition: VertexPartition | None = None
 ) -> CvNcvReport:
@@ -273,29 +303,41 @@ def verify_cv_ncv_theorem(
     if not report.preserved["core_labelling"]:
         return CvNcvReport(report, False, None, None)
 
-    replay = _replay(report, g)
+    def violation(message, **extra):
+        return TheoremViolationError(
+            message, report=_replay(report, g, **extra))
+
     if not report.preserved["nullity"]:
-        raise TheoremViolationError(
+        raise violation(
             "labelling-preserving CV-NCV addition (%d, %d) changed the "
             "nullity from %d to %d"
-            % (e.u, e.w, report.eta_before, report.eta_after),
-            report=replay,
+            % (e.u, e.w, report.eta_before, report.eta_after)
         )
 
     cv_end = e.u if e.u in part.cv_set else e.w
-    x = _kernel_vector_hitting(report.kernel_before, cv_end, replay)
-    y = _kernel_vector_hitting(report.kernel_after, cv_end, replay)
+
+    def hitting(basis):
+        for vec in basis.vectors:
+            if vec[cv_end]:
+                return vec
+        raise violation(
+            "no kernel vector is non-zero at core vertex %d" % cv_end,
+            vertex=cv_end, basis=basis.vectors,
+        )
+
+    x = hitting(report.kernel_before)
+    y = hitting(report.kernel_after)
     # The new row at the non-core end picks up the core entry, so each
     # witness must leave the other graph's kernel.
     if _in_kernel(add_edge(g, e.u, e.w), x):
-        raise TheoremViolationError(
+        raise violation(
             "old kernel vector unexpectedly survived the addition",
-            report=replay | {"x_witness": x},
+            x_witness=x,
         )
     if _in_kernel(g, y):
-        raise TheoremViolationError(
+        raise violation(
             "new kernel vector unexpectedly lies in the old kernel",
-            report=replay | {"y_witness": y},
+            y_witness=y,
         )
     return CvNcvReport(report, True, x, y)
 
@@ -356,10 +398,9 @@ def _keeps(part: VertexPartition, u: int, w: int, preserve: str) -> bool:
 def _safe_candidates(g: Graph, part: VertexPartition, preserve: str):
     """The candidates of safe_additions, one at a time in (u, w) order,
     each decided by _keeps from the partition alone."""
-    for cand in candidate_edges(g, part):
-        if cand.type_pair in _SCREENED and _keeps(
-                part, cand.u, cand.w, preserve):
-            yield cand
+    for u, w, tag in _tagged_non_edges(g, part):
+        if tag in _SCREENED and _keeps(part, u, w, preserve):
+            yield EdgeCandidate(u, w, tag)
 
 
 def safe_additions(

@@ -24,33 +24,17 @@ from .graphs import (
     gen_random_unicyclic,
     subdivision,
 )
-from .minimal import (
-    bipartite_mc_slim_equivalence,
-    bipartite_nullity1_structure,
-    bipartite_parity_check,
-)
-from .perturb import (
-    CFV_FAMILY,
-    apply_and_report,
-    candidate_edges,
-    verify_cv_ncv_theorem,
-)
 from .linalg import Record
 from .rng import SplitMix64
-from .trees import (
-    cfvr_perfect_matching,
-    end_vertex_core_vertices,
-    incidence_rank_check,
-    is_mc_tree,
-    subdivision_charpoly_identity,
-    tree_nullity_identity,
-)
+
+# Each trial imports the modules of its own checks (perturb, trees,
+# minimal), so a suite loads only the modules it runs.
 
 _COUNTEREXAMPLE_CAP = 100
 # Largest max_n a suite accepts.  A trial classifies graphs of up to
 # max_n vertices by a cubic elimination on n x n rows, on several graphs
 # per trial: one perturbations trial on a tree drawn at n = max_n takes
-# 2.6 s at 64 and 53 s at 128 (2-vCPU Xeon).
+# 1.5-2.6 s at 64 and 36 s at 128 (2-vCPU Xeon).
 _MAX_N = 64
 
 
@@ -103,6 +87,13 @@ def _holds(check, *args) -> bool:
 
 
 def _trial_trees(seed: int, max_n: int, index: int) -> list:
+    from .trees import (
+        cfvr_perfect_matching,
+        end_vertex_core_vertices,
+        is_mc_tree,
+        tree_nullity_identity,
+    )
+
     if max_n < 2:
         return []
     rng = SplitMix64(seed)
@@ -149,6 +140,12 @@ def _trial_trees(seed: int, max_n: int, index: int) -> list:
 
 
 def _trial_bipartite(seed: int, max_n: int, index: int) -> list:
+    from .minimal import (
+        bipartite_mc_slim_equivalence,
+        bipartite_nullity1_structure,
+        bipartite_parity_check,
+    )
+
     if max_n < 2:
         return []
     rng = SplitMix64(seed)
@@ -167,6 +164,12 @@ def _trial_bipartite(seed: int, max_n: int, index: int) -> list:
 
 
 def _trial_subdivisions(seed: int, max_n: int, index: int) -> list:
+    from .trees import (
+        incidence_rank_check,
+        is_mc_tree,
+        subdivision_charpoly_identity,
+    )
+
     rng = SplitMix64(seed)
     t = gen_random_tree(_size(rng, 1, max_n), rng.next_u64())
     s, _ = subdivision(t)
@@ -225,6 +228,13 @@ def _independent_cv_graph(rng: SplitMix64, max_n: int):
 
 
 def _trial_perturbations(seed: int, max_n: int, index: int) -> list:
+    from .perturb import (
+        CFV_FAMILY,
+        apply_and_report,
+        candidate_edges,
+        verify_cv_ncv_theorem,
+    )
+
     if max_n < 2:
         return []
     rng = SplitMix64(seed)

@@ -1,5 +1,7 @@
 """Graph container, edge-list format, derivations, and generators."""
 
+import heapq
+
 import pytest
 
 from nullcore.errors import (
@@ -385,15 +387,59 @@ def test_unicyclic_matches_listing_of_non_edges():
 
 
 def test_add_edge_rejects_what_graph_rejects():
+    # add_edge builds on g's adjacency without Graph's checks, so it
+    # gives Graph's own message for the edge it would append
     p3 = gen_path(3)
     for u, w in ((1, 1), (0, 3), (3, 0), (-1, 2), (2, -1), (0, 1), (1, 0)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             add_edge(p3, u, w)
+        with pytest.raises(ValueError) as expected:
+            Graph(3, p3.edges() + ((min(u, w), max(u, w)),))
+        assert str(info.value) == str(expected.value)
+
+
+def test_add_edge_matches_a_rebuilt_graph():
+    rng = SplitMix64(41)
+    for _ in range(40):
+        g = gen_random_graph(1 + rng.below(12), 1, 3, rng.next_u64())
+        for u in range(g.n):
+            for w in range(g.n):
+                if u != w and not g.has_edge(u, w):
+                    h = add_edge(g, u, w)
+                    rebuilt = Graph(g.n, g.edges() + ((min(u, w), max(u, w)),))
+                    assert h == rebuilt and h.m == rebuilt.m == g.m + 1
 
 
 def test_delete_edge_rejects_a_self_loop():
     with pytest.raises(ValueError):
         delete_edge(gen_path(3), 1, 1)
+
+
+def _heap_pruefer_tree(n, seed):
+    """gen_random_tree's tree, decoded by the textbook heap of leaves:
+    the smallest leaf is joined to the next entry of the sequence."""
+    rng = SplitMix64(seed)
+    seq = [rng.below(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        edges.append((heapq.heappop(leaves), x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return Graph(n, edges)
+
+
+def test_random_tree_matches_the_heap_decoder():
+    for n in range(2, 201):
+        for seed in (0, 7, 2**64 - 1, 1000 + n):
+            assert gen_random_tree(n, seed) == _heap_pruefer_tree(n, seed), (
+                n, seed)
 
 
 def test_random_tree_on_two_vertices():

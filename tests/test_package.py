@@ -106,6 +106,27 @@ def test_command_modules_skip_future_heapq_and_rng(tmp_path):
     assert not loaded & {"__future__", "heapq", "nullcore.rng"}
 
 
+def test_verify_suites_load_only_the_modules_they_run(tmp_path):
+    # each trial imports the modules of its own checks, and the tree
+    # generator needs no heap
+    def suite_modules(suite):
+        return _child_modules(
+            tmp_path,
+            "import io; sys.stdout = io.StringIO()\n"
+            "from nullcore.cli import main\n"
+            "assert main(['verify', '--suite', %r, '--trials', '4', "
+            "'--max-n', '8']) == 0" % suite,
+        )
+
+    loaded = suite_modules("perturbations")
+    assert "nullcore.perturb" in loaded
+    assert not loaded & {"nullcore.trees", "nullcore.minimal", "heapq"}
+    loaded = suite_modules("unicyclic")
+    assert "nullcore.verify" in loaded
+    assert not loaded & {"nullcore.perturb", "nullcore.trees",
+                         "nullcore.minimal"}
+
+
 def test_package_import_loads_no_submodule(tmp_path):
     loaded = _child_modules(tmp_path, "import nullcore")
     assert {m for m in loaded if m.split(".")[0] == "nullcore"} == {

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nullcore.analysis import VertexClass, classify_vertices
+from nullcore.analysis import classify_vertices
 from nullcore.errors import PreconditionError, TheoremViolationError
 from nullcore.graphs import (
     Graph,
@@ -359,25 +359,19 @@ def _unit_basis(n):
 
 
 def _all_core(g):
-    """The partition _unit_basis claims: nullity n, every vertex core.
-    classify_vertices refuses a basis of the wrong dimension, so the
-    partition is forged from the true one."""
+    """The kernel state _unit_basis claims: nullity n, every vertex
+    core.  The edited graph gets it in place of its true state."""
     n = g.n
-    return classify_vertices(g)._replace(
-        nullity=n, class_of=(VertexClass.CV,) * n, cv_set=tuple(range(n)),
-        ncv_set=(), cfvr_set=(), independent_cv=g.m == 0,
-        kernel=_unit_basis(n))
+    return nullcore.perturb._KernelState(
+        nullity=n, cv_set=tuple(range(n)), ncv_set=(),
+        independent_cv=g.m == 0, kernel=_unit_basis(n))
 
 
 def test_build_report_guards_raise_theorem_violation(monkeypatch):
     p3, p4 = gen_path(3), gen_path(4)
-    true_parts = {g: classify_vertices(g) for g in (p3, p4)}
     # The base graphs keep their true partition; every edited graph gets
-    # the wrong all-core partition.
-    monkeypatch.setattr(
-        nullcore.perturb, "classify_vertices",
-        lambda g: true_parts.get(g) or _all_core(g),
-    )
+    # the wrong all-core state.
+    monkeypatch.setattr(nullcore.perturb, "_kernel_state", _all_core)
     # P4 is non-singular, so the fake nullity 4 is a jump of 4.
     with pytest.raises(TheoremViolationError, match="moved the nullity") as info:
         remove_and_report(p4, 0, 1)
@@ -387,7 +381,7 @@ def test_build_report_guards_raise_theorem_violation(monkeypatch):
     # P3 has nullity 1 and cores {0, 2}; its partition is handed the fake
     # kernel too, so the basis is the same on both sides but the after
     # side claims nullity 3 and every vertex as core.
-    forged = true_parts[p3]._replace(kernel=_unit_basis(3))
+    forged = classify_vertices(p3)._replace(kernel=_unit_basis(3))
     with pytest.raises(TheoremViolationError, match="kept the kernel basis"):
         apply_and_report(p3, EdgeCandidate(0, 2, "CV-CV"), forged)
 
@@ -407,14 +401,13 @@ def test_greedy_densify_guards_raise_theorem_violation(monkeypatch):
 
 
 def _forge_after(monkeypatch, g, e, **fields):
-    """classify_vertices, as perturb sees it, gives g + e the true
-    partition with fields replaced; every other graph is classified."""
+    """The report's recheck gives g + e its true kernel state with
+    fields replaced; every other graph gets its true state."""
     h = add_edge(g, e.u, e.w)
-    forged = classify_vertices(h)._replace(**fields)
-    monkeypatch.setattr(
-        nullcore.perturb, "classify_vertices",
-        lambda x: forged if x == h else classify_vertices(x),
-    )
+    real = nullcore.perturb._kernel_state
+    forged = real(h)._replace(**fields)
+    monkeypatch.setattr(nullcore.perturb, "_kernel_state",
+                        lambda x: forged if x == h else real(x))
 
 
 def _raises_replayable(g, match, check, *args):
@@ -604,6 +597,69 @@ def test_screen_matches_full_report_on_bordered_graphs():
         assert nullcore.linalg._is_dense(_adjacency_rows(g), g.n)
         seen.update(_screen_against_reports(g)[1])
     assert seen == _OUTCOMES, seen
+
+
+_STATE_FIELDS = ("nullity", "cv_set", "ncv_set", "independent_cv", "kernel")
+
+
+def _kernel_state_matches_classification(g):
+    """The report's recheck of g + e against classify_vertices(g + e),
+    for every candidate e, and for n <= 8 against the oracle."""
+    for cand in candidate_edges(g):
+        h = add_edge(g, cand.u, cand.w)
+        state = nullcore.perturb._kernel_state(h)
+        part = classify_vertices(h)
+        for field in _STATE_FIELDS:
+            assert getattr(state, field) == getattr(part, field), (cand, field)
+        if h.n <= 8:
+            rows = oracle.adjacency_rows(h.n, list(h.edges()))
+            assert state.kernel.vectors == oracle.kernel_basis(rows, h.n)
+            assert list(state.cv_set) == oracle.core_vertices(
+                h.n, list(h.edges()))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_graphs())
+def test_kernel_state_matches_classify_vertices(g):
+    _kernel_state_matches_classification(g)
+
+
+def _dense(g):
+    return nullcore.linalg._is_dense(_adjacency_rows(g), g.n)
+
+
+def test_kernel_state_matches_classify_vertices_on_bordered_graphs():
+    # For each n, the first seed whose planted-twin graph lies above the
+    # _is_dense line (below n = 18 most fall under it); adding an edge
+    # keeps it there, so both sides border every new graph.
+    for n in range(16, 25):
+        copies = 1 + n % 2
+        g = next(g for seed in range(n, 100 * n)
+                 if _dense(g := _planted_twins(n, copies, seed)))
+        _kernel_state_matches_classification(g)
+
+
+def test_apply_and_report_eliminates_once(monkeypatch):
+    # With the base partition handed in, each report eliminates the new
+    # graph once, for its kernel alone: bordered when dense, and on list
+    # rows without the identity beside A otherwise.
+    assert _dense(_TWINS_17)
+    graphs = [T9, MET_TREE, gen_random_graph(9, 1, 2, 3), _TWINS_17]
+    parts = {g: classify_vertices(g) for g in graphs}
+    calls = []
+    for name in ("_gauss_jordan_int", "_reduce_by_bordering"):
+        real = getattr(nullcore.linalg, name)
+        monkeypatch.setattr(
+            nullcore.linalg, name,
+            lambda *args, name=name, real=real, **kwargs: calls.append(
+                (name, kwargs.get("keep_t", args[3:4] == (True,))))
+            or real(*args, **kwargs))
+    for g in graphs:
+        route = "_reduce_by_bordering" if _dense(g) else "_gauss_jordan_int"
+        for cand in candidate_edges(g, parts[g]):
+            calls.clear()
+            apply_and_report(g, cand, parts[g])
+            assert calls == [(route, False)], cand
 
 
 def _densify_one_report_per_candidate(g, preserve):

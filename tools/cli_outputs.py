@@ -43,10 +43,13 @@ _SEEDS = (0, 3)
 # remote block M, 14-15 rows at n = 31 and dense with 22-36 rows above
 _TWIN_SIZES = (31, 47, 63)
 _FIXED = (("path", 7), ("cycle", 4), ("cycle", 8), ("star", 5))
-# perturb runs only on graphs up to this order, tree-16 included (9 and
-# 24 CV-NCV candidates at the two seeds).  Densify costs one elimination
+# perturb runs on graphs up to this order, tree-16 included (9 and 24
+# CV-NCV candidates at the two seeds).  Densify costs one elimination
 # per accepted edge; checkouts that screen each CV-NCV candidate by an
-# elimination of its own take seconds per row above this order
+# elimination of its own take seconds per row above this order.  No
+# graph of this order lies above the _is_dense line, so perturb --list
+# also runs on every planted-twin graph, whose screen reads the
+# bordered reduction
 _PERTURB_MAX_N = 16
 _PER_GRAPH = (("analyze",), ("analyze", "--dot"), ("mc",),
               ("reduce", "--slim"), ("reduce", "--pendant"))
@@ -157,6 +160,10 @@ def main(argv) -> int:
             for mode in ("nullity", "cv", "nullspace"):
                 for action in ("--list", "--densify"):
                     row(("perturb", name, "--preserve", mode, action))
+        for name, _ in graphs:
+            if name.startswith("twin-"):
+                for mode in ("nullity", "cv", "nullspace"):
+                    row(("perturb", name, "--preserve", mode, "--list"))
         for seed in _VERIFY_SEEDS:
             row(("verify", "--suite", "all", "--trials", "30",
                  "--max-n", "12", "--seed", str(seed)))
