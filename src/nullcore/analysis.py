@@ -26,7 +26,6 @@ from .graphs import (
     Graph,
     _adjacency_rows,
     _block,
-    adjacency_matrix,
     induced_subgraph,
     is_unicyclic,
 )
@@ -35,6 +34,7 @@ from .linalg import (
     KernelBasis,
     Record,
     _reduce_symmetric,
+    _reduced,
     det,
     rank,
 )
@@ -53,10 +53,11 @@ class VertexPartition(Record):
     cfvr_set holds the rest of the core-forbidden vertices.  The last
     three fields keep what classify_vertices read off its one reduction
     of A (linalg._reduce_symmetric).  kernel is the canonical basis of
-    ker A.  d is a non-zero integer, and y_block[u] is None for a core
-    vertex u and otherwise d * y for a solution y of A y = e_u, so
-    A y_block[u] = d e_u exactly; its entry at a core-forbidden w is d
-    times the y_w that every solution shares.  Which d and which y
+    ker A, and the union of its supports is cv_set.  d is a non-zero
+    integer, and y_block[u] is None exactly on cv_set and otherwise
+    d * y for a solution y of A y = e_u, so A y_block[u] = d e_u
+    exactly; its entry at a core-forbidden w is d times the y_w that
+    every solution shares.  Which d and which y
     depend on the route: on a sparse graph d is the common pivot of the
     elimination of [A | I] into [R | T] and y_block[u] the row of T at
     u's pivot; on a dense one d is det A[B, B] for the principal block
@@ -153,60 +154,53 @@ class AnalysisReport(Record):
 
 def nullity(g: Graph) -> int:
     """Multiplicity of eigenvalue 0, as n - rank over the integers."""
-    return g.n - rank(adjacency_matrix(g))
+    return g.n - _reduced(_adjacency_rows(g), g.n, g.n, False)[0]
 
 
 def classify_vertices(g: Graph, basis: KernelBasis | None = None) -> VertexPartition:
     """Core vertices and the split of the rest, all read off one
     reduction of A (linalg._reduce_symmetric).
 
-    v is a core vertex exactly when A y = e_v has no solution, and
-    deleting it drops the nullity by one.  Otherwise deleting v keeps
-    the nullity when the solutions have y_v != 0 (cfv_mid) and raises it
-    by one when y_v = 0 (cfv_upp).  A given basis is a claim, checked
-    against that reduction and never stored: unless it is a basis of
-    ker A, TheoremViolationError is raised with a replayable report.
+    v is a core vertex exactly when some kernel vector is non-zero at v
+    (_labelling_parts), and then deleting it drops the nullity by one.
+    Otherwise A y = e_v is solvable, and deleting v keeps the nullity
+    when the solutions have y_v != 0 (cfv_mid) and raises it by one when
+    y_v = 0 (cfv_upp).  A given basis is a claim, checked against that
+    reduction and never stored: unless it is a basis of ker A,
+    TheoremViolationError is raised with a replayable report.
     """
-    n = g.n
-    kernel, d, y_block = _reduce_symmetric(_adjacency_rows(g), n)
-    class_of = tuple(
-        VertexClass.CV if y is None
-        else VertexClass.CFV_UPP if y[v] == 0
-        else VertexClass.CFV_MID
-        for v, y in enumerate(y_block)
-    )
+    kernel, d, row = _reduce_symmetric(_adjacency_rows(g), g.n)
+    cv, ncv, cfvr, independent = _labelling_parts(g, kernel)
+    class_of = [VertexClass.CV] * g.n
+    y_block = [None] * g.n
+    for v in ncv + cfvr:
+        y = y_block[v] = row(v)
+        class_of[v] = VertexClass.CFV_MID if y[v] else VertexClass.CFV_UPP
+    class_of = tuple(class_of)
     if basis is not None:
         _check_claimed_basis(g, basis, kernel.dimension, class_of)
-    cv = tuple(v for v in range(n) if y_block[v] is None)
-    ncv, cfvr, independent = _labelling_parts(g, cv)
-    return VertexPartition(
-        nullity=kernel.dimension,
-        class_of=class_of,
-        cv_set=cv,
-        ncv_set=ncv,
-        cfvr_set=cfvr,
-        independent_cv=independent,
-        kernel=kernel,
-        d=d,
-        y_block=y_block,
-    )
+    return VertexPartition(kernel.dimension, class_of, cv, ncv, cfvr,
+                           independent, kernel, d, tuple(y_block))
 
 
-def _labelling_parts(g: Graph, cv: tuple) -> tuple:
-    """(ncv_set, cfvr_set, independent_cv) of g, given its core
-    vertices cv in ascending order: the core-forbidden vertices with a
-    core neighbour, the other core-forbidden vertices, and whether no
-    two core vertices are adjacent."""
-    cv_set = set(cv)
+def _labelling_parts(g: Graph, kernel: KernelBasis) -> tuple:
+    """(cv_set, ncv_set, cfvr_set, independent_cv) of g, given the
+    canonical basis of ker A(g).  The core vertices are the union of the
+    kernel supports, in ascending order: the one rule that decides them.
+    Then come the core-forbidden vertices with a core neighbour, the
+    other core-forbidden vertices, and whether no two core vertices are
+    adjacent."""
+    core = kernel.supports()
+    cv = tuple(sorted(core))
     ncv = tuple(
         v
         for v in range(g.n)
-        if v not in cv_set and any(w in cv_set for w in g.adjacency[v])
+        if v not in core and any(w in core for w in g.adjacency[v])
     )
     ncv_set = set(ncv)
     cfvr = tuple(
-        v for v in range(g.n) if v not in cv_set and v not in ncv_set)
-    return ncv, cfvr, _first_adjacent_pair(g, cv) is None
+        v for v in range(g.n) if v not in core and v not in ncv_set)
+    return cv, ncv, cfvr, _first_adjacent_pair(g, cv) is None
 
 
 def _check_claimed_basis(g: Graph, basis: KernelBasis, eta: int, class_of):

@@ -215,30 +215,39 @@ def serialize_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def add_edge(g: Graph, u: int, w: int) -> Graph:
-    """g plus the edge uw, built from g's adjacency lists without
-    checking them again.  A self-loop, an endpoint out of range or an
-    edge already present goes to Graph, which raises its ValueError for
-    the edge (min(u, w), max(u, w))."""
-    n = g.n
-    a, b = min(u, w), max(u, w)
-    if not 0 <= a < b < n or b in g.adjacency[a]:
-        return Graph(n, g.edges() + ((a, b),))
+def _flipped(g: Graph, u: int, w: int) -> Graph:
+    """g with the pair uw flipped, added when absent and deleted when
+    present, built from g's adjacency lists without checking them again:
+    u and w must be distinct vertices of g."""
     adjacency = list(g.adjacency)
-    adjacency[a] = tuple(sorted(adjacency[a] + (b,)))
-    adjacency[b] = tuple(sorted(adjacency[b] + (a,)))
+    present = w in adjacency[u]
+    for a, b in ((u, w), (w, u)):
+        row = adjacency[a]
+        adjacency[a] = (tuple(x for x in row if x != b) if present
+                        else tuple(sorted(row + (b,))))
     h = object.__new__(Graph)
-    object.__setattr__(h, "n", n)
+    object.__setattr__(h, "n", g.n)
     object.__setattr__(h, "adjacency", tuple(adjacency))
-    object.__setattr__(h, "_edge_count", g.m + 1)
+    object.__setattr__(h, "_edge_count", g.m - 1 if present else g.m + 1)
     return h
 
 
+def add_edge(g: Graph, u: int, w: int) -> Graph:
+    """g plus the edge uw (_flipped).  A self-loop, an endpoint out of
+    range or an edge already present goes to Graph, which raises its
+    ValueError for the edge (min(u, w), max(u, w))."""
+    a, b = min(u, w), max(u, w)
+    if not 0 <= a < b < g.n or b in g.adjacency[a]:
+        return Graph(g.n, g.edges() + ((a, b),))
+    return _flipped(g, a, b)
+
+
 def delete_edge(g: Graph, u: int, w: int) -> Graph:
+    """g without the edge uw (_flipped); ValueError when uw is not an
+    edge of g, a self-loop or an endpoint out of range included."""
     if not g.has_edge(u, w):
         raise ValueError(f"edge ({u},{w}) not present")
-    key = (min(u, w), max(u, w))
-    return Graph(g.n, [e for e in g.edges() if e != key])
+    return _flipped(g, u, w)
 
 
 def induced_subgraph(g: Graph, keep) -> tuple:

@@ -12,12 +12,15 @@ on packed rows, one int per row with the entries in signed slots whose
 width Hadamard's bound certifies, and grown by 1 x 1 or 2 x 2 steps, at
 about a third of the cost of eliminating [A | I].  Its rank is n minus the
 nullity, its determinant the block's determinant at full rank, and its
-kernel basis the same canonical one.
+kernel basis the same canonical one.  _reduced picks the kernel for
+every caller that reads only the rank, the determinant or the basis.
 
-A symmetric matrix also gets, for every v with A y = e_v solvable, d
-times one solution y: bordering reads it off the adjugate, and a sparse
-or small matrix is eliminated beside the identity, [A | I] in place on
-n-wide list rows.  The characteristic polynomial uses the
+A symmetric matrix also gets, for every v outside the kernel supports
+(exactly the v with A y = e_v solvable), d times one solution y:
+bordering reads it off the adjugate, and a sparse or small matrix is
+eliminated beside the identity, [A | I] in place on n-wide list rows.
+Neither route decides which vertices those are; the caller reads them
+off the basis.  The characteristic polynomial uses the
 Faddeev-LeVerrier recurrence (whose divisions are exact for integer
 matrices), multiplying by the non-zero entries only.
 
@@ -178,13 +181,7 @@ class IntMatrix:
         return IntMatrix(out, cols=other.cols)
 
     def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.data[i][j] == self.data[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+        return self.rows == self.cols and _is_symmetric(self.data, self.rows)
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.data]
@@ -239,6 +236,12 @@ class CharPoly(Record):
 
     def constant_term(self) -> int:
         return self.coefficients[-1]
+
+
+def _is_symmetric(rows, n: int) -> bool:
+    """Whether n rows of n entries form a symmetric matrix."""
+    return all(rows[i][j] == rows[j][i]
+               for i in range(n) for j in range(i + 1, n))
 
 
 def _is_dense(rows, n: int) -> bool:
@@ -302,8 +305,7 @@ def _gauss_jordan_int(
 
     The rows are lists of ints, and an update skips the entries that
     stay zero in a sparse or small matrix.  A dense symmetric matrix is
-    not eliminated at all: _reduced, _reduce_symmetric and
-    _symmetric_kernel border it.
+    not eliminated at all: _reduced and _reduce_symmetric border it.
     """
     pivots = []
     sign = 1
@@ -387,7 +389,7 @@ def _kernel_from_reduced(data, pivots, d: int, n_cols: int) -> KernelBasis:
         for i, p in enumerate(pivots):
             vec[p] = -data[i][free]
         vectors.append(_primitive(vec))
-    return KernelBasis(ambient=n_cols, vectors=tuple(vectors))
+    return KernelBasis(n_cols, tuple(vectors))
 
 
 def _canonical_basis(vectors: list, n: int) -> KernelBasis:
@@ -416,40 +418,40 @@ def _canonical_basis(vectors: list, n: int) -> KernelBasis:
                 row[:] = _primitive([p * a - f * b
                                      for a, b in zip(row, pivot_row)])
         done.append(pivot_row)
-    return KernelBasis(ambient=n,
-                       vectors=tuple(map(_primitive, reversed(done))))
+    return KernelBasis(n, tuple(map(_primitive, reversed(done))))
 
 
-def _reduced(m: IntMatrix, want_basis: bool) -> tuple:
-    """(rank, det, basis) of m from its one reduction: the one place
-    where rank, det and nullspace_basis choose their kernel.
+def _reduced(rows: list, n_rows: int, n_cols: int, want_basis: bool) -> tuple:
+    """(rank, det, basis) of the matrix with the given rows, which it
+    rewrites, from its one reduction: the one place where rank, det,
+    nullspace_basis, analysis.nullity and the perturbation recheck
+    choose their kernel.
 
-    A dense symmetric m (_is_dense) is bordered (_reduce_by_bordering):
-    the rank is n - eta, det is bordering's d = det A[B, B] when eta = 0
-    and 0 otherwise, and the basis is the canonical one bordering
-    returns.  Any other m is eliminated on list rows (_gauss_jordan_int):
-    the rank is the number of pivots, det the last pivot times the
-    row-swap sign at full rank and 0 otherwise, and the basis is read
-    off the reduced rows (_kernel_from_reduced) only if want_basis, so
-    rank and det build none; it is None otherwise.  det is 0 for a
-    non-square m.
+    A dense symmetric matrix (_is_dense) is bordered
+    (_reduce_by_bordering): the rank is n - eta, det is bordering's
+    d = det A[B, B] when eta = 0 and 0 otherwise, and the basis is the
+    canonical one bordering returns.  Any other matrix is eliminated on
+    list rows (_gauss_jordan_int): the rank is the number of pivots, det
+    the last pivot times the row-swap sign at full rank and 0 otherwise,
+    and the basis is read off the reduced rows (_kernel_from_reduced)
+    only if want_basis, so rank and det build none; it is None
+    otherwise.  det is 0 for a non-square matrix.
     """
-    data = [list(r) for r in m.data]
-    n = m.rows
-    if n == m.cols and _is_dense(data, n) and m.is_symmetric():
-        basis, d, _ = _reduce_by_bordering(data, n)
+    n = n_rows
+    if n == n_cols and _is_dense(rows, n) and _is_symmetric(rows, n):
+        basis, d, _ = _reduce_by_bordering(rows, n)
         eta = basis.dimension
         return n - eta, 0 if eta else d, basis
-    pivots, sign, d, _ = _gauss_jordan_int(data, n, m.cols)
+    pivots, sign, d, _ = _gauss_jordan_int(rows, n, n_cols)
     r = len(pivots)
-    return (r, sign * d if r == n == m.cols else 0,
-            _kernel_from_reduced(data, pivots, d, m.cols) if want_basis
+    return (r, sign * d if r == n == n_cols else 0,
+            _kernel_from_reduced(rows, pivots, d, n_cols) if want_basis
             else None)
 
 
 def rank(m: IntMatrix) -> int:
     """Exact rank over the rationals."""
-    return _reduced(m, False)[0]
+    return _reduced(m.to_lists(), m.rows, m.cols, False)[0]
 
 
 def det(m: IntMatrix) -> int:
@@ -458,7 +460,7 @@ def det(m: IntMatrix) -> int:
     symmetric matrix."""
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
-    return _reduced(m, False)[1]
+    return _reduced(m.to_lists(), m.rows, m.cols, False)[1]
 
 
 def nullspace_basis(m: IntMatrix) -> KernelBasis:
@@ -470,73 +472,60 @@ def nullspace_basis(m: IntMatrix) -> KernelBasis:
     primitive and sign-normalised.  A dense symmetric m is bordered
     instead, which reaches the same canonical basis (_reduced).
     """
-    return _reduced(m, True)[2]
+    return _reduced(m.to_lists(), m.rows, m.cols, True)[2]
 
 
 def _reduce_symmetric(data: list, n: int) -> tuple:
-    """The kernel of a symmetric n x n A, given as n rows, and d times a
-    solution of every solvable A y = e_v.
+    """The kernel of a symmetric n x n A, given as n rows, which it
+    rewrites, and d times a solution of A y = e_v for every v outside
+    the kernel supports.
 
-    Returns (basis, d, y_rows): the canonical basis of ker A, a non-zero
-    integer d, and for each v either None, when A y = e_v has no
-    solution, or the integer vector d * y for one solution y.  A dense
-    A (_is_dense) is bordered (_reduce_by_bordering), any other one
-    eliminated beside the identity (_reduce_by_elimination), which
-    rewrites data.  The two routes give the same basis, the same None
-    pattern and the same zero pattern of y_v, but d and y of their own.
+    Returns (basis, d, row): the canonical basis of ker A, a non-zero
+    integer d, and a function that maps a vertex v outside every kernel
+    support to the integer vector d * y for one solution y of
+    A y = e_v.  A y = e_v is solvable exactly when every kernel vector
+    vanishes at v, since ker A is the left kernel; which vertices those
+    are is left to the caller.  A dense A (_is_dense) is bordered
+    (_reduce_by_bordering), any other one eliminated beside the identity
+    (_reduce_by_elimination).  The two routes give the same basis and
+    the same zero pattern of y, but d and y of their own.
     """
     if _is_dense(data, n):
-        basis, d, y_rows = _reduce_by_bordering(data, n)
-        return basis, d, tuple(y_rows)
+        return _reduce_by_bordering(data, n)
     return _reduce_by_elimination(data, n)
-
-
-def _symmetric_kernel(data: list, n: int) -> KernelBasis:
-    """The canonical basis of ker A for a symmetric n x n A given as n
-    rows, which it rewrites: _reduce_symmetric without the y rows.
-
-    The route is the one _reduced takes for nullspace_basis of A, so a
-    sparse A is eliminated alone, not beside the identity.
-    """
-    if _is_dense(data, n):
-        return _reduce_by_bordering(data, n)[0]
-    pivots, _, d, _ = _gauss_jordan_int(data, n, n)
-    return _kernel_from_reduced(data, pivots, d, n)
 
 
 def _reduce_by_elimination(data: list, n: int) -> tuple:
     """_reduce_symmetric by reducing [A | I] in place to [R | T].
 
-    y_rows[v] is the right half of the row whose pivot lies in column v,
+    row(v) is the right half of the row whose pivot lies in column v,
     and d is the common pivot of R.
 
     Fraction-free Gauss-Jordan leaves [R | T] with T A = R, R in reduced
-    echelon form and every pivot equal to d.  The rows of T below the
-    rank span the left kernel, which is the kernel because A is
-    symmetric, so A y = e_v is solvable exactly when they all vanish at
-    column v.  Then every kernel vector vanishes at v, so v is a pivot
-    column whose row of R is d * e_v, and that row of T A is d * e_v too.
+    echelon form and every pivot equal to d.  Each free column f gives
+    the kernel vector that is d at f and -R[i][f] at the pivot of row i
+    (_kernel_from_reduced).  So when every kernel vector vanishes at v,
+    v is a pivot column whose row of R is d * e_v, and that row of T A
+    is d * e_v too; as A is symmetric, the row of T is d times a
+    solution of A y = e_v.
 
     The rows stay n wide: column w of T sits in the slot of the pivot
     column of the row that started as row w, and when that row never
     became a pivot row, T's column w is d times the unit vector at the
-    row's final position, below the rank.
+    row's final position, below the rank, so zero in every pivot row.
     """
     pivots, _, d, origin = _gauss_jordan_int(data, n, n, keep_t=True)
-    r = len(pivots)
     row_of = [None] * n
     slot = [None] * n
     for i, p in enumerate(pivots):
         row_of[p] = i
         slot[origin[i]] = p
-    live = {j for row in data[r:] for j, x in enumerate(row) if x != 0}
-    y_rows = tuple(
-        None if slot[v] is None or slot[v] in live
-        else tuple(0 if j is None else data[row_of[v]][j] for j in slot)
-        for v in range(n)
-    )
-    basis = _kernel_from_reduced(data, pivots, d, n)
-    return basis, d, y_rows
+
+    def row(v):
+        t = data[row_of[v]]
+        return tuple(0 if j is None else t[j] for j in slot)
+
+    return _kernel_from_reduced(data, pivots, d, n), d, row
 
 
 def _reduce_by_bordering(rows: list, n: int) -> tuple:
@@ -570,11 +559,10 @@ def _reduce_by_bordering(rows: list, n: int) -> tuple:
     operations, about n^3 / 3 slot operations against n^3 for the
     elimination of [A | I].  Each pending w gives the kernel vector
     d e_w - T b_w (on B), which _canonical_basis makes canonical.  A
-    vertex v outside every kernel support is in B, and y_rows[v] is
+    vertex v outside every kernel support is in B, and row(v) decodes
     its row of T, zero off B: d times the solution of A y = e_v that is
-    supported on B.  y_rows is a lazy iterable that decodes each row as
-    it is read, so rank, det and nullspace_basis, which read none, pay
-    for none.
+    supported on B.  A row is decoded only when it is read, so rank,
+    det and nullspace_basis, which read none, pay for none.
     """
     width = _slot_bytes(rows, n)
     k = 8 * width
@@ -675,16 +663,12 @@ def _reduce_by_bordering(rows: list, n: int) -> tuple:
         for j, x in zip(order, product(w)[1]):
             vec[j] = -x
         kernel.append(vec)
-    basis = _canonical_basis(kernel, n)
-    core = basis.supports()
 
-    def y_row(v):
-        if v in core:
-            return None
-        row = decode(t[slot[v]])
-        return tuple(0 if i is None else row[i] for i in slot)
+    def row(v):
+        x = decode(t[slot[v]])
+        return tuple(0 if i is None else x[i] for i in slot)
 
-    return basis, d, map(y_row, range(n))
+    return _canonical_basis(kernel, n), d, row
 
 
 def char_poly(m: IntMatrix) -> CharPoly:

@@ -4,9 +4,11 @@ Candidate edges are tagged by the classes of their endpoints (core, core
 neighbour, remote).  Applying a candidate produces a before/after report
 with exact preservation flags; additions inside the core-forbidden part
 carry hard structural guarantees that are re-checked on every call.
-Each report reads the changed graph through one elimination of its own,
-for the kernel alone: the flags need the kernel, the core set and the
-labelling parts, never the split of the core-forbidden vertices.
+Each report reads the changed graph through one reduction of its own,
+for the kernel alone (linalg._reduced): the flags need the kernel, the
+core set and the labelling parts, never the split of the core-forbidden
+vertices, and the core set is the union of the kernel supports, the
+rule classify_vertices uses (analysis._labelling_parts).
 The safe-addition screen and greedy densification classify no candidate
 graph: one rule (_keeps) decides every screened addition from the
 kernel and the reduction the base partition keeps.
@@ -23,7 +25,7 @@ from .analysis import (
 )
 from .errors import PreconditionError, TheoremViolationError
 from .graphs import Graph, _adjacency_rows, add_edge, delete_edge
-from .linalg import KernelBasis, Record, _symmetric_kernel
+from .linalg import KernelBasis, Record, _reduced
 
 _PARTS = ("cv", "ncv", "cfvr")
 # _TAGS[i][j] tags an edge between the parts _PARTS[i] and _PARTS[j]:
@@ -134,11 +136,11 @@ class _KernelState(Record):
 
 
 def _kernel_state(h: Graph) -> _KernelState:
-    """The kernel of A(h), eliminated from scratch, its supports as the
-    core set, and the labelling parts that core set gives."""
-    kernel = _symmetric_kernel(_adjacency_rows(h), h.n)
-    cv = tuple(sorted(kernel.supports()))
-    ncv, _, independent = _labelling_parts(h, cv)
+    """The kernel of A(h), reduced from scratch by the route nullity and
+    nullspace_basis take (linalg._reduced), and the labelling parts its
+    supports give (_labelling_parts)."""
+    kernel = _reduced(_adjacency_rows(h), h.n, h.n, True)[2]
+    cv, ncv, _, independent = _labelling_parts(h, kernel)
     return _KernelState(kernel.dimension, cv, ncv, independent, kernel)
 
 
@@ -171,16 +173,9 @@ def _build_report(
     }
     preserved["core_labelling"] = _labelling_preserved(part_before, part_after)
     report = PerturbationReport(
-        edge=edge,
-        operation=operation,
-        eta_before=part_before.nullity,
-        eta_after=part_after.nullity,
-        cv_before=part_before.cv_set,
-        cv_after=part_after.cv_set,
-        kernel_before=part_before.kernel,
-        kernel_after=part_after.kernel,
-        preserved=preserved,
-    )
+        edge, operation, part_before.nullity, part_after.nullity,
+        part_before.cv_set, part_after.cv_set,
+        part_before.kernel, part_after.kernel, preserved)
     # A single symmetric edge flip is a rank-2 update, so eta moves by
     # at most 2 in either direction.
     if abs(report.eta_after - report.eta_before) > 2:

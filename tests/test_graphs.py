@@ -411,8 +411,25 @@ def test_add_edge_matches_a_rebuilt_graph():
 
 
 def test_delete_edge_rejects_a_self_loop():
-    with pytest.raises(ValueError):
-        delete_edge(gen_path(3), 1, 1)
+    # a self-loop and an endpoint out of range are pairs that are not
+    # edges, with the same message as any other missing edge
+    p3 = gen_path(3)
+    for u, w in ((1, 1), (0, 3), (3, 0), (-1, 0), (0, -1), (0, 2), (2, 0)):
+        with pytest.raises(ValueError) as info:
+            delete_edge(p3, u, w)
+        assert str(info.value) == f"edge ({u},{w}) not present"
+
+
+def test_delete_edge_matches_a_rebuilt_graph():
+    rng = SplitMix64(43)
+    for _ in range(40):
+        g = gen_random_graph(1 + rng.below(12), 1, 2, rng.next_u64())
+        for u, w in g.edges():
+            rebuilt = Graph(g.n, [e for e in g.edges() if e != (u, w)])
+            for a, b in ((u, w), (w, u)):
+                h = delete_edge(g, a, b)
+                assert h == rebuilt and h.m == rebuilt.m == g.m - 1
+                assert add_edge(h, a, b) == g
 
 
 def _heap_pruefer_tree(n, seed):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nullcore import linalg
-from nullcore.analysis import classify_vertices, core_labelling
+from nullcore.analysis import classify_vertices, core_labelling, nullity
 from nullcore.linalg import (
     IntMatrix,
     _gauss_jordan_int,
@@ -25,6 +25,7 @@ from nullcore.graphs import (
     gen_random_graph,
     gen_random_tree,
 )
+from nullcore.perturb import _kernel_state
 from nullcore.rng import SplitMix64
 
 import oracle
@@ -278,7 +279,8 @@ def symmetric_matrices(draw):
 def test_symmetric_kernel_matches_oracle(rows):
     n = len(rows)
     m = IntMatrix(rows, cols=n)
-    basis, _, y_rows = _reduce_symmetric([list(row) for row in rows], n)
+    basis, _, y_rows = _y_rows(
+        *_reduce_symmetric([list(row) for row in rows], n))
     assert basis == nullspace_basis(m)
     assert basis.vectors == oracle.kernel_basis(rows, n)
     for v in range(n):
@@ -320,6 +322,27 @@ def _wide_reduction(rows):
     return basis, prev, y_rows
 
 
+def _y_rows(basis, d, row):
+    """(basis, d, y_rows) of a reduction that returned (basis, d, row),
+    with the y rows as classify_vertices builds them: None on the
+    kernel supports and row(v) at every other v."""
+    core = basis.supports()
+    return basis, d, tuple(None if v in core else row(v)
+                           for v in range(basis.ambient))
+
+
+def _assert_solutions(rows, d, y_rows):
+    """A y_rows[v] = d e_v exactly for every v with a y row, and the y
+    rows are symmetric on those v."""
+    n = len(rows)
+    solvable = [v for v, y in enumerate(y_rows) if y is not None]
+    for v in solvable:
+        y = y_rows[v]
+        assert [sum(a * b for a, b in zip(row, y)) for row in rows] == [
+            d * (u == v) for u in range(n)]
+        assert all(y[w] == y_rows[w][v] for w in solvable)
+
+
 @st.composite
 def relabelled_graph_adjacency(draw):
     """Adjacency rows of a random tree or G(n, p), n <= 14, under a random
@@ -342,10 +365,14 @@ def relabelled_graph_adjacency(draw):
 @example([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 def test_in_place_reduction_matches_wide_reduction(rows):
     # every T column lives in a freed pivot slot, so nothing is lost
-    # against the 2n-wide rows: all three results are tuple-equal
+    # against the 2n-wide rows: all three results are tuple-equal, and
+    # the y rows read off the kernel supports are the ones the wide
+    # reduction reads off the T rows below the rank
     n = len(rows)
     expected = _wide_reduction(rows)
-    assert _reduce_symmetric([list(row) for row in rows], n) == expected
+    reduced = _y_rows(*_reduce_symmetric([list(row) for row in rows], n))
+    assert reduced == expected
+    _assert_solutions(rows, *reduced[1:])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -378,21 +405,15 @@ def _bordering_matches_lists(rows):
     Returns the bordered y_rows.
     """
     n = len(rows)
-    basis, d, y_rows = linalg._reduce_by_bordering(
-        [list(row) for row in rows], n)
-    y_rows = tuple(y_rows)
-    expected, _, expected_y = linalg._reduce_by_elimination(
-        [list(row) for row in rows], n)
+    basis, d, y_rows = _y_rows(*linalg._reduce_by_bordering(
+        [list(row) for row in rows], n))
+    expected, _, expected_y = _y_rows(*linalg._reduce_by_elimination(
+        [list(row) for row in rows], n))
     assert basis == expected
     assert [y is None for y in y_rows] == [y is None for y in expected_y]
     assert [y is None or y[v] == 0 for v, y in enumerate(y_rows)] == [
         y is None or y[v] == 0 for v, y in enumerate(expected_y)]
-    solvable = [v for v, y in enumerate(y_rows) if y is not None]
-    for v in solvable:
-        y = y_rows[v]
-        assert [sum(a * b for a, b in zip(row, y)) for row in rows] == [
-            d * (u == v) for u in range(n)]
-        assert all(y[w] == y_rows[w][v] for w in solvable)
+    _assert_solutions(rows, d, y_rows)
     return y_rows
 
 
@@ -543,8 +564,8 @@ def test_elimination_at_hadamards_bound(n):
         assert abs(det(m)) == extreme
         kernel = oracle.kernel_basis(rows, order)
         assert nullspace_basis(m).vectors == kernel
-        basis, _, y_rows = _reduce_symmetric([list(row) for row in rows],
-                                             order)
+        basis, _, y_rows = _y_rows(
+            *_reduce_symmetric([list(row) for row in rows], order))
         assert basis.vectors == kernel
         assert [y is None for y in y_rows] == [y is None for y in entries]
         assert all(y is None or (y[v] == 0) == (entries[v] == 0)
@@ -568,6 +589,11 @@ def test_route_follows_size_and_fill(monkeypatch):
     taken.clear()
     rank(adjacency_matrix(dense24))
     assert taken == ["_reduce_by_bordering"]
+    # nullity and the perturbation recheck take the route of rank
+    taken.clear()
+    nullity(dense24)
+    _kernel_state(dense24)
+    assert taken == ["_reduce_by_bordering"] * 2
     # Q of a dense bipartite graph is as full, but not symmetric
     q = core_labelling(gen_random_bipartite(40, 0)).cv_to_ncv
     assert q.rows >= 16 and not q.is_symmetric()
@@ -581,12 +607,20 @@ def test_route_follows_size_and_fill(monkeypatch):
                           for i in range(24)])) == 1
     assert taken == ["_gauss_jordan_int"]
     taken.clear()
-    classify_vertices(gen_random_tree(64, 3))
+    tree64 = gen_random_tree(64, 3)
+    classify_vertices(tree64)
     assert taken == ["_gauss_jordan_int"]
     taken.clear()
-    classify_vertices(gen_random_graph(12, 1, 2, 5))
-    rank(IntMatrix([[1] * 12] * 12))
+    nullity(tree64)
+    _kernel_state(tree64)
     assert taken == ["_gauss_jordan_int"] * 2
+    taken.clear()
+    small = gen_random_graph(12, 1, 2, 5)
+    classify_vertices(small)
+    rank(IntMatrix([[1] * 12] * 12))
+    nullity(small)
+    _kernel_state(small)
+    assert taken == ["_gauss_jordan_int"] * 4
 
 
 def test_nullspace_determinism():

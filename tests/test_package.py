@@ -219,6 +219,42 @@ def test_library_has_no_assert_statement():
     assert found == []
 
 
+def _unused_imports(path) -> list:
+    """file:line name for every name the module at path imports and
+    never reads.  A name is read when it is loaded anywhere in the
+    module, in any scope; an __all__ of string constants reads its
+    names too."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read.update(elt.value for elt in getattr(node.value, "elts", ())
+                        if isinstance(elt, ast.Constant))
+    return ["%s:%d %s" % (path.relative_to(ROOT), line, name)
+            for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    # an import nothing reads costs the module's load and hides what
+    # the module really needs
+    found = []
+    for top in ("src/nullcore", "tests", "tools"):
+        for path in sorted((ROOT / top).glob("*.py")):
+            found += _unused_imports(path)
+    assert found == []
+
+
 def test_guards_raise_under_python_O():
     code = (
         "import sys; sys.path.insert(0, %r)\n"
