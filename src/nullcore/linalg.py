@@ -303,64 +303,72 @@ def _gauss_jordan_int(
     is not stored; the step that pivots on the row leaves the old pivot
     in it and -factor in every other row.
 
-    The rows are lists of ints, and an update skips the entries that
-    stay zero in a sparse or small matrix.  A dense symmetric matrix is
-    not eliminated at all: _reduced and _reduce_symmetric border it.
+    A step takes one of two update rules, and the rows are stored as
+    the Bareiss rows times one carried sign, flip.  The pivot row is
+    read and written through flip; each factor is read as stored.  When
+    the pivot piv is prev or -prev, the Bareiss row is
+    (piv / prev) * (row - factor * pivot row / piv): only the rows with
+    a non-zero factor change, each at the pivot row's non-zero entries
+    by factor * pivot row / piv, and a pivot of -prev negates flip
+    instead of every other row.  At any other step every other row
+    takes the Bareiss update (piv * row - factor * pivot row) / prev.
+    If flip ends at -1, every row is negated once, so the rows and
+    (pivots, sign, d, origin) are those of Bareiss steps that skip
+    nothing.  On the random trees measured every pivot was +-1, so
+    each step cost the pivot search, one pass over the pivot row and
+    the rows it changes (README).  A dense symmetric matrix is not
+    eliminated at all: _reduced and _reduce_symmetric border it.
     """
     pivots = []
     sign = 1
     prev = 1
+    flip = 1
     origin = list(range(n_rows))
     for col in range(n_cols):
         rank = len(pivots)
-        found = None
-        for i in range(rank, n_rows):
-            if rows_data[i][col] != 0:
-                found = i
+        for found in range(rank, n_rows):
+            if rows_data[found][col] != 0:
                 break
-        if found is None:
+        else:
             continue
         if found != rank:
-            rows_data[rank], rows_data[found] = (
-                rows_data[found],
-                rows_data[rank],
-            )
+            rows_data[rank], rows_data[found] = (rows_data[found],
+                                                 rows_data[rank])
             origin[rank], origin[found] = origin[found], origin[rank]
             sign = -sign
         row_r = rows_data[rank]
+        if flip < 0:
+            row_r[:] = [-b for b in row_r]
         piv = row_r[col]
-        # each other row ends with (piv - row_r[col]) * factor / prev in
-        # slot col: 0, or -factor (T's column) while it holds piv + prev
+        # slot col of each other row ends as flip times 0, or times
+        # -factor (T's column) while the pivot row holds piv + prev
         if keep_t:
             row_r[col] = piv + prev
-        if piv == prev:
-            # every other row only moves where the pivot row is non-zero;
-            # left of col that can only be a slot holding T
-            start = 0 if keep_t else col
-            support = [j for j in range(start, n_cols) if row_r[j] != 0]
-        for i in range(n_rows):
-            row_i = rows_data[i]
-            factor = row_i[col]
-            if i == rank or (factor == 0 and piv == prev):
-                continue
-            if factor == 0:
-                # only rescaled: the general update made whole G(n, p)
-                # eliminations up to 12 % slower (CHANGES.md)
-                if piv == -prev:
-                    rows_data[i] = [-a for a in row_i]
-                else:
-                    rows_data[i] = [piv * a // prev for a in row_i]
-            elif piv == prev:
-                for j in support:
-                    row_i[j] -= factor * row_r[j] // prev
-            else:
-                rows_data[i] = [
-                    (piv * a - factor * b) // prev
-                    for a, b in zip(row_i, row_r)
-                ]
+        if piv == prev or piv == -prev:
+            support = [j for j in range(n_cols) if row_r[j] != 0]
+            for i in range(n_rows):
+                row_i = rows_data[i]
+                factor = row_i[col]
+                if factor and i != rank:
+                    for j in support:
+                        row_i[j] -= factor * row_r[j] // piv
+            if piv != prev:
+                flip = -flip
+        else:
+            for i in range(n_rows):
+                if i != rank:
+                    row_i = rows_data[i]
+                    factor = row_i[col]
+                    rows_data[i] = [(piv * a - factor * b) // prev
+                                    for a, b in zip(row_i, row_r)]
         row_r[col] = prev if keep_t else 0
+        if flip < 0:
+            row_r[:] = [-b for b in row_r]
         pivots.append(col)
         prev = piv
+    if flip < 0:
+        for row in rows_data:
+            row[:] = [-a for a in row]
     return pivots, sign, prev, origin
 
 

@@ -32,9 +32,10 @@ from .rng import SplitMix64
 
 _COUNTEREXAMPLE_CAP = 100
 # Largest max_n a suite accepts.  A trial classifies graphs of up to
-# max_n vertices by a cubic elimination on n x n rows, on several graphs
-# per trial: one perturbations trial on a tree drawn at n = max_n takes
-# 1.5-2.6 s at 64 and 36 s at 128 (2-vCPU Xeon).
+# max_n vertices by an elimination on n x n rows, cubic on a general
+# graph, on several graphs per trial: one perturbations trial on a tree
+# drawn at n = max_n takes 0.8-1.1 s at 64 and 13-14 s at 128 (2-vCPU
+# Xeon).
 _MAX_N = 64
 
 

@@ -21,9 +21,11 @@ from nullcore.linalg import (
 )
 from nullcore.graphs import (
     adjacency_matrix,
+    gen_path,
     gen_random_bipartite,
     gen_random_graph,
     gen_random_tree,
+    gen_random_unicyclic,
 )
 from nullcore.perturb import _kernel_state
 from nullcore.rng import SplitMix64
@@ -290,21 +292,24 @@ def test_symmetric_kernel_matches_oracle(rows):
             assert (y_rows[v][v] == 0) == (y_v == 0)
 
 
-def _wide_reduction(rows):
-    """The [A | I] reduction on 2n-wide rows that _reduce_symmetric
-    replaced, kept here as its reference: plain Bareiss Gauss-Jordan
-    over both halves (the same integers as the skipping branches of the
-    library loop), read out the way the library read it."""
-    n = len(rows)
-    data = [list(row) + [int(i == j) for j in range(n)]
-            for i, row in enumerate(rows)]
-    pivots, prev = [], 1
-    for col in range(n):
+def _textbook_bareiss(data, n_cols):
+    """Fraction-free Gauss-Jordan over the first n_cols columns of list
+    rows, in place, that skips nothing: at every step every other row
+    takes (pivot * row - factor * pivot row) / previous pivot, over its
+    whole width.  Returns (pivots, sign, d, origin, steps) as
+    _gauss_jordan_int does, with steps the pivot value of each step."""
+    n = len(data)
+    pivots, sign, prev, steps = [], 1, 1, []
+    origin = list(range(n))
+    for col in range(n_cols):
         rank_ = len(pivots)
         found = next((i for i in range(rank_, n) if data[i][col]), None)
         if found is None:
             continue
-        data[rank_], data[found] = data[found], data[rank_]
+        if found != rank_:
+            data[rank_], data[found] = data[found], data[rank_]
+            origin[rank_], origin[found] = origin[found], origin[rank_]
+            sign = -sign
         row_r, piv = data[rank_], data[rank_][col]
         for i in range(n):
             if i != rank_:
@@ -312,7 +317,27 @@ def _wide_reduction(rows):
                 data[i] = [(piv * a - factor * b) // prev
                            for a, b in zip(data[i], row_r)]
         pivots.append(col)
+        steps.append(piv)
         prev = piv
+    return pivots, sign, prev, origin, steps
+
+
+def _wide_rows(rows):
+    """[A | I] on 2n-wide rows after _textbook_bareiss over A's columns,
+    with its (pivots, sign, d, origin, steps)."""
+    n = len(rows)
+    data = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(rows)]
+    return data, _textbook_bareiss(data, n)
+
+
+def _wide_reduction(rows):
+    """The [A | I] reduction on 2n-wide rows that _reduce_symmetric
+    replaced, kept here as its reference: plain Bareiss Gauss-Jordan
+    over both halves (_wide_rows), read out the way the library read
+    it."""
+    n = len(rows)
+    data, (pivots, _, prev, _, _) = _wide_rows(rows)
     row_of = {p: i for i, p in enumerate(pivots)}
     unsolvable = {v for row in data[len(pivots):]
                   for v in range(n) if row[n + v]}
@@ -394,6 +419,73 @@ def test_elimination_clears_pivot_slots_on_rectangular(case):
     if len(rows) == n_cols:
         assert det(m) == oracle.gauss_det(rows)
         assert det(m) == (sign * d if len(pivots) == n_cols else 0)
+
+
+def _flip_cases(steps):
+    """(ends flipped, general step while flipped) of a pivot sequence:
+    the list-row loop flips its stored rows at each pivot of -prev and
+    takes the general update at each pivot other than +-prev."""
+    flip, prev, general_flipped = 1, 1, False
+    for piv in steps:
+        if piv == -prev:
+            flip = -flip
+        elif piv != prev and flip < 0:
+            general_flipped = True
+        prev = piv
+    return flip < 0, general_flipped
+
+
+def _cross_check_matrices():
+    """Relabelled trees, paths, unicyclic graphs and G(n, 2/n) at
+    n = 40, 80 and 120, as adjacency rows, and signed rectangular
+    matrices, as (rows, n_cols)."""
+    rng = random.Random(25)
+    cases = []
+    for n in (40, 80, 120):
+        for g in (gen_random_tree(n, n), gen_path(n),
+                  gen_random_unicyclic(n, n), gen_random_graph(n, 2, n, n)):
+            order = rng.sample(range(n), n)
+            rows = oracle.adjacency_rows(
+                n, [(order[u], order[w]) for u, w in g.edges()])
+            cases.append((rows, n))
+    for r, c in ((12, 12), (9, 15), (15, 9), (20, 20), (30, 24)):
+        for _ in range(4):
+            zero = rng.choice((0.3, 0.6, 0.85))
+            cases.append(([[0 if rng.random() < zero else rng.randint(-3, 3)
+                            for _ in range(c)] for _ in range(r)], c))
+    return cases
+
+
+def test_gauss_jordan_int_matches_textbook_bareiss():
+    # both update rules and the carried sign give exactly the rows and
+    # (pivots, sign, d, origin) of a Bareiss loop that skips nothing:
+    # R with its pivoted columns cleared, or with keep_t the columns of
+    # T of the 2n-wide [A | I] reduction in the freed slots
+    flip_cases = []
+    for rows, n_cols in _cross_check_matrices():
+        expected = [list(row) for row in rows]
+        *result, steps = _textbook_bareiss(expected, n_cols)
+        for row in expected:
+            for p in result[0]:
+                row[p] = 0
+        data = [list(row) for row in rows]
+        assert list(_gauss_jordan_int(data, len(rows), n_cols)) == result
+        assert data == expected
+        flip_cases.append(_flip_cases(steps))
+        if len(rows) != n_cols:
+            continue
+        n = n_cols
+        wide, (*result, _) = _wide_rows(rows)
+        pivots, origin = result[0], result[3]
+        expected = [row[:n] for row in wide]
+        for row, wide_row in zip(expected, wide):
+            for p, w in zip(pivots, origin):
+                row[p] = wide_row[n + w]
+        data = [list(row) for row in rows]
+        assert list(_gauss_jordan_int(data, n, n, keep_t=True)) == result
+        assert data == expected
+    assert any(ends for ends, _ in flip_cases)
+    assert any(general for _, general in flip_cases)
 
 
 def _bordering_matches_lists(rows):

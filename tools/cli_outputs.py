@@ -43,6 +43,12 @@ _SEEDS = (0, 3)
 # remote block M, 14-15 rows at n = 31 and dense with 22-36 rows above
 _TWIN_SIZES = (31, 47, 63)
 _FIXED = (("path", 7), ("cycle", 4), ("cycle", 8), ("star", 5))
+# (kind, sizes, commands) for list-route graphs beyond the benchmark's
+# sizes, each at every seed in _SEEDS, with only the commands given
+_LARGE = (
+    ("tree", (200, 300), (("analyze",), ("reduce", "--slim"), ("mc",))),
+    ("unicyclic", (128,), (("analyze",),)),
+)
 # perturb runs on graphs up to this order, tree-16 included (9 and 24
 # CV-NCV candidates at the two seeds).  Densify costs one elimination
 # per accepted edge; checkouts that screen each CV-NCV candidate by an
@@ -70,20 +76,23 @@ _FORMS = (
 
 
 def _graphs():
-    """(file name, gen argv) for every graph, in a fixed order."""
+    """(file name, gen argv, commands) for every graph, in a fixed
+    order."""
     out = []
-    for kind, sizes in _RANDOM:
+    kinds = [(kind, sizes, _PER_GRAPH) for kind, sizes in _RANDOM]
+    for kind, sizes, commands in kinds + list(_LARGE):
         for n in sizes:
             for seed in _SEEDS:
                 out.append(("%s-%d-s%d.g" % (kind, n, seed),
-                            ("gen", kind, str(n), str(seed))))
+                            ("gen", kind, str(n), str(seed)), commands))
     for kind, n in _FIXED:
-        out.append(("%s-%d.g" % (kind, n), ("gen", kind, str(n))))
+        out.append(("%s-%d.g" % (kind, n), ("gen", kind, str(n)),
+                    _PER_GRAPH))
     # a twin graph's row is the gen of its base, which main extends
     for n in _TWIN_SIZES:
         for seed in _SEEDS:
             out.append(("twin-%d-s%d.g" % (n + 1, seed),
-                        ("gen", "graph", str(n), str(seed))))
+                        ("gen", "graph", str(n), str(seed)), _PER_GRAPH))
     return out
 
 
@@ -142,7 +151,7 @@ def main(argv) -> int:
 
         graphs = _graphs()
         small = []
-        for name, gen in graphs:
+        for name, gen, _ in graphs:
             code, text = row(gen)
             if code != 0:
                 print("gen failed: %s" % " ".join(gen), file=sys.stderr)
@@ -153,14 +162,14 @@ def main(argv) -> int:
             if int(text.split()[0]) <= _PERTURB_MAX_N:
                 small.append(name)
         pathlib.Path(cwd, "loop.g").write_text("2 1\n0 0\n")
-        for name, _ in graphs:
-            for command in _PER_GRAPH:
+        for name, _, commands in graphs:
+            for command in commands:
                 row((command[0], name) + command[1:])
         for name in small:
             for mode in ("nullity", "cv", "nullspace"):
                 for action in ("--list", "--densify"):
                     row(("perturb", name, "--preserve", mode, action))
-        for name, _ in graphs:
+        for name, _, _ in graphs:
             if name.startswith("twin-"):
                 for mode in ("nullity", "cv", "nullspace"):
                     row(("perturb", name, "--preserve", mode, "--list"))
