@@ -154,7 +154,7 @@ class AnalysisReport(Record):
 
 def nullity(g: Graph) -> int:
     """Multiplicity of eigenvalue 0, as n - rank over the integers."""
-    return g.n - _reduced(_adjacency_rows(g), g.n, g.n, False)[0]
+    return g.n - _reduced(_adjacency_rows(g), g.n, False)[0]
 
 
 def classify_vertices(g: Graph, basis: KernelBasis | None = None) -> VertexPartition:

@@ -403,18 +403,13 @@ def _block(g: Graph, rows, cols) -> IntMatrix:
 
 
 def _adjacency_rows(g: Graph) -> list:
-    """The rows of A(g) as new lists, for an elimination in place."""
-    rows = []
-    for neighbours in g.adjacency:
-        row = [0] * g.n
-        for w in neighbours:
-            row[w] = 1
-        rows.append(row)
-    return rows
+    """The rows of A(g) as new dicts {column: 1}, in column order, for
+    an elimination in place."""
+    return [dict.fromkeys(neighbours, 1) for neighbours in g.adjacency]
 
 
 def adjacency_matrix(g: Graph) -> IntMatrix:
-    return IntMatrix(_adjacency_rows(g), cols=g.n)
+    return _block(g, range(g.n), range(g.n))
 
 
 def incidence_matrix(g: Graph) -> IntMatrix:

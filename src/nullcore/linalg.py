@@ -1,28 +1,30 @@
 """Exact integer matrix kernel.
 
 Everything here is arbitrary-precision and tolerance-free.  There are
-two kernels.  One fraction-free Gauss-Jordan elimination on list rows of
-Python ints (Bareiss one-step division, applied above and below each
-pivot) serves rank, det and nullspace_basis: rank is the number of
-pivots, the determinant is the last pivot times the row-swap sign, and
-the canonical integer nullspace basis is read directly off the reduced
-rows.  A dense symmetric matrix is bordered instead (the escalator
-method): the adjugate of a growing non-singular principal block is kept
-on packed rows, one int per row with the entries in signed slots whose
-width Hadamard's bound certifies, and grown by 1 x 1 or 2 x 2 steps, at
-about a third of the cost of eliminating [A | I].  Its rank is n minus the
-nullity, its determinant the block's determinant at full rank, and its
-kernel basis the same canonical one.  _reduced picks the kernel for
-every caller that reads only the rank, the determinant or the basis.
+two kernels, and both read a matrix as dict rows {column: non-zero
+entry}.  One fraction-free Gauss-Jordan elimination (Bareiss one-step
+division, applied above and below each pivot) serves rank, det and
+nullspace_basis: rank is the number of pivots, the determinant is the
+last pivot times the row-swap sign, and the canonical integer nullspace
+basis is read directly off the reduced rows.  A dense symmetric matrix
+is bordered instead (the escalator method): the adjugate of a growing
+non-singular principal block is kept on packed rows, one int per row
+with the entries in signed slots whose width Hadamard's bound
+certifies, and grown by 1 x 1 or 2 x 2 steps, at about a third of the
+cost of eliminating [A | I].  Its rank is n minus the nullity, its
+determinant the block's determinant at full rank, and its kernel basis
+the same canonical one.  _reduced picks the kernel for every caller
+that reads only the rank, the determinant or the basis.
 
 A symmetric matrix also gets, for every v outside the kernel supports
 (exactly the v with A y = e_v solvable), d times one solution y:
 bordering reads it off the adjugate, and a sparse or small matrix is
-eliminated beside the identity, [A | I] in place on n-wide list rows.
-Neither route decides which vertices those are; the caller reads them
-off the basis.  The characteristic polynomial uses the
-Faddeev-LeVerrier recurrence (whose divisions are exact for integer
-matrices), multiplying by the non-zero entries only.
+eliminated beside the identity, [A | I], whose keys n + v ride along
+with the elimination of A's columns.  Neither route decides which
+vertices those are; the caller reads them off the basis.  The
+characteristic polynomial uses the Faddeev-LeVerrier recurrence (whose
+divisions are exact for integer matrices), multiplying by the non-zero
+entries only.
 
 Record, the base of every result record in the package, lives here too:
 every library path imports this module, and a module of its own would
@@ -181,7 +183,7 @@ class IntMatrix:
         return IntMatrix(out, cols=other.cols)
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and _is_symmetric(self.data, self.rows)
+        return self.rows == self.cols and self.data == tuple(zip(*self.data))
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.data]
@@ -238,10 +240,11 @@ class CharPoly(Record):
         return self.coefficients[-1]
 
 
-def _is_symmetric(rows, n: int) -> bool:
-    """Whether n rows of n entries form a symmetric matrix."""
-    return all(rows[i][j] == rows[j][i]
-               for i in range(n) for j in range(i + 1, n))
+def _is_symmetric(rows) -> bool:
+    """Whether n dict rows {column: non-zero entry} of n columns form a
+    symmetric matrix: every stored entry has its mirror."""
+    return all(rows[j].get(i) == a
+               for i, row in enumerate(rows) for j, a in row.items())
 
 
 def _is_dense(rows, n: int) -> bool:
@@ -249,8 +252,7 @@ def _is_dense(rows, n: int) -> bool:
     (_reduce_by_bordering): at least 16 rows and at least 4 * (n + 16)
     non-zero entries.  The rule is the measured crossover on trees and
     G(n, p) (README)."""
-    return n >= 16 and (
-        n * n - sum(row.count(0) for row in rows) >= 4 * (n + 16))
+    return n >= 16 and sum(map(len, rows)) >= 4 * (n + 16)
 
 
 def _slot_bytes(rows, n: int) -> int:
@@ -268,108 +270,106 @@ def _slot_bytes(rows, n: int) -> int:
     norms = 1
     binary = True
     for row in rows:
-        ones = row.count(1)
-        if binary and ones + row.count(0) == len(row):
-            norms *= max(1, ones)
+        values = row.values()
+        if binary and all(a == 1 for a in values):
+            norms *= max(1, len(values))
         else:
             binary = False
-            norms *= max(1, sum(a * a for a in row))
+            norms *= max(1, sum(a * a for a in values))
     bound = isqrt(norms) + 1
     if binary:
         bound = min(bound, (isqrt((n + 1) ** (n + 1)) >> n) + 1)
     return ((2 * bound).bit_length() + 9) // 8
 
 
-def _gauss_jordan_int(
-    rows_data: list[list[int]], n_rows: int, n_cols: int, keep_t=False
-):
-    """Fraction-free reduced echelon of n_rows rows of n_cols ints, in place.
+def _sparse(m: IntMatrix) -> list:
+    """The rows of m as new dicts {column: non-zero entry}."""
+    return [{j: a for j, a in enumerate(row) if a} for row in m.data]
 
-    Returns (pivots, sign, d, origin).  The pivot is the first row at or
-    below the rank with a non-zero entry in the current column; sign is
-    the parity of the row swaps that brought it up, and origin[i] is the
-    input index of the row that ends at position i.  Bareiss one-step
-    division is applied to every row, above and below the pivot, so
-    every entry stays an integer (a minor of the input) and at the end
-    every pivot entry of R equals the last pivot d.  pivots[i] is the
-    pivot column of row i; rows from len(pivots) on are zero in R.
 
-    A pivoted column of R is d times a unit column from then on, so its
-    slot is freed.  By default it is cleared to zero, leaving only the
-    free columns of R.  With keep_t the input is a square A and the rows
-    stand for [A | I] reduced to [R | T]: the freed slot takes the column
-    of T for the pivot row's input index.  Until that row is pivoted,
-    the column is the current pivot times the unit vector at the row and
-    is not stored; the step that pivots on the row leaves the old pivot
-    in it and -factor in every other row.
+def _gauss_jordan_int(rows: list, n_cols: int):
+    """Fraction-free reduced echelon of dict rows {column: non-zero
+    entry}, in place, pivoting the columns below n_cols.
+
+    Returns (pivots, sign, d).  The pivot is the first row at or below
+    the rank with an entry in the current column; sign is the parity of
+    the row swaps that brought it up.  Bareiss one-step division is
+    applied to every row, above and below the pivot, so every entry
+    stays an integer (a minor of the input) and at the end every pivot
+    entry of R equals the last pivot d.  pivots[i] is the pivot column
+    of row i; rows from len(pivots) on are zero below n_cols.  A pivoted
+    column of R is d times a unit column from then on, so it is dropped
+    from every row: what is left below n_cols are the free columns of R.
+    Keys from n_cols on are never pivoted and ride along with their
+    rows, so the rows of [A | I], with I at keys n + v, end as [R | T].
+    A zero is never stored, and the keys of a row are in no set order.
 
     A step takes one of two update rules, and the rows are stored as
     the Bareiss rows times one carried sign, flip.  The pivot row is
     read and written through flip; each factor is read as stored.  When
     the pivot piv is prev or -prev, the Bareiss row is
     (piv / prev) * (row - factor * pivot row / piv): only the rows with
-    a non-zero factor change, each at the pivot row's non-zero entries
-    by factor * pivot row / piv, and a pivot of -prev negates flip
-    instead of every other row.  At any other step every other row
-    takes the Bareiss update (piv * row - factor * pivot row) / prev.
-    If flip ends at -1, every row is negated once, so the rows and
-    (pivots, sign, d, origin) are those of Bareiss steps that skip
-    nothing.  On the random trees measured every pivot was +-1, so
-    each step cost the pivot search, one pass over the pivot row and
-    the rows it changes (README).  A dense symmetric matrix is not
-    eliminated at all: _reduced and _reduce_symmetric border it.
+    a non-zero factor change, each at the pivot row's entries by
+    factor * pivot row / piv, and a pivot of -prev negates flip instead
+    of every other row.  At any other step every other row takes the
+    Bareiss update (piv * row - factor * pivot row) / prev.  If flip
+    ends at -1, every row is negated once, so the rows and
+    (pivots, sign, d) are those of Bareiss steps that skip nothing.  On
+    the random trees measured every pivot was +-1, so each step cost
+    the pivot search, one pass over the pivot row and the rows it
+    changes (README).  A dense symmetric matrix is not eliminated at
+    all: _reduced and _reduce_symmetric border it.
     """
+    n_rows = len(rows)
     pivots = []
     sign = 1
     prev = 1
     flip = 1
-    origin = list(range(n_rows))
     for col in range(n_cols):
         rank = len(pivots)
         for found in range(rank, n_rows):
-            if rows_data[found][col] != 0:
+            if col in rows[found]:
                 break
         else:
             continue
         if found != rank:
-            rows_data[rank], rows_data[found] = (rows_data[found],
-                                                 rows_data[rank])
-            origin[rank], origin[found] = origin[found], origin[rank]
+            rows[rank], rows[found] = rows[found], rows[rank]
             sign = -sign
-        row_r = rows_data[rank]
+        row_r = rows[rank]
         if flip < 0:
-            row_r[:] = [-b for b in row_r]
-        piv = row_r[col]
-        # slot col of each other row ends as flip times 0, or times
-        # -factor (T's column) while the pivot row holds piv + prev
-        if keep_t:
-            row_r[col] = piv + prev
+            for j in row_r:
+                row_r[j] = -row_r[j]
+        piv = row_r.pop(col)
         if piv == prev or piv == -prev:
-            support = [j for j in range(n_cols) if row_r[j] != 0]
-            for i in range(n_rows):
-                row_i = rows_data[i]
-                factor = row_i[col]
-                if factor and i != rank:
-                    for j in support:
-                        row_i[j] -= factor * row_r[j] // piv
+            for row_i in rows:
+                if col in row_i:
+                    factor = row_i.pop(col)
+                    for j, b in row_r.items():
+                        a = row_i.get(j, 0) - factor * b // piv
+                        if a:
+                            row_i[j] = a
+                        else:
+                            del row_i[j]
             if piv != prev:
                 flip = -flip
         else:
-            for i in range(n_rows):
+            for i, row_i in enumerate(rows):
                 if i != rank:
-                    row_i = rows_data[i]
-                    factor = row_i[col]
-                    rows_data[i] = [(piv * a - factor * b) // prev
-                                    for a, b in zip(row_i, row_r)]
-        row_r[col] = prev if keep_t else 0
+                    factor = row_i.pop(col, 0)
+                    keys = row_i.keys() | row_r.keys() if factor else row_i
+                    a, b = row_i.get, row_r.get
+                    rows[i] = {j: x // prev for j in keys
+                               if (x := piv * a(j, 0) - factor * b(j, 0))}
         if flip < 0:
-            row_r[:] = [-b for b in row_r]
+            for j in row_r:
+                row_r[j] = -row_r[j]
         pivots.append(col)
         prev = piv
     if flip < 0:
-        for row in rows_data:
-            row[:] = [-a for a in row]
-    return pivots, sign, prev, origin
+        for row in rows:
+            for j in row:
+                row[j] = -row[j]
+    return pivots, sign, prev
 
 
 def _primitive(vec) -> tuple:
@@ -395,7 +395,7 @@ def _kernel_from_reduced(data, pivots, d: int, n_cols: int) -> KernelBasis:
         vec = [0] * n_cols
         vec[free] = d
         for i, p in enumerate(pivots):
-            vec[p] = -data[i][free]
+            vec[p] = -data[i].get(free, 0)
         vectors.append(_primitive(vec))
     return KernelBasis(n_cols, tuple(vectors))
 
@@ -429,9 +429,9 @@ def _canonical_basis(vectors: list, n: int) -> KernelBasis:
     return KernelBasis(n, tuple(map(_primitive, reversed(done))))
 
 
-def _reduced(rows: list, n_rows: int, n_cols: int, want_basis: bool) -> tuple:
-    """(rank, det, basis) of the matrix with the given rows, which it
-    rewrites, from its one reduction: the one place where rank, det,
+def _reduced(rows: list, n_cols: int, want_basis: bool) -> tuple:
+    """(rank, det, basis) of the matrix with the given dict rows, which
+    it rewrites, from its one reduction: the one place where rank, det,
     nullspace_basis, analysis.nullity and the perturbation recheck
     choose their kernel.
 
@@ -439,18 +439,18 @@ def _reduced(rows: list, n_rows: int, n_cols: int, want_basis: bool) -> tuple:
     (_reduce_by_bordering): the rank is n - eta, det is bordering's
     d = det A[B, B] when eta = 0 and 0 otherwise, and the basis is the
     canonical one bordering returns.  Any other matrix is eliminated on
-    list rows (_gauss_jordan_int): the rank is the number of pivots, det
+    dict rows (_gauss_jordan_int): the rank is the number of pivots, det
     the last pivot times the row-swap sign at full rank and 0 otherwise,
     and the basis is read off the reduced rows (_kernel_from_reduced)
     only if want_basis, so rank and det build none; it is None
     otherwise.  det is 0 for a non-square matrix.
     """
-    n = n_rows
-    if n == n_cols and _is_dense(rows, n) and _is_symmetric(rows, n):
+    n = len(rows)
+    if n == n_cols and _is_dense(rows, n) and _is_symmetric(rows):
         basis, d, _ = _reduce_by_bordering(rows, n)
         eta = basis.dimension
         return n - eta, 0 if eta else d, basis
-    pivots, sign, d, _ = _gauss_jordan_int(rows, n, n_cols)
+    pivots, sign, d = _gauss_jordan_int(rows, n_cols)
     r = len(pivots)
     return (r, sign * d if r == n == n_cols else 0,
             _kernel_from_reduced(rows, pivots, d, n_cols) if want_basis
@@ -459,7 +459,7 @@ def _reduced(rows: list, n_rows: int, n_cols: int, want_basis: bool) -> tuple:
 
 def rank(m: IntMatrix) -> int:
     """Exact rank over the rationals."""
-    return _reduced(m.to_lists(), m.rows, m.cols, False)[0]
+    return _reduced(_sparse(m), m.cols, False)[0]
 
 
 def det(m: IntMatrix) -> int:
@@ -468,7 +468,7 @@ def det(m: IntMatrix) -> int:
     symmetric matrix."""
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
-    return _reduced(m.to_lists(), m.rows, m.cols, False)[1]
+    return _reduced(_sparse(m), m.cols, False)[1]
 
 
 def nullspace_basis(m: IntMatrix) -> KernelBasis:
@@ -480,11 +480,11 @@ def nullspace_basis(m: IntMatrix) -> KernelBasis:
     primitive and sign-normalised.  A dense symmetric m is bordered
     instead, which reaches the same canonical basis (_reduced).
     """
-    return _reduced(m.to_lists(), m.rows, m.cols, True)[2]
+    return _reduced(_sparse(m), m.cols, True)[2]
 
 
 def _reduce_symmetric(data: list, n: int) -> tuple:
-    """The kernel of a symmetric n x n A, given as n rows, which it
+    """The kernel of a symmetric n x n A, given as n dict rows, which it
     rewrites, and d times a solution of A y = e_v for every v outside
     the kernel supports.
 
@@ -506,8 +506,11 @@ def _reduce_symmetric(data: list, n: int) -> tuple:
 def _reduce_by_elimination(data: list, n: int) -> tuple:
     """_reduce_symmetric by reducing [A | I] in place to [R | T].
 
-    row(v) is the right half of the row whose pivot lies in column v,
-    and d is the common pivot of R.
+    Row v of A also gets the key n + v, its entry of I, and the keys
+    from n on ride along with the elimination of A's columns
+    (_gauss_jordan_int).
+    row(v) reads T off the row whose pivot lies in column v, and d is
+    the common pivot of R.
 
     Fraction-free Gauss-Jordan leaves [R | T] with T A = R, R in reduced
     echelon form and every pivot equal to d.  Each free column f gives
@@ -516,22 +519,15 @@ def _reduce_by_elimination(data: list, n: int) -> tuple:
     v is a pivot column whose row of R is d * e_v, and that row of T A
     is d * e_v too; as A is symmetric, the row of T is d times a
     solution of A y = e_v.
-
-    The rows stay n wide: column w of T sits in the slot of the pivot
-    column of the row that started as row w, and when that row never
-    became a pivot row, T's column w is d times the unit vector at the
-    row's final position, below the rank, so zero in every pivot row.
     """
-    pivots, _, d, origin = _gauss_jordan_int(data, n, n, keep_t=True)
-    row_of = [None] * n
-    slot = [None] * n
-    for i, p in enumerate(pivots):
-        row_of[p] = i
-        slot[origin[i]] = p
+    for v, row in enumerate(data):
+        row[n + v] = 1
+    pivots, _, d = _gauss_jordan_int(data, n)
+    row_of = dict(zip(pivots, data))
+    zeros = (0,) * n
 
     def row(v):
-        t = data[row_of[v]]
-        return tuple(0 if j is None else t[j] for j in slot)
+        return tuple(map(row_of[v].get, range(n, 2 * n), zeros))
 
     return _kernel_from_reduced(data, pivots, d, n), d, row
 
@@ -575,8 +571,6 @@ def _reduce_by_bordering(rows: list, n: int) -> tuple:
     width = _slot_bytes(rows, n)
     k = 8 * width
     half = 1 << (k - 1)
-    links = [[(j, a) for j, a in enumerate(row) if a and j != v]
-             for v, row in enumerate(rows)]
     slot = [None] * n  # vertex -> its slot of T, None outside B
     order = []  # the vertices of B, order[j] in slot j
     t = []  # the packed rows of T, by slot
@@ -593,7 +587,7 @@ def _reduce_by_bordering(rows: list, n: int) -> tuple:
     def product(v):
         """T b_v, packed and decoded."""
         x = 0
-        for j, a in links[v]:
+        for j, a in rows[v].items():
             i = slot[j]
             if i is not None:
                 x += t[i] if a == 1 else a * t[i]
@@ -603,7 +597,7 @@ def _reduce_by_bordering(rows: list, n: int) -> tuple:
         """d a_uv - b_u' W, for W = T b_v given as the (vertex, entry)
         pairs of its non-zero entries."""
         row = rows[u]
-        return d * row[v] - sum(x * row[j] for j, x in support)
+        return d * row.get(v, 0) - sum(x * row.get(j, 0) for j, x in support)
 
     def take(v):
         """Border A[B, B] by v, or by v and a partner, or else mark v
@@ -622,8 +616,7 @@ def _reduce_by_bordering(rows: list, n: int) -> tuple:
             d = sigma
         else:
             tau = 0
-            met = [j for j, _ in links[v]
-                   if slot[j] is None and j not in pending]
+            met = [j for j in rows[v] if slot[j] is None and j not in pending]
             for u in chain(met, pending):
                 if u != v:
                     tau = schur(u, v, support)

@@ -139,7 +139,7 @@ def _kernel_state(h: Graph) -> _KernelState:
     """The kernel of A(h), reduced from scratch by the route nullity and
     nullspace_basis take (linalg._reduced), and the labelling parts its
     supports give (_labelling_parts)."""
-    kernel = _reduced(_adjacency_rows(h), h.n, h.n, True)[2]
+    kernel = _reduced(_adjacency_rows(h), h.n, True)[2]
     cv, ncv, _, independent = _labelling_parts(h, kernel)
     return _KernelState(kernel.dimension, cv, ncv, independent, kernel)
 

@@ -281,8 +281,7 @@ def symmetric_matrices(draw):
 def test_symmetric_kernel_matches_oracle(rows):
     n = len(rows)
     m = IntMatrix(rows, cols=n)
-    basis, _, y_rows = _y_rows(
-        *_reduce_symmetric([list(row) for row in rows], n))
+    basis, _, y_rows = _y_rows(*_reduce_symmetric(_dict_rows(rows), n))
     assert basis == nullspace_basis(m)
     assert basis.vectors == oracle.kernel_basis(rows, n)
     for v in range(n):
@@ -292,12 +291,28 @@ def test_symmetric_kernel_matches_oracle(rows):
             assert (y_rows[v][v] == 0) == (y_v == 0)
 
 
+def _dict_rows(rows):
+    """List rows as new dict rows {column: non-zero entry}, the form
+    every elimination in linalg takes."""
+    return [{j: a for j, a in enumerate(row) if a} for row in rows]
+
+
+def _dropping_pivots(data, pivots):
+    """Reduced list rows as the dict rows _gauss_jordan_int leaves: the
+    pivoted columns and the zeros dropped."""
+    pivot_set = set(pivots)
+    return [{j: a for j, a in enumerate(row) if a and j not in pivot_set}
+            for row in data]
+
+
 def _textbook_bareiss(data, n_cols):
     """Fraction-free Gauss-Jordan over the first n_cols columns of list
     rows, in place, that skips nothing: at every step every other row
     takes (pivot * row - factor * pivot row) / previous pivot, over its
-    whole width.  Returns (pivots, sign, d, origin, steps) as
-    _gauss_jordan_int does, with steps the pivot value of each step."""
+    whole width.  Returns (pivots, sign, d, origin, steps): the
+    (pivots, sign, d) of _gauss_jordan_int, origin[i] the input index of
+    the row that ends at position i, and steps the pivot value of each
+    step."""
     n = len(data)
     pivots, sign, prev, steps = [], 1, 1, []
     origin = list(range(n))
@@ -343,7 +358,8 @@ def _wide_reduction(rows):
                   for v in range(n) if row[n + v]}
     y_rows = tuple(None if v in unsolvable else tuple(data[row_of[v]][n:])
                    for v in range(n))
-    basis = _kernel_from_reduced(data, pivots, prev, n)
+    basis = _kernel_from_reduced(_dropping_pivots(data, pivots), pivots,
+                                 prev, n)
     return basis, prev, y_rows
 
 
@@ -389,13 +405,13 @@ def relabelled_graph_adjacency(draw):
 @example([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 @example([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 def test_in_place_reduction_matches_wide_reduction(rows):
-    # every T column lives in a freed pivot slot, so nothing is lost
-    # against the 2n-wide rows: all three results are tuple-equal, and
-    # the y rows read off the kernel supports are the ones the wide
-    # reduction reads off the T rows below the rank
+    # T rides along at the keys from n on, so nothing is lost against
+    # the 2n-wide rows: all three results are tuple-equal, and the y
+    # rows read off the kernel supports are the ones the wide reduction
+    # reads off the T rows below the rank
     n = len(rows)
     expected = _wide_reduction(rows)
-    reduced = _y_rows(*_reduce_symmetric([list(row) for row in rows], n))
+    reduced = _y_rows(*_reduce_symmetric(_dict_rows(rows), n))
     assert reduced == expected
     _assert_solutions(rows, *reduced[1:])
 
@@ -405,12 +421,17 @@ def test_in_place_reduction_matches_wide_reduction(rows):
 @example(([[0, 2, 1], [3, 0, 0]], 3))
 @example(([[0, 1], [2, 0], [1, 1]], 2))
 def test_elimination_clears_pivot_slots_on_rectangular(case):
-    # rank, det and nullspace_basis keep no T in a pivoted column: it is
-    # zero in every row afterwards, and the results still match the oracle
+    # rank, det and nullspace_basis keep nothing in a pivoted column: it
+    # is dropped from every row afterwards, the swap sign is the sign of
+    # the row permutation the textbook loop tracks, and the results
+    # still match the oracle
     rows, n_cols = case
-    data = [list(row) for row in rows]
-    pivots, sign, d, origin = _gauss_jordan_int(data, len(rows), n_cols)
-    assert all(row[p] == 0 for row in data for p in pivots)
+    data = _dict_rows(rows)
+    pivots, sign, d = _gauss_jordan_int(data, n_cols)
+    assert not any(p in row for row in data for p in pivots)
+    *expected, origin, _ = _textbook_bareiss([list(row) for row in rows],
+                                             n_cols)
+    assert [pivots, sign, d] == expected
     assert sorted(origin) == list(range(len(rows)))
     assert sign == permutation_sign(origin)
     m = IntMatrix(rows, cols=n_cols)
@@ -458,38 +479,32 @@ def _cross_check_matrices():
 
 def test_gauss_jordan_int_matches_textbook_bareiss():
     # both update rules and the carried sign give exactly the rows and
-    # (pivots, sign, d, origin) of a Bareiss loop that skips nothing:
-    # R with its pivoted columns cleared, or with keep_t the columns of
-    # T of the 2n-wide [A | I] reduction in the freed slots
+    # (pivots, sign, d) of a Bareiss loop that skips nothing, with the
+    # pivoted columns dropped: R alone, or [R | T] of the 2n-wide
+    # [A | I] reduction when row v also holds the key n + v
     flip_cases = []
     for rows, n_cols in _cross_check_matrices():
         expected = [list(row) for row in rows]
-        *result, steps = _textbook_bareiss(expected, n_cols)
-        for row in expected:
-            for p in result[0]:
-                row[p] = 0
-        data = [list(row) for row in rows]
-        assert list(_gauss_jordan_int(data, len(rows), n_cols)) == result
-        assert data == expected
+        *result, _, steps = _textbook_bareiss(expected, n_cols)
+        data = _dict_rows(rows)
+        assert list(_gauss_jordan_int(data, n_cols)) == result
+        assert data == _dropping_pivots(expected, result[0])
         flip_cases.append(_flip_cases(steps))
         if len(rows) != n_cols:
             continue
         n = n_cols
-        wide, (*result, _) = _wide_rows(rows)
-        pivots, origin = result[0], result[3]
-        expected = [row[:n] for row in wide]
-        for row, wide_row in zip(expected, wide):
-            for p, w in zip(pivots, origin):
-                row[p] = wide_row[n + w]
-        data = [list(row) for row in rows]
-        assert list(_gauss_jordan_int(data, n, n, keep_t=True)) == result
-        assert data == expected
+        wide, (*result, _, _) = _wide_rows(rows)
+        data = _dict_rows(rows)
+        for v, row in enumerate(data):
+            row[n + v] = 1
+        assert list(_gauss_jordan_int(data, n)) == result
+        assert data == _dropping_pivots(wide, result[0])
     assert any(ends for ends, _ in flip_cases)
     assert any(general for _, general in flip_cases)
 
 
-def _bordering_matches_lists(rows):
-    """Border a symmetric matrix and eliminate [A | I] on list rows.
+def _bordered_y_matches_elimination(rows):
+    """Border a symmetric matrix and eliminate [A | I] on dict rows.
 
     Both must give the same kernel basis, the same None pattern and the
     same zero pattern of y_v.  Bordering's own d and y must satisfy
@@ -498,9 +513,9 @@ def _bordering_matches_lists(rows):
     """
     n = len(rows)
     basis, d, y_rows = _y_rows(*linalg._reduce_by_bordering(
-        [list(row) for row in rows], n))
+        _dict_rows(rows), n))
     expected, _, expected_y = _y_rows(*linalg._reduce_by_elimination(
-        [list(row) for row in rows], n))
+        _dict_rows(rows), n))
     assert basis == expected
     assert [y is None for y in y_rows] == [y is None for y in expected_y]
     assert [y is None or y[v] == 0 for v, y in enumerate(y_rows)] == [
@@ -565,7 +580,7 @@ def dense_signed_symmetric(draw):
 @given(st.one_of(dense_graph_adjacency(), dense_bipartite_adjacency(),
                  dense_twin_adjacency(), dense_signed_symmetric()))
 def test_bordering_matches_elimination_on_dense_matrices(rows):
-    y_rows = _bordering_matches_lists(rows)
+    y_rows = _bordered_y_matches_elimination(rows)
     n = len(rows)
     if n <= 28:
         expected = oracle.unit_solution_entries(rows)
@@ -574,16 +589,16 @@ def test_bordering_matches_elimination_on_dense_matrices(rows):
                    for v, y in enumerate(y_rows))
 
 
-def _bordered_matches_list_rows(rows):
+def _bordered_primitives_match_elimination(rows):
     """rank, det and nullspace_basis of a symmetric matrix read off
     bordering (rank n - eta, det d when eta = 0, else 0, and bordering's
-    basis) must equal the list-row readout, and so must the public
+    basis) must equal the dict-row readout, and so must the public
     functions, whichever kernel they choose.  Returns that readout."""
     n = len(rows)
-    basis, d, _ = linalg._reduce_by_bordering([list(row) for row in rows], n)
+    basis, d, _ = linalg._reduce_by_bordering(_dict_rows(rows), n)
     eta = basis.dimension
-    data = [list(row) for row in rows]
-    pivots, sign, last, _ = _gauss_jordan_int(data, n, n)
+    data = _dict_rows(rows)
+    pivots, sign, last = _gauss_jordan_int(data, n)
     expected = (len(pivots), sign * last if len(pivots) == n else 0,
                 _kernel_from_reduced(data, pivots, last, n))
     assert (n - eta, 0 if eta else d, basis) == expected
@@ -601,10 +616,10 @@ def _bordered_matches_list_rows(rows):
 def test_bordered_primitives_match_list_rows(rows):
     # the small draws border matrices below the dense rule as well, and
     # keep the checks of y that ran on them
-    r, d, basis = _bordered_matches_list_rows(rows)
+    r, d, basis = _bordered_primitives_match_elimination(rows)
     n = len(rows)
     if n < 16:
-        _bordering_matches_lists(rows)
+        _bordered_y_matches_elimination(rows)
     if n <= 28:
         assert r == oracle.gauss_rank(rows)
         assert d == oracle.gauss_det(rows)
@@ -657,13 +672,13 @@ def test_elimination_at_hadamards_bound(n):
         kernel = oracle.kernel_basis(rows, order)
         assert nullspace_basis(m).vectors == kernel
         basis, _, y_rows = _y_rows(
-            *_reduce_symmetric([list(row) for row in rows], order))
+            *_reduce_symmetric(_dict_rows(rows), order))
         assert basis.vectors == kernel
         assert [y is None for y in y_rows] == [y is None for y in entries]
         assert all(y is None or (y[v] == 0) == (entries[v] == 0)
                    for v, y in enumerate(y_rows))
-        _bordered_matches_list_rows(rows)
-        _bordering_matches_lists(rows)
+        _bordered_primitives_match_elimination(rows)
+        _bordered_y_matches_elimination(rows)
 
 
 def test_route_follows_size_and_fill(monkeypatch):

@@ -227,7 +227,7 @@ def _count_calls(monkeypatch, module, *names):
 
 
 def _count_eliminations(monkeypatch):
-    """Every elimination linalg runs, on list rows or bordered."""
+    """Every elimination linalg runs, on dict rows or bordered."""
     return _count_calls(monkeypatch, nullcore.linalg, "_gauss_jordan_int",
                         "_reduce_by_bordering")
 
@@ -248,7 +248,7 @@ _TWINS_17 = _planted_twins(17, 2, 4)
 
 
 def test_safe_additions_eliminates_once_per_graph(monkeypatch):
-    # The base graph is eliminated once, on list rows (T9) or bordered
+    # The base graph is eliminated once, on dict rows (T9) or bordered
     # (_TWINS_17), and every candidate, CV-NCV or inside the
     # core-forbidden part, is decided from that elimination.
     elims = _count_eliminations(monkeypatch)
@@ -641,8 +641,9 @@ def test_kernel_state_matches_classify_vertices_on_bordered_graphs():
 
 def test_apply_and_report_eliminates_once(monkeypatch):
     # With the base partition handed in, each report eliminates the new
-    # graph once, for its kernel alone: bordered when dense, and on list
-    # rows without the identity beside A otherwise.
+    # graph once, for its kernel alone: bordered when dense, and on dict
+    # rows without the identity beside A otherwise, so no row handed to
+    # the elimination has a key from n on (the keys of T).
     assert _dense(_TWINS_17)
     graphs = [T9, MET_TREE, gen_random_graph(9, 1, 2, 3), _TWINS_17]
     parts = {g: classify_vertices(g) for g in graphs}
@@ -651,9 +652,9 @@ def test_apply_and_report_eliminates_once(monkeypatch):
         real = getattr(nullcore.linalg, name)
         monkeypatch.setattr(
             nullcore.linalg, name,
-            lambda *args, name=name, real=real, **kwargs: calls.append(
-                (name, kwargs.get("keep_t", args[3:4] == (True,))))
-            or real(*args, **kwargs))
+            lambda rows, n, name=name, real=real: calls.append(
+                (name, any(key >= n for row in rows for key in row)))
+            or real(rows, n))
     for g in graphs:
         route = "_reduce_by_bordering" if _dense(g) else "_gauss_jordan_int"
         for cand in candidate_edges(g, parts[g]):
