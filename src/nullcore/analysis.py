@@ -50,20 +50,13 @@ class VertexPartition(Record):
     """Per-vertex classification plus the derived three-part split.
 
     ncv_set holds the core-forbidden vertices with a core neighbour;
-    cfvr_set holds the rest of the core-forbidden vertices.  The last
-    three fields keep what classify_vertices read off its one reduction
-    of A (linalg._reduce_symmetric).  kernel is the canonical basis of
-    ker A, and the union of its supports is cv_set.  d is a non-zero
-    integer, and y_block[u] is None exactly on cv_set and otherwise
-    d * y for a solution y of A y = e_u, so A y_block[u] = d e_u
-    exactly; its entry at a core-forbidden w is d times the y_w that
-    every solution shares.  Which d and which y
-    depend on the route: on a sparse graph d is the common pivot of the
-    elimination of [A | I] into [R | T] and y_block[u] the row of T at
-    u's pivot; on a dense one d is det A[B, B] for the principal block
-    that bordering grew and y_block[u] is u's row of adj A[B, B], zero
-    off B.  Every field is a function of the graph, so partitions
-    compare and hash as plain tuples.
+    cfvr_set holds the rest of the core-forbidden vertices.  kernel is
+    the canonical basis of ker A, read off classify_vertices' one
+    reduction of A (linalg._reduce_symmetric), and the union of its
+    supports is cv_set.  The d and T of that reduction depend on the
+    route it took, so they stay inside it and are not fields: every
+    field is a function of the graph alone, and partitions compare,
+    hash and pickle as plain tuples.
     """
 
     nullity: int
@@ -73,8 +66,6 @@ class VertexPartition(Record):
     cfvr_set: tuple
     independent_cv: bool
     kernel: KernelBasis
-    d: int
-    y_block: tuple
 
     def _part(self, v: int) -> str:
         """The part of v: cv, ncv or cfvr."""
@@ -159,7 +150,7 @@ def nullity(g: Graph) -> int:
 
 def classify_vertices(g: Graph, basis: KernelBasis | None = None) -> VertexPartition:
     """Core vertices and the split of the rest, all read off one
-    reduction of A (linalg._reduce_symmetric).
+    reduction of A (_classified).
 
     v is a core vertex exactly when some kernel vector is non-zero at v
     (_labelling_parts), and then deleting it drops the nullity by one.
@@ -169,18 +160,28 @@ def classify_vertices(g: Graph, basis: KernelBasis | None = None) -> VertexParti
     reduction and never stored: unless it is a basis of ker A,
     TheoremViolationError is raised with a replayable report.
     """
-    kernel, d, row = _reduce_symmetric(_adjacency_rows(g), g.n)
+    part = _classified(g)[0]
+    if basis is not None:
+        _check_claimed_basis(g, basis, part.nullity, part.class_of)
+    return part
+
+
+def _classified(g: Graph) -> tuple:
+    """(partition, d, entry) from one reduction of A
+    (linalg._reduce_symmetric): the partition classify_vertices returns,
+    and the reduction's d and T, read by entry(u, w), which the addition
+    screen reads (perturb._keeps).  The classes come from T's diagonal:
+    for v outside the kernel supports T_vv = d y_v, with y_v shared by
+    every solution of A y = e_v, so only its zero pattern matters, and
+    that is the same on both routes."""
+    kernel, d, entry = _reduce_symmetric(_adjacency_rows(g), g.n)
     cv, ncv, cfvr, independent = _labelling_parts(g, kernel)
     class_of = [VertexClass.CV] * g.n
-    y_block = [None] * g.n
     for v in ncv + cfvr:
-        y = y_block[v] = row(v)
-        class_of[v] = VertexClass.CFV_MID if y[v] else VertexClass.CFV_UPP
-    class_of = tuple(class_of)
-    if basis is not None:
-        _check_claimed_basis(g, basis, kernel.dimension, class_of)
-    return VertexPartition(kernel.dimension, class_of, cv, ncv, cfvr,
-                           independent, kernel, d, tuple(y_block))
+        class_of[v] = (VertexClass.CFV_MID if entry(v, v)
+                       else VertexClass.CFV_UPP)
+    return VertexPartition(kernel.dimension, tuple(class_of), cv, ncv, cfvr,
+                           independent, kernel), d, entry
 
 
 def _labelling_parts(g: Graph, kernel: KernelBasis) -> tuple:

@@ -154,15 +154,15 @@ _PRESERVE_ALIASES = {"nullity": "nullity", "cv": "cv_set",
 
 
 def _cmd_perturb(args) -> int:
-    from .analysis import classify_vertices, require_independent_cv
+    from .analysis import _classified, require_independent_cv
     from .perturb import greedy_densify, safe_additions
 
     g = _load(args.path)
-    part = classify_vertices(g)
-    require_independent_cv(g, part)
+    reduced = _classified(g)
+    require_independent_cv(g, reduced[0])
     preserve = _PRESERVE_ALIASES[args.preserve]
     if args.densify:
-        final, added = greedy_densify(g, preserve, part)
+        final, added = greedy_densify(g, preserve, reduced)
         _emit(
             {
                 "preserve": args.preserve,
@@ -172,7 +172,7 @@ def _cmd_perturb(args) -> int:
             }
         )
     else:
-        safe = safe_additions(g, preserve, part)
+        safe = safe_additions(g, preserve, reduced)
         _emit(
             {
                 "preserve": args.preserve,

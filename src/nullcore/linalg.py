@@ -16,15 +16,16 @@ determinant the block's determinant at full rank, and its kernel basis
 the same canonical one.  _reduced picks the kernel for every caller
 that reads only the rank, the determinant or the basis.
 
-A symmetric matrix also gets, for every v outside the kernel supports
-(exactly the v with A y = e_v solvable), d times one solution y:
-bordering reads it off the adjugate, and a sparse or small matrix is
-eliminated beside the identity, [A | I], whose keys n + v ride along
-with the elimination of A's columns.  Neither route decides which
-vertices those are; the caller reads them off the basis.  The
-characteristic polynomial uses the Faddeev-LeVerrier recurrence (whose
-divisions are exact for integer matrices), multiplying by the non-zero
-entries only.
+A symmetric matrix also gets a d and a matrix T whose row at every v
+outside the kernel supports (exactly the v with A y = e_v solvable) is
+d times one solution y: bordering keeps T as the adjugate of its block,
+and a sparse or small matrix is eliminated beside the identity,
+[A | I], whose keys n + v ride along with the elimination of A's
+columns and end as T.  T stays inside the reduction, read one entry at
+a time.  Neither route decides which vertices those are; the caller
+reads them off the basis.  The characteristic polynomial uses the
+Faddeev-LeVerrier recurrence (whose divisions are exact for integer
+matrices), multiplying by the non-zero entries only.
 
 Record, the base of every result record in the package, lives here too:
 every library path imports this module, and a module of its own would
@@ -488,15 +489,21 @@ def _reduce_symmetric(data: list, n: int) -> tuple:
     rewrites, and d times a solution of A y = e_v for every v outside
     the kernel supports.
 
-    Returns (basis, d, row): the canonical basis of ker A, a non-zero
-    integer d, and a function that maps a vertex v outside every kernel
-    support to the integer vector d * y for one solution y of
-    A y = e_v.  A y = e_v is solvable exactly when every kernel vector
-    vanishes at v, since ker A is the left kernel; which vertices those
-    are is left to the caller.  A dense A (_is_dense) is bordered
-    (_reduce_by_bordering), any other one eliminated beside the identity
-    (_reduce_by_elimination).  The two routes give the same basis and
-    the same zero pattern of y, but d and y of their own.
+    Returns (basis, d, entry): the canonical basis of ker A, a non-zero
+    integer d, and a function entry(u, w) that reads T[u][w] of an
+    n x n integer T with A T A = d A.  T is zero off the rows of B, the
+    n - eta vertices the route made pivots (elimination) or grew its
+    block over (bordering); B holds every vertex outside the kernel
+    supports and may hold core vertices too.  Row u of T satisfies
+    A T_u = d e_u whenever u lies outside every kernel support, so then
+    T_uw = d y_w for one solution y of A y = e_u.  A y = e_v is
+    solvable exactly when every kernel vector vanishes at v, since ker A
+    is the left kernel; which vertices those are is left to the caller.
+    A dense A (_is_dense) is bordered (_reduce_by_bordering), any other
+    one eliminated beside the identity (_reduce_by_elimination).  The
+    two routes give the same basis and the same ratio T_uw / d for
+    core-forbidden u and w, but d and T of their own; no row of T is
+    built unless a caller reads its entries.
     """
     if _is_dense(data, n):
         return _reduce_by_bordering(data, n)
@@ -508,9 +515,9 @@ def _reduce_by_elimination(data: list, n: int) -> tuple:
 
     Row v of A also gets the key n + v, its entry of I, and the keys
     from n on ride along with the elimination of A's columns
-    (_gauss_jordan_int).
-    row(v) reads T off the row whose pivot lies in column v, and d is
-    the common pivot of R.
+    (_gauss_jordan_int).  B is the set of pivot columns, entry(u, w)
+    reads T[u][w] off the row whose pivot lies in column u, at its key
+    n + w (0 when u is free), and d is the common pivot of R.
 
     Fraction-free Gauss-Jordan leaves [R | T] with T A = R, R in reduced
     echelon form and every pivot equal to d.  Each free column f gives
@@ -523,13 +530,12 @@ def _reduce_by_elimination(data: list, n: int) -> tuple:
     for v, row in enumerate(data):
         row[n + v] = 1
     pivots, _, d = _gauss_jordan_int(data, n)
-    row_of = dict(zip(pivots, data))
-    zeros = (0,) * n
+    row_of = dict.fromkeys(range(n), {}) | dict(zip(pivots, data))
 
-    def row(v):
-        return tuple(map(row_of[v].get, range(n, 2 * n), zeros))
+    def entry(u, w):
+        return row_of[u].get(n + w, 0)
 
-    return _kernel_from_reduced(data, pivots, d, n), d, row
+    return _kernel_from_reduced(data, pivots, d, n), d, entry
 
 
 def _reduce_by_bordering(rows: list, n: int) -> tuple:
@@ -563,10 +569,11 @@ def _reduce_by_bordering(rows: list, n: int) -> tuple:
     operations, about n^3 / 3 slot operations against n^3 for the
     elimination of [A | I].  Each pending w gives the kernel vector
     d e_w - T b_w (on B), which _canonical_basis makes canonical.  A
-    vertex v outside every kernel support is in B, and row(v) decodes
-    its row of T, zero off B: d times the solution of A y = e_v that is
-    supported on B.  A row is decoded only when it is read, so rank,
-    det and nullspace_basis, which read none, pay for none.
+    vertex v outside every kernel support is in B, and its row of T,
+    zero off B, is d times the solution of A y = e_v that is supported
+    on B.  entry(u, w) decodes one slot of u's packed row, and is 0 when
+    u or w is outside B, so rank, det and nullspace_basis, which read
+    none, pay for none.
     """
     width = _slot_bytes(rows, n)
     k = 8 * width
@@ -665,11 +672,13 @@ def _reduce_by_bordering(rows: list, n: int) -> tuple:
             vec[j] = -x
         kernel.append(vec)
 
-    def row(v):
-        x = decode(t[slot[v]])
-        return tuple(0 if i is None else x[i] for i in slot)
+    mask = (1 << k) - 1
 
-    return _canonical_basis(kernel, n), d, row
+    def entry(u, w):
+        i, j = slot[u], slot[w]
+        return 0 if None in (i, j) else ((t[i] + bias) >> k * j & mask) - half
+
+    return _canonical_basis(kernel, n), d, entry
 
 
 def char_poly(m: IntMatrix) -> CharPoly:

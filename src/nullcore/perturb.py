@@ -10,14 +10,16 @@ core set and the labelling parts, never the split of the core-forbidden
 vertices, and the core set is the union of the kernel supports, the
 rule classify_vertices uses (analysis._labelling_parts).
 The safe-addition screen and greedy densification classify no candidate
-graph: one rule (_keeps) decides every screened addition from the
-kernel and the reduction the base partition keeps.
+graph: one rule (_keeps) decides every screened addition from the base
+graph's kernel and the d and T of the reduction that classified it
+(analysis._classified), read entry by entry.
 """
 
 from operator import attrgetter
 
 from .analysis import (
     VertexPartition,
+    _classified,
     _in_kernel,
     _labelling_parts,
     classify_vertices,
@@ -345,16 +347,18 @@ def _check_preserve(preserve: str):
         )
 
 
-def _keeps(part: VertexPartition, u: int, w: int, preserve: str) -> bool:
+def _keeps(part: VertexPartition, d: int, entry, u: int, w: int,
+           preserve: str) -> bool:
     """Whether adding uw keeps the preserve property, for a CV-NCV
     candidate or one with both ends core-forbidden, read off the kernel
-    and the reduction the partition keeps.
+    of part and the d and T of the reduction that classified it
+    (analysis._classified), T_xy = entry(x, y).
 
     Adding uw adds E_uw = U C U' to A, with U = [e_u e_w] and C the 2 x 2
     swap.  When u and w are both core-forbidden, e_u and e_w lie in the
     column space of A, and rank additivity (Marsaglia and Styan 1974)
     gives eta(G + uw) = eta(G) + nullity(K), K = C^-1 + U' Y U for any Y
-    with A Y A = A.  With T_uw = y_block[u][w],
+    with A Y A = A.  With Y = T / d,
     d K = [[T_uu, d + T_uw], [d + T_wu, T_ww]], so eta is kept exactly
     when that determinant is non-zero.  Every kernel vector vanishes at
     u and w, so ker A lies in ker(A + E_uw): a kept eta keeps the kernel,
@@ -370,73 +374,73 @@ def _keeps(part: VertexPartition, u: int, w: int, preserve: str) -> bool:
     kernel is never kept.  When eta is, the new kernel is spanned by the
     b_u k - k_u b for k in ker A, which vanish at u, and by
     x = (d + T_wu) b - b_u T_w, which is d b_u at u; its core set is the
-    union of their supports.
+    union of their supports.  Only this last branch reads a whole row
+    of T; the others read at most four entries.
     """
-    d, t = part.d, part.y_block
-    if t[u] is not None and t[w] is not None:
-        return t[u][u] * t[w][w] != (d + t[u][w]) * (d + t[w][u])
-    if t[w] is None:
+    cv = part.cv_set
+    if u not in cv and w not in cv:
+        return (entry(u, u) * entry(w, w)
+                != (d + entry(u, w)) * (d + entry(w, u)))
+    if w in cv:
         u, w = w, u
-    if t[w][w] or preserve == "nullspace":
+    if entry(w, w) or preserve == "nullspace":
         return False
     if preserve == "nullity":
         return True
     kernel = part.kernel.vectors
     b = next(k for k in kernel if k[u])
-    bu, tw = b[u], t[w]
+    bu = b[u]
     spanning = [[bu * x - k[u] * y for x, y in zip(k, b)] for k in kernel]
-    spanning.append([(d + tw[u]) * y - bu * x for x, y in zip(tw, b)])
-    return {v for x in spanning for v, a in enumerate(x) if a} == set(
-        part.cv_set)
+    spanning.append([(d + entry(w, u)) * y - bu * entry(w, v)
+                     for v, y in enumerate(b)])
+    return {v for x in spanning for v, a in enumerate(x) if a} == set(cv)
 
 
-def _safe_candidates(g: Graph, part: VertexPartition, preserve: str):
+def _safe_candidates(g: Graph, reduced: tuple, preserve: str):
     """The candidates of safe_additions, one at a time in (u, w) order,
-    each decided by _keeps from the partition alone."""
-    for u, w, tag in _tagged_non_edges(g, part):
-        if tag in _SCREENED and _keeps(part, u, w, preserve):
+    each decided by _keeps from reduced = (partition, d, entry) alone."""
+    for u, w, tag in _tagged_non_edges(g, reduced[0]):
+        if tag in _SCREENED and _keeps(*reduced, u, w, preserve):
             yield EdgeCandidate(u, w, tag)
 
 
-def safe_additions(
-    g: Graph, preserve: str, partition: VertexPartition | None = None
-):
+def safe_additions(g: Graph, preserve: str, reduced: tuple | None = None):
     """Candidates whose addition keeps the requested property.
 
     preserve is one of nullity, cv_set, nullspace.  CV-CV and CV-CFVR
     candidates are never offered: an edge inside the core or from the
     core to the remote part invalidates the labelling scheme itself,
     whatever it does to the chosen flag.  Every other candidate is
-    decided by _keeps from the partition's kernel and reduction, so the
-    screen costs one elimination, for g, and none when a partition is
-    passed in; that partition must be classify_vertices(g).
+    decided by _keeps from the kernel, d and T of one reduction of g,
+    so the screen costs one elimination, for g, and none when reduced
+    is passed in; that must be analysis._classified(g), the triple
+    (partition, d, entry).
     """
     _check_preserve(preserve)
-    part = classify_vertices(g) if partition is None else partition
-    return list(_safe_candidates(g, part, preserve))
+    reduced = _classified(g) if reduced is None else reduced
+    return list(_safe_candidates(g, reduced, preserve))
 
 
-def greedy_densify(
-    g: Graph, preserve: str, partition: VertexPartition | None = None
-):
+def greedy_densify(g: Graph, preserve: str, reduced: tuple | None = None):
     """Add safe edges lexicographically-first until none remains.
 
     Returns (final graph, tuple of added edges).  The preserved
     property is re-checked against the original graph after every
     accepted edge, so the result is maximal by inclusion, not a claimed
-    maximum-cardinality optimum.  That re-check classifies the new graph
-    once, and its partition screens the next step, so the run costs one
-    elimination for g (none when a partition is passed in) plus one per
+    maximum-cardinality optimum.  That re-check reduces the new graph
+    once (analysis._classified), and the same reduction screens the
+    next step, so the run costs one elimination for g (none when
+    reduced = analysis._classified(g) is passed in) plus one per
     accepted edge.
     """
     _check_preserve(preserve)
     read = _PRESERVED[preserve]
-    base = classify_vertices(g) if partition is None else partition
-    part = base
+    reduced = _classified(g) if reduced is None else reduced
+    base = reduced[0]
     current = g
     added = []
     while True:
-        first = next(_safe_candidates(current, part, preserve), None)
+        first = next(_safe_candidates(current, reduced, preserve), None)
         if first is None:
             break
         current = add_edge(current, first.u, first.w)
@@ -444,8 +448,8 @@ def greedy_densify(
         # Per-step flags compare equalities, so preservation against
         # the previous graph chains back to the original; verify that
         # directly anyway.
-        part = classify_vertices(current)
-        before, after = read(base), read(part)
+        reduced = _classified(current)
+        before, after = read(base), read(reduced[0])
         if before != after:
             raise TheoremViolationError(
                 "densification step (%d, %d) lost the %s property"

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nullcore import linalg
 from nullcore.analysis import (
     VertexClass,
+    _classified,
     analyze,
     classify_vertices,
     core_labelling,
@@ -183,20 +185,31 @@ def test_shared_kernel_matches_oracle(g):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(drawn_graphs())
 def test_partition_keeps_the_reduction(g):
-    # y_block[u] is d times a solution of A y = e_u, exactly in integers,
-    # for every core-forbidden u and for no core vertex
-    part = classify_vertices(g)
+    # On each route, T read through the reduction's entry is exact in
+    # integers: A T_u = d e_u for every core-forbidden u, T is symmetric
+    # on that block and T_uu / d is the y_u that every solution of
+    # A y = e_u shares; and Y = T / d satisfies A Y A = A on the rows
+    # of B, core rows included, with T zero on the other eta rows.
     rows = oracle.adjacency_rows(g.n, g.edges())
-    cv = set(part.cv_set)
-    for u, y in enumerate(part.y_block):
-        assert (y is None) == (u in cv)
-        if y is None:
-            continue
-        assert [sum(y[w] for w in g.adjacency[v]) for v in range(g.n)] == [
-            part.d * (v == u) for v in range(g.n)]
-        assert Fraction(y[u], part.d) == oracle.unit_solution_entry(rows, u)
-        assert all(y[w] == part.y_block[w][u]
-                   for w in range(g.n) if w not in cv)
+    n = g.n
+    for dense in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_is_dense", lambda data, size: dense)
+            part, d, entry = _classified(g)
+        t = [[entry(u, w) for w in range(n)] for u in range(n)]
+        forbidden = [u for u in range(n) if u not in part.cv_set]
+        for u in forbidden:
+            assert [sum(t[u][w] for w in g.adjacency[v])
+                    for v in range(n)] == [d * (v == u) for v in range(n)]
+            assert Fraction(t[u][u], d) == oracle.unit_solution_entry(
+                rows, u)
+            assert all(t[u][w] == t[w][u] for w in forbidden)
+        assert sum(map(any, t)) == n - part.nullity
+        at = [[sum(t[j][w] for j in g.adjacency[v]) for w in range(n)]
+              for v in range(n)]
+        ata = [[sum(row[j] for j in g.adjacency[w]) for w in range(n)]
+               for row in at]
+        assert ata == [[d * a for a in row] for row in rows]
 
 
 def test_forged_basis_trips_solvability_guard():

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import nullcore.analysis
 import nullcore.graphs
 import nullcore.perturb
 import nullcore.verify
@@ -439,15 +440,21 @@ def test_verify_dumps_counterexamples(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["--list", "--densify"])
 def test_perturb_classifies_input_once(capsys, monkeypatch, p7_file, mode):
-    # the partition made for the independence check is the one screened,
-    # so perturb classifies only graphs with an edge added
+    # the reduction made for the independence check is the one screened,
+    # so perturb reduces the input once and otherwise only graphs with an
+    # edge added
     calls = []
-    real = nullcore.perturb.classify_vertices
-    monkeypatch.setattr(nullcore.perturb, "classify_vertices",
-                        lambda g, basis=None: calls.append(g) or real(g, basis))
+    real = nullcore.analysis._classified
+    real_classify = nullcore.perturb.classify_vertices
+    spy = lambda g: calls.append(g) or real(g)
+    monkeypatch.setattr(nullcore.analysis, "_classified", spy)
+    monkeypatch.setattr(nullcore.perturb, "_classified", spy)
+    monkeypatch.setattr(
+        nullcore.perturb, "classify_vertices",
+        lambda g, basis=None: calls.append(g) or real_classify(g, basis))
     code, _, _ = run_cli(capsys, "perturb", p7_file, "--preserve", "cv", mode)
     assert code == 0
-    assert all(g.m > 6 for g in calls)
+    assert [g.m for g in calls if g.m <= 6] == [6]
 
 
 @pytest.mark.parametrize("argv", [

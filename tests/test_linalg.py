@@ -363,13 +363,15 @@ def _wide_reduction(rows):
     return basis, prev, y_rows
 
 
-def _y_rows(basis, d, row):
-    """(basis, d, y_rows) of a reduction that returned (basis, d, row),
-    with the y rows as classify_vertices builds them: None on the
-    kernel supports and row(v) at every other v."""
+def _y_rows(basis, d, entry):
+    """(basis, d, y_rows) of a reduction that returned (basis, d, entry),
+    with the y rows read through entry: None on the kernel supports and
+    row v of T at every other v."""
     core = basis.supports()
-    return basis, d, tuple(None if v in core else row(v)
-                           for v in range(basis.ambient))
+    n = basis.ambient
+    return basis, d, tuple(
+        None if v in core else tuple(entry(v, w) for w in range(n))
+        for v in range(n))
 
 
 def _assert_solutions(rows, d, y_rows):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nullcore.analysis import classify_vertices
+from nullcore.analysis import _classified, classify_vertices
 from nullcore.errors import PreconditionError, TheoremViolationError
 from nullcore.graphs import (
     Graph,
@@ -261,10 +261,10 @@ def test_safe_additions_eliminates_once_per_graph(monkeypatch):
             elims.clear()
             safe_additions(g, mode)
             assert len(elims) == 1
-            # a partition handed in is not classified again
-            part = classify_vertices(g)
+            # a reduction handed in is not made again
+            reduced = _classified(g)
             elims.clear()
-            safe_additions(g, mode, part)
+            safe_additions(g, mode, reduced)
             assert elims == []
     assert reports == []
 
@@ -298,8 +298,9 @@ def test_scaled_claim_densifies_like_the_canonical_basis():
     # the canonical one, so the nullspace re-checks compare equal bases
     p7 = gen_path(7)
     part = classify_vertices(p7, KernelBasis(7, ((2, 0, -2, 0, 2, 0, -2),)))
-    assert part == classify_vertices(p7)
-    assert greedy_densify(p7, "nullspace", part)[1] == (
+    reduced = _classified(p7)
+    assert part == classify_vertices(p7) == reduced[0]
+    assert greedy_densify(p7, "nullspace", reduced)[1] == (
         (1, 3), (1, 5), (3, 5))
     report = apply_and_report(p7, EdgeCandidate(1, 3, "NCV-NCV"), part)
     assert report.preserved["nullspace"]
@@ -522,7 +523,8 @@ def _screen_against_reports(g):
     every mode, and for n <= 8 its nullity and core-set verdicts against
     the oracle.  Returns the partition and, per candidate, whether it is
     CV-NCV and the nullity and core-set verdicts."""
-    part = classify_vertices(g)
+    part, d, entry = _classified(g)
+    assert part == classify_vertices(g)
     verdicts = []
     offered = {}
     for cand in candidate_edges(g, part):
@@ -530,7 +532,8 @@ def _screen_against_reports(g):
             continue
         flags = apply_and_report(g, cand, part).preserved
         offered[cand] = flags
-        keeps = {mode: nullcore.perturb._keeps(part, cand.u, cand.w, mode)
+        keeps = {mode: nullcore.perturb._keeps(part, d, entry, cand.u,
+                                               cand.w, mode)
                  for mode in _MODES}
         assert keeps == {mode: flags[mode] for mode in _MODES}, cand
         cv_ncv = cand.type_pair == "CV-NCV"
@@ -583,8 +586,8 @@ def test_rank_two_screen_covers_both_outcomes_with_and_without_cores():
 
 def test_screen_matches_full_report_on_bordered_graphs():
     # Planted twins in G(n, 1/2) are dense from n = 18 (below that many
-    # fall under the _is_dense line), so their partitions carry
-    # bordering's d and y rows; two twins give CV-NCV candidates.  None
+    # fall under the _is_dense line), so their screens read bordering's
+    # d and T; two twins give CV-NCV candidates.  None
     # of them keeps the core set through a CV-NCV addition, so MET_TREE
     # beside K_13 adds one that does.
     k13 = gen_random_graph(13, 1, 1, 0)
@@ -709,3 +712,30 @@ def test_greedy_densify_elimination_count(monkeypatch, preserve):
         monkeypatch.undo()
         assert reports == []
         assert len(elims) == 1 + len(added), g.edges()
+
+
+def _route_results(g, dense):
+    """classify_vertices(g), and safe_additions and greedy_densify of g
+    in every mode, with every reduction forced onto one route: bordered
+    when dense, eliminated on dict rows otherwise."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nullcore.linalg, "_is_dense", lambda rows, n: dense)
+        return (classify_vertices(g),
+                [safe_additions(g, mode) for mode in _MODES],
+                [greedy_densify(g, mode) for mode in _MODES])
+
+
+def test_results_do_not_depend_on_the_route():
+    # The two routes give d and T of their own, but every public result
+    # is a function of the graph: the partition, the screen's listing
+    # and the densified graph, on both sides of the _is_dense line.
+    graphs = [_planted_twins(n, 1 + n // 2 % 2, n) for n in (16, 18, 20)]
+    graphs += [gen_random_graph(24, 1, 2, 7), gen_random_tree(14, 2),
+               MET_TREE, gen_random_graph(12, 1, 4, 1),
+               gen_random_graph(16, 1, 4, 3)]
+    sides = set()
+    for g in graphs:
+        sides.add(_dense(g))
+        assert _route_results(g, False) == _route_results(g, True), (
+            g.edges())
+    assert sides == {False, True}

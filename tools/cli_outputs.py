@@ -57,6 +57,10 @@ _LARGE = (
 # also runs on every planted-twin graph, whose screen reads the
 # bordered reduction
 _PERTURB_MAX_N = 16
+# the planted-twin graphs on which perturb also runs --densify, whose
+# re-check after each accepted edge reads a bordered reduction (seed 0
+# adds 238 edges)
+_DENSIFY_TWINS = "twin-32-"
 _PER_GRAPH = (("analyze",), ("analyze", "--dot"), ("mc",),
               ("reduce", "--slim"), ("reduce", "--pendant"))
 _VERIFY_SEEDS = (0, 5, 9)
@@ -171,8 +175,11 @@ def main(argv) -> int:
                     row(("perturb", name, "--preserve", mode, action))
         for name, _, _ in graphs:
             if name.startswith("twin-"):
+                actions = (("--list", "--densify")
+                           if name.startswith(_DENSIFY_TWINS) else ("--list",))
                 for mode in ("nullity", "cv", "nullspace"):
-                    row(("perturb", name, "--preserve", mode, "--list"))
+                    for action in actions:
+                        row(("perturb", name, "--preserve", mode, action))
         for seed in _VERIFY_SEEDS:
             row(("verify", "--suite", "all", "--trials", "30",
                  "--max-n", "12", "--seed", str(seed)))

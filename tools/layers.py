@@ -1,0 +1,148 @@
+"""Time the nullcore library layers in one process; write BENCH_<label>.json.
+
+Imports the nullcore package from the given src directory and times,
+on fixed seeded inputs:
+
+- linalg.rank, det, nullspace_basis and char_poly of the adjacency
+  matrix, and analysis.classify_vertices of the graph, on
+  gen_random_tree(n, 0) and gen_random_graph(n, 1, 2, 0) (G(n, 1/2))
+  at n = 16, 32, 64 and 96;
+- classify_vertices(gen_random_tree(2000, 1)), whose tracemalloc peak
+  is recorded too, in a run of its own after the timed ones.
+
+Each case is timed in RUNS runs (at least 5) of a fixed number of calls,
+chosen once per case so that a run lasts about 20 ms or one call; the
+record gives the min and the median over the runs of the time per call.
+Times are also given scaled to the machine's nominal speed, the way
+bench/run.py scales its own: bench/probe.py (fixed exact arithmetic in a
+fresh interpreter, no nullcore code) is timed PROBES times before and
+after the cases, and every time is multiplied by bench/run.py's
+NOMINAL_PROBE_S over the median probe.  The record also holds the
+Python version, nproc and the git SHA of the src checkout (with whether
+its tree had uncommitted changes).
+
+Usage (standard library only; writes into the current directory):
+
+    python3 tools/layers.py SRC_DIR LABEL
+"""
+
+import json
+import os
+import pathlib
+import platform
+import statistics
+import subprocess
+import sys
+import time
+import timeit
+import tracemalloc
+
+RUNS = 5
+PROBES = 5
+# bench/run.py's NOMINAL_PROBE_S: the probe's time on an idle core of
+# the machine the benchmark's baseline was taken on
+NOMINAL_PROBE_S = 0.06
+SIZES = (16, 32, 64, 96)
+RUN_TARGET_S = 0.02
+LARGE_TREE = (2000, 1)
+PROBE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "probe.py"
+
+
+def _probe() -> float:
+    start = time.perf_counter()
+    subprocess.run([sys.executable, str(PROBE)], check=True,
+                   cwd=PROBE.parent, stdout=subprocess.DEVNULL)
+    return time.perf_counter() - start
+
+
+def _per_call(fn, arg) -> list:
+    """RUNS times per call of fn(arg), each a run of a fixed number of
+    calls with the garbage collector off (timeit)."""
+    timer = timeit.Timer(lambda: fn(arg))
+    first = timer.timeit(1)
+    number = max(1, int(RUN_TARGET_S / max(first, 1e-9)))
+    return [t / number for t in timer.repeat(RUNS, number)]
+
+
+def _summary(times: list, scale: float) -> dict:
+    low, mid = min(times), statistics.median(times)
+    return {"min_s": low, "median_s": mid,
+            "min_scaled_s": low * scale, "median_scaled_s": mid * scale}
+
+
+def _git(src: pathlib.Path) -> dict:
+    def git(*args):
+        proc = subprocess.run(["git", "-C", str(src), *args],
+                              capture_output=True, text=True, check=False)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    return {"git_sha": git("rev-parse", "HEAD"),
+            "git_dirty": bool(git("status", "--porcelain", "--", "."))}
+
+
+def main(argv) -> int:
+    if len(argv) != 3:
+        print("usage: layers.py SRC_DIR LABEL", file=sys.stderr)
+        return 1
+    src = pathlib.Path(argv[1]).resolve()
+    if not (src / "nullcore" / "linalg.py").is_file():
+        print("no nullcore package in %s" % src, file=sys.stderr)
+        return 1
+    sys.path.insert(0, str(src))
+    from nullcore import analysis, graphs, linalg
+
+    probes = [_probe() for _ in range(PROBES)]
+    cases = []
+    for family, gen in (("tree", graphs.gen_random_tree),
+                        ("gnp1/2", lambda n, seed: graphs.gen_random_graph(
+                            n, 1, 2, seed))):
+        for n in SIZES:
+            g = gen(n, 0)
+            m = graphs.adjacency_matrix(g)
+            for layer, fn, arg in (
+                    ("linalg.rank", linalg.rank, m),
+                    ("linalg.det", linalg.det, m),
+                    ("linalg.nullspace_basis", linalg.nullspace_basis, m),
+                    ("linalg.char_poly", linalg.char_poly, m),
+                    ("analysis.classify_vertices",
+                     analysis.classify_vertices, g)):
+                cases.append(({"layer": layer, "family": family, "n": n,
+                               "seed": 0}, _per_call(fn, arg)))
+    tree = graphs.gen_random_tree(*LARGE_TREE)
+    large = _per_call(analysis.classify_vertices, tree)
+    tracemalloc.start()
+    analysis.classify_vertices(tree)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    probes += [_probe() for _ in range(PROBES)]
+    scale = NOMINAL_PROBE_S / statistics.median(probes)
+    record = {
+        "label": argv[2],
+        **_git(src),
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "runs": RUNS,
+        "nominal_probe_s": NOMINAL_PROBE_S,
+        "probes_s": probes,
+        "scale": scale,
+        "cases": [key | _summary(times, scale) for key, times in cases],
+        "classify_large_tree": {
+            "layer": "analysis.classify_vertices", "family": "tree",
+            "n": LARGE_TREE[0], "seed": LARGE_TREE[1],
+            **_summary(large, scale),
+            "tracemalloc_peak_mb": peak / 1e6},
+    }
+    out = pathlib.Path("BENCH_%s.json" % argv[2])
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    for key, times in cases:
+        print("%-28s %-7s n=%-3d min %.6f s  median %.6f s"
+              % (key["layer"], key["family"], key["n"], min(times),
+                 statistics.median(times)))
+    print("classify_vertices tree n=%d: min %.3f s, peak %.1f MB"
+          % (LARGE_TREE[0], min(large), peak / 1e6))
+    print("wrote %s (scale %.3f)" % (out, scale))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

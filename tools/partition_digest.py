@@ -5,12 +5,15 @@ one SHA-256 over the library's exact results on:
 
 - relabelled random trees, G(n, 1/8), G(n, 1/2), unicyclic graphs and
   G(n, 2/n), for n = 2 to 40, 48, 64, 96 and 128: every field of
-  classify_vertices (the classes, the kernel basis, d and y_block),
-  nullity, and the kernel state a perturbation report rechecks;
+  classify_vertices (the classes and the kernel basis), the d and T of
+  the reduction that classified the graph (analysis._classified), T as
+  its non-zero rows, which are the rows of B, each read through the
+  reduction's entry and tagged with its vertex, nullity, and the
+  kernel state a perturbation report rechecks;
 - seeded signed rectangular matrices: rank, nullspace_basis and, when
   square, det.
 
-The command line prints none of d and y_block, so two checkouts whose
+The command line prints neither d nor T, so two checkouts whose
 tools/cli_outputs.py lines agree can still differ there; two that
 print the same digest here agree on every result listed.
 
@@ -56,8 +59,11 @@ def _graph_results(rng):
                 order = rng.sample(range(n), n)
                 h = graphs.Graph(n, [(order[u], order[w])
                                      for u, w in g.edges()])
+                part, d, entry = analysis._classified(h)
+                t = [tuple(entry(u, w) for w in range(n)) for u in range(n)]
                 yield ("%s n=%d seed=%d" % (name, n, seed),
-                       (h.edges(), tuple(analysis.classify_vertices(h)),
+                       (h.edges(), tuple(part), d,
+                        tuple((u, row) for u, row in enumerate(t) if any(row)),
                         analysis.nullity(h),
                         tuple(perturb._kernel_state(h))))
 
