@@ -7,11 +7,12 @@ division, applied above and below each pivot) serves rank, det and
 nullspace_basis: rank is the number of pivots, the determinant is the
 last pivot times the row-swap sign, and the canonical integer nullspace
 basis is read directly off the reduced rows.  A dense symmetric matrix
-is bordered instead (the escalator method): the adjugate of a growing
-non-singular principal block is kept on packed rows, one int per row
-with the entries in signed slots whose width Hadamard's bound
-certifies, and grown by 1 x 1 or 2 x 2 steps, at about a third of the
-cost of eliminating [A | I].  Its rank is n minus the nullity, its
+whose non-zero entries are all 1, an adjacency matrix or a principal
+block of one, is bordered instead (the escalator method): the adjugate
+of a growing non-singular principal block is kept on packed rows, one
+int per row with the entries in signed slots whose width Hadamard's
+bound certifies, and grown by 1 x 1 or 2 x 2 steps, at about a third of
+the cost of eliminating [A | I].  Its rank is n minus the nullity, its
 determinant the block's determinant at full rank, and its kernel basis
 the same canonical one.  _reduced picks the kernel for every caller
 that reads only the rank, the determinant or the basis.
@@ -19,7 +20,8 @@ that reads only the rank, the determinant or the basis.
 A symmetric matrix also gets a d and a matrix T whose row at every v
 outside the kernel supports (exactly the v with A y = e_v solvable) is
 d times one solution y: bordering keeps T as the adjugate of its block,
-and a sparse or small matrix is eliminated beside the identity,
+and any other matrix (sparse, small or with an entry other than 1) is
+eliminated beside the identity,
 [A | I], whose keys n + v ride along with the elimination of A's
 columns and end as T.  T stays inside the reduction, read one entry at
 a time.  Neither route decides which vertices those are; the caller
@@ -33,7 +35,7 @@ cost each command another import.
 """
 
 from itertools import chain
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import index, itemgetter
 
 try:
@@ -249,37 +251,33 @@ def _is_symmetric(rows) -> bool:
 
 
 def _is_dense(rows, n: int) -> bool:
-    """Whether a symmetric n x n matrix is bordered on packed rows
-    (_reduce_by_bordering): at least 16 rows and at least 4 * (n + 16)
-    non-zero entries.  The rule is the measured crossover on trees and
-    G(n, p) (README)."""
-    return n >= 16 and sum(map(len, rows)) >= 4 * (n + 16)
+    """Whether a symmetric n x n matrix, given as dict rows, is bordered
+    on packed rows (_reduce_by_bordering): at least 16 rows, at least
+    4 * (n + 16) non-zero entries, and every one of them 1, so that
+    bordering sees only adjacency matrices and their principal blocks.
+    The counts are checked first, so a sparse matrix is not scanned.
+    The size and count clauses were fitted on an earlier elimination
+    loop; the route table of BENCH_pr28.json (tools/layers.py, README)
+    times each reduction on both sides of them."""
+    return (n >= 16 and sum(map(len, rows)) >= 4 * (n + 16)
+            and all(a == 1 for row in rows for a in row.values()))
 
 
 def _slot_bytes(rows, n: int) -> int:
     """Bytes per signed slot of the packed rows that bordering keeps
-    for a symmetric n x n matrix.
+    for a symmetric {0, 1} matrix of order n (_is_dense).
 
     Every value bordering stores or decodes is a minor of the matrix, of
     order at most n.  Hadamard's bound, the product of the row norms,
-    bounds them all; for a {0, 1} matrix so does
-    (n + 1)^((n + 1) / 2) / 2^n, Hadamard's bound on the +-1 matrix of
-    order n + 1 that borders it, which is smaller on dense rows.  A slot
-    gets the bit length of twice the smaller bound plus two bits,
-    rounded up to whole bytes so that a row unpacks through bytes.
+    here the square root of the product of the row counts, bounds them
+    all; so does (n + 1)^((n + 1) / 2) / 2^n, Hadamard's bound on the
+    +-1 matrix of order n + 1 that borders it, which is smaller on dense
+    rows.  A slot gets the bit length of twice the smaller bound plus
+    two bits, rounded up to whole bytes so that a row unpacks through
+    bytes.
     """
-    norms = 1
-    binary = True
-    for row in rows:
-        values = row.values()
-        if binary and all(a == 1 for a in values):
-            norms *= max(1, len(values))
-        else:
-            binary = False
-            norms *= max(1, sum(a * a for a in values))
-    bound = isqrt(norms) + 1
-    if binary:
-        bound = min(bound, (isqrt((n + 1) ** (n + 1)) >> n) + 1)
+    counts = prod(max(1, len(row)) for row in rows)
+    bound = min(isqrt(counts), isqrt((n + 1) ** (n + 1)) >> n) + 1
     return ((2 * bound).bit_length() + 9) // 8
 
 
@@ -387,18 +385,19 @@ def _kernel_from_reduced(data, pivots, d: int, n_cols: int) -> KernelBasis:
 
     For each free column f the kernel vector has d at f, -R[i][f] at the
     pivot column of row i and 0 elsewhere, made primitive (_primitive).
+    A pivoted column is in no row (_gauss_jordan_int), so one pass over
+    each pivot row writes its entries into the vectors of the free
+    columns it holds; keys from n_cols on (T's) are skipped.
     """
     pivot_set = set(pivots)
-    vectors = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        vec = [0] * n_cols
-        vec[free] = d
-        for i, p in enumerate(pivots):
-            vec[p] = -data[i].get(free, 0)
-        vectors.append(_primitive(vec))
-    return KernelBasis(n_cols, tuple(vectors))
+    vectors = {f: [0] * n_cols for f in range(n_cols) if f not in pivot_set}
+    for f, vec in vectors.items():
+        vec[f] = d
+    for row, p in zip(data, pivots):
+        for f, x in row.items():
+            if f < n_cols:
+                vectors[f][p] = -x
+    return KernelBasis(n_cols, tuple(map(_primitive, vectors.values())))
 
 
 def _canonical_basis(vectors: list, n: int) -> KernelBasis:
@@ -436,7 +435,8 @@ def _reduced(rows: list, n_cols: int, want_basis: bool) -> tuple:
     nullspace_basis, analysis.nullity and the perturbation recheck
     choose their kernel.
 
-    A dense symmetric matrix (_is_dense) is bordered
+    A dense symmetric matrix whose non-zero entries are all 1
+    (_is_dense, _is_symmetric) is bordered
     (_reduce_by_bordering): the rank is n - eta, det is bordering's
     d = det A[B, B] when eta = 0 and 0 otherwise, and the basis is the
     canonical one bordering returns.  Any other matrix is eliminated on
@@ -499,8 +499,9 @@ def _reduce_symmetric(data: list, n: int) -> tuple:
     T_uw = d y_w for one solution y of A y = e_u.  A y = e_v is
     solvable exactly when every kernel vector vanishes at v, since ker A
     is the left kernel; which vertices those are is left to the caller.
-    A dense A (_is_dense) is bordered (_reduce_by_bordering), any other
-    one eliminated beside the identity (_reduce_by_elimination).  The
+    A dense A whose non-zero entries are all 1 (_is_dense), an adjacency
+    matrix, is bordered (_reduce_by_bordering), any other one eliminated
+    beside the identity (_reduce_by_elimination).  The
     two routes give the same basis and the same ratio T_uw / d for
     core-forbidden u and w, but d and T of their own; no row of T is
     built unless a caller reads its entries.
@@ -541,7 +542,8 @@ def _reduce_by_elimination(data: list, n: int) -> tuple:
 def _reduce_by_bordering(rows: list, n: int) -> tuple:
     """_reduce_symmetric by bordering (the escalator method): grow a
     non-singular principal block A[B, B], keeping d = det A[B, B] and
-    T = adj A[B, B].
+    T = adj A[B, B].  A is a symmetric {0, 1} matrix (_is_dense), so
+    every a below is 0 or 1.
 
     For v outside B let b_v = A[B, v] and W = T b_v; then
     sigma = d a_vv - b_v' W is d times the Schur complement of v.  If
@@ -565,9 +567,10 @@ def _reduce_by_bordering(rows: list, n: int) -> tuple:
 
     T sits on packed rows, one int per vertex of B: slot j holds the
     j-th vertex of B from the low end, in signed slots of _slot_bytes.
-    So T b_v is a sum of rows and a row update a few big-integer
-    operations, about n^3 / 3 slot operations against n^3 for the
-    elimination of [A | I].  Each pending w gives the kernel vector
+    So T b_v is a plain sum of the rows at the 1s of row v in B, b_u' W
+    a sum of W's entries at the 1s of row u, and a row update a few
+    big-integer operations, about n^3 / 3 slot operations against n^3
+    for the elimination of [A | I].  Each pending w gives the kernel vector
     d e_w - T b_w (on B), which _canonical_basis makes canonical.  A
     vertex v outside every kernel support is in B, and its row of T,
     zero off B, is d times the solution of A y = e_v that is supported
@@ -594,17 +597,17 @@ def _reduce_by_bordering(rows: list, n: int) -> tuple:
     def product(v):
         """T b_v, packed and decoded."""
         x = 0
-        for j, a in rows[v].items():
+        for j in rows[v]:
             i = slot[j]
             if i is not None:
-                x += t[i] if a == 1 else a * t[i]
+                x += t[i]
         return x, decode(x)
 
     def schur(u, v, support):
         """d a_uv - b_u' W, for W = T b_v given as the (vertex, entry)
-        pairs of its non-zero entries."""
+        pairs of its non-zero entries; every a is 0 or 1."""
         row = rows[u]
-        return d * row.get(v, 0) - sum(x * row.get(j, 0) for j, x in support)
+        return d * (v in row) - sum(x for j, x in support if j in row)
 
     def take(v):
         """Border A[B, B] by v, or by v and a partner, or else mark v

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here works on plain (n, edges) data with stdlib imports only,
-except cv_by_deletion, which runs the deletion criterion on the package.
+except cv_by_deletion, which runs the deletion criterion on the package,
+and certify, which checks a package reduction by list arithmetic.
 The algorithms deliberately differ from the package's: row-swap Gaussian
 elimination over Fraction (and the kernel read off its reduced form)
 instead of fraction-free integer Gauss-Jordan, evaluation
@@ -176,6 +177,60 @@ def cv_by_deletion(g):
     return tuple(
         v for v in range(g.n) if nullity(delete_vertex(g, v)[0]) == eta - 1
     )
+
+
+def certify(g, part, d, entry):
+    """Whether a reduction of A(g) proves its own partition, with no
+    elimination: list arithmetic over g.adjacency alone.
+
+    part, d and entry are what analysis._classified returns, T[u][w] is
+    entry(u, w), and B is the set of vertices whose row of T is
+    non-zero.  Four checks, with eta = part.nullity:
+    (i) |B| = n - eta;
+    (ii) T[B, :] A[:, B] = d I_B with d != 0, so rank A >= n - eta;
+    (iii) A x = 0 for every kernel vector, and the vectors end at
+    distinct indices, so they are independent and, by (ii), a basis of
+    ker A: the nullity is eta and the core set the union of supports;
+    (iv) A T_u = d e_u for every core-forbidden u, so T_u / d solves
+    A y = e_u, and y_u = T_uu / d is shared by every solution: u is
+    cfv_mid exactly when T_uu != 0.
+    The partition must say what these prove: its nullity, core set,
+    classes and ncv/cfvr split.  They hold on both routes; the stronger
+    A[B, B] T[B, B] = d I holds on bordering only, since the
+    elimination's T may have entries outside B's columns.
+    """
+    n = g.n
+    adj = g.adjacency
+    t = [[entry(u, w) for w in range(n)] for u in range(n)]
+    b = [u for u in range(n) if any(t[u])]
+    eta = part.nullity
+    if d == 0 or len(b) != n - eta:
+        return False
+    # row u of T A, for u in B; (A T_u)_v = (T A)[u][v] as A = A'
+    ta = {u: [sum(t[u][k] for k in adj[v]) for v in range(n)] for u in b}
+    if any(ta[u][w] != d * (u == w) for u in b for w in b):
+        return False
+    vectors = part.kernel.vectors
+    if len(vectors) != eta or any(
+            len(x) != n or any(sum(x[k] for k in adj[v]) for v in range(n))
+            for x in vectors):
+        return False
+    ends = {max((i for i, a in enumerate(x) if a), default=-1)
+            for x in vectors}
+    core = {i for x in vectors for i, a in enumerate(x) if a}
+    if len(ends) != eta or -1 in ends or part.cv_set != tuple(sorted(core)):
+        return False
+    forbidden = [u for u in range(n) if u not in core]
+    if any(u not in ta or ta[u] != [d * (u == v) for v in range(n)]
+           for u in forbidden):
+        return False
+    tags = ["cfv_mid" if t[v][v] else "cfv_upp" for v in range(n)]
+    for v in core:
+        tags[v] = "cv"
+    ncv = tuple(u for u in forbidden if any(w in core for w in adj[u]))
+    return (part.class_tags() == tags and part.ncv_set == ncv
+            and part.cfvr_set == tuple(u for u in forbidden
+                                       if u not in ncv))
 
 
 def vertex_classes(n, edges):

@@ -30,6 +30,7 @@ from nullcore.errors import (
 )
 from nullcore.graphs import (
     Graph,
+    _adjacency_rows,
     adjacency_matrix,
     gen_cycle,
     gen_path,
@@ -162,7 +163,7 @@ def test_dense_classes_match_oracle(n, twin):
     if twin:
         # vertex n - 1 copies the neighbourhood of vertex 0
         g = Graph(n, list(g.edges()) + [(w, n - 1) for w in g.adjacency[0]])
-    assert 2 * g.m >= 4 * (n + 16)
+    assert linalg._is_dense(_adjacency_rows(g), n)
     rows = oracle.adjacency_rows(n, g.edges())
     kernel = oracle.kernel_basis(rows, n)
     tags = ["cv" if y is None else "cfv_upp" if y == 0 else "cfv_mid"
@@ -210,6 +211,49 @@ def test_partition_keeps_the_reduction(g):
         ata = [[sum(row[j] for j in g.adjacency[w]) for w in range(n)]
                for row in at]
         assert ata == [[d * a for a in row] for row in rows]
+
+
+@st.composite
+def large_graphs(draw):
+    """(graph, routes) with n from 64 to 200: a random tree, G(n, 4/n),
+    G(n, 4/n) with a planted twin, or G(n, 1/2) with n up to 128, and the
+    values of linalg._is_dense to classify it under.  Both routes, but
+    G(n, 1/2) above n = 96 only bordered, to keep the test near 10 s."""
+    kind = draw(st.sampled_from(("tree", "sparse", "twin", "half")))
+    n = draw(st.integers(64, 128 if kind == "half" else 200))
+    seed = draw(st.integers(0, 2**32))
+    if kind == "tree":
+        g = gen_random_tree(n, seed)
+    elif kind == "half":
+        g = gen_random_graph(n, 1, 2, seed)
+    else:
+        g = gen_random_graph(n - (kind == "twin"), 4, n, seed)
+        if kind == "twin":
+            source = draw(st.integers(0, n - 2))
+            g = Graph(n, list(g.edges())
+                      + [(w, n - 1) for w in g.adjacency[source]])
+    return g, (True,) if kind == "half" and n > 96 else (False, True)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(large_graphs())
+def test_certificate_proves_large_classifications(drawn):
+    # far above the oracle's reach (n <= 28), each route's own d and T
+    # prove its partition (oracle.certify), and a reduction with d + 1
+    # or one class of a core-forbidden vertex flipped is rejected
+    g, routes = drawn
+    for dense in routes:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_is_dense", lambda data, size: dense)
+            part, d, entry = _classified(g)
+        assert oracle.certify(g, part, d, entry)
+    assert not oracle.certify(g, part, d + 1, entry)
+    v = next(v for v in range(g.n) if v not in part.cv_set)
+    flipped = list(part.class_of)
+    flipped[v] = (VertexClass.CFV_UPP if flipped[v] is VertexClass.CFV_MID
+                  else VertexClass.CFV_MID)
+    assert not oracle.certify(g, part._replace(class_of=tuple(flipped)), d,
+                              entry)
 
 
 def test_forged_basis_trips_solvability_guard():

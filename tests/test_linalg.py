@@ -505,17 +505,25 @@ def test_gauss_jordan_int_matches_textbook_bareiss():
     assert any(general for _, general in flip_cases)
 
 
+def _binary(rows):
+    """Whether every entry is 0 or 1: the only matrices bordered."""
+    return all(a in (0, 1) for row in rows for a in row)
+
+
 def _bordered_y_matches_elimination(rows):
-    """Border a symmetric matrix and eliminate [A | I] on dict rows.
+    """Reduce a symmetric matrix, bordered if it is a {0, 1} matrix and
+    through _reduce_symmetric otherwise, and eliminate [A | I] on dict
+    rows.
 
     Both must give the same kernel basis, the same None pattern and the
-    same zero pattern of y_v.  Bordering's own d and y must satisfy
+    same zero pattern of y_v.  The reduction's own d and y must satisfy
     A y = d e_v exactly, with y symmetric on the non-core block.
-    Returns the bordered y_rows.
+    Returns the reduction's y_rows.
     """
     n = len(rows)
-    basis, d, y_rows = _y_rows(*linalg._reduce_by_bordering(
-        _dict_rows(rows), n))
+    reduce = linalg._reduce_by_bordering if _binary(rows) else (
+        _reduce_symmetric)
+    basis, d, y_rows = _y_rows(*reduce(_dict_rows(rows), n))
     expected, _, expected_y = _y_rows(*linalg._reduce_by_elimination(
         _dict_rows(rows), n))
     assert basis == expected
@@ -592,18 +600,21 @@ def test_bordering_matches_elimination_on_dense_matrices(rows):
 
 
 def _bordered_primitives_match_elimination(rows):
-    """rank, det and nullspace_basis of a symmetric matrix read off
-    bordering (rank n - eta, det d when eta = 0, else 0, and bordering's
-    basis) must equal the dict-row readout, and so must the public
-    functions, whichever kernel they choose.  Returns that readout."""
+    """rank, det and nullspace_basis of a symmetric {0, 1} matrix read
+    off bordering (rank n - eta, det d when eta = 0, else 0, and
+    bordering's basis) must equal the dict-row readout, and so must the
+    public functions, whichever kernel they choose, and the basis of
+    _reduce_symmetric on any symmetric matrix.  Returns that readout."""
     n = len(rows)
-    basis, d, _ = linalg._reduce_by_bordering(_dict_rows(rows), n)
-    eta = basis.dimension
     data = _dict_rows(rows)
     pivots, sign, last = _gauss_jordan_int(data, n)
     expected = (len(pivots), sign * last if len(pivots) == n else 0,
                 _kernel_from_reduced(data, pivots, last, n))
-    assert (n - eta, 0 if eta else d, basis) == expected
+    if _binary(rows):
+        basis, d, _ = linalg._reduce_by_bordering(_dict_rows(rows), n)
+        eta = basis.dimension
+        assert (n - eta, 0 if eta else d, basis) == expected
+    assert _reduce_symmetric(_dict_rows(rows), n)[0] == expected[2]
     m = IntMatrix(rows, cols=n)
     assert (rank(m), det(m), nullspace_basis(m)) == expected
     return expected
@@ -648,8 +659,10 @@ def _planted_duplicate(rows, source, copy):
 @pytest.mark.parametrize("n", [16, 32])
 def test_elimination_at_hadamards_bound(n):
     # a Sylvester Hadamard matrix H is symmetric with entries +-1 and
-    # |det H| = n^(n/2), which is Hadamard's bound: the minors reach the
-    # width the packed rows are given, so any narrower slot would spill
+    # |det H| = n^(n/2), which is Hadamard's bound; H, -H and a twinned
+    # H are eliminated, and the {0, 1} matrix below, bordered, reaches
+    # the width the packed rows are given, so any narrower slot would
+    # spill
     h = _sylvester(n)
     h_entries = oracle.unit_solution_entries(h)
     negated = [[-x for x in row] for row in h]
@@ -692,7 +705,8 @@ def test_route_follows_size_and_fill(monkeypatch):
 
         monkeypatch.setattr(linalg, name, spy)
     dense24 = gen_random_graph(24, 1, 2, 5)
-    assert dense24.m >= 2 * (24 + 16)
+    a24 = adjacency_matrix(dense24).to_lists()
+    assert linalg._is_dense(_dict_rows(a24), 24)
     classify_vertices(dense24)
     assert taken == ["_reduce_by_bordering"]
     taken.clear()
@@ -706,7 +720,7 @@ def test_route_follows_size_and_fill(monkeypatch):
     # Q of a dense bipartite graph is as full, but not symmetric
     q = core_labelling(gen_random_bipartite(40, 0)).cv_to_ncv
     assert q.rows >= 16 and not q.is_symmetric()
-    assert sum(x != 0 for row in q.data for x in row) >= 4 * (q.rows + 16)
+    assert linalg._is_dense(linalg._sparse(q), q.rows)
     taken.clear()
     rank(q)
     assert taken == ["_gauss_jordan_int"]
@@ -730,6 +744,29 @@ def test_route_follows_size_and_fill(monkeypatch):
     nullity(small)
     _kernel_state(small)
     assert taken == ["_gauss_jordan_int"] * 4
+    # a dense symmetric matrix with an entry other than 1 is eliminated
+    # by every entry, with the oracle's results: 2 A, A with one mirrored
+    # pair of entries -1, and a Hadamard matrix
+    u, w = dense24.edges()[0]
+    signed = [list(row) for row in a24]
+    signed[u][w] = signed[w][u] = -1
+    for rows in ([[2 * a for a in row] for row in a24], signed,
+                 _sylvester(16)):
+        n = len(rows)
+        assert not linalg._is_dense(_dict_rows(rows), n)
+        m = IntMatrix(rows)
+        taken.clear()
+        assert rank(m) == oracle.gauss_rank(rows)
+        assert det(m) == oracle.gauss_det(rows)
+        assert nullspace_basis(m).vectors == oracle.kernel_basis(rows, n)
+        basis, d, y_rows = _y_rows(*_reduce_symmetric(_dict_rows(rows), n))
+        assert taken == ["_gauss_jordan_int"] * 4
+        assert basis.vectors == oracle.kernel_basis(rows, n)
+        entries = oracle.unit_solution_entries(rows)
+        assert [y is None for y in y_rows] == [y is None for y in entries]
+        assert all(y is None or (y[v] == 0) == (entries[v] == 0)
+                   for v, y in enumerate(y_rows))
+        _assert_solutions(rows, d, y_rows)
 
 
 def test_nullspace_determinism():

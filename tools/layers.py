@@ -7,8 +7,17 @@ on fixed seeded inputs:
   matrix, and analysis.classify_vertices of the graph, on
   gen_random_tree(n, 0) and gen_random_graph(n, 1, 2, 0) (G(n, 1/2))
   at n = 16, 32, 64 and 96;
-- classify_vertices(gen_random_tree(2000, 1)), whose tracemalloc peak
-  is recorded too, in a run of its own after the timed ones.
+- classify_vertices on gen_random_tree(n, 1) at n = 300, 1000 and
+  4000, and on gen_random_tree(2000, 1), whose tracemalloc peak is
+  recorded too, in a run of its own after the timed ones;
+- the route table: on random trees, random unicyclic graphs, G(n, 1/2),
+  G(n, 1/4), G(n, 4/(n - 1)), random bipartite graphs and planted twins
+  (G(n - 1, 1/2) plus a twin of vertex 0), seed 0, at n = 12, 16, 24,
+  32, 64 and 128, the three reductions of the adjacency matrix that
+  linalg has (linalg._reduce_by_elimination, the kernel-only
+  elimination linalg._gauss_jordan_int plus linalg._kernel_from_reduced,
+  and linalg._reduce_by_bordering), each from fresh dict rows, with the
+  route linalg._is_dense picks for it.
 
 Each case is timed in RUNS runs (at least 5) of a fixed number of calls,
 chosen once per case so that a run lasts about 20 ms or one call; the
@@ -43,6 +52,8 @@ PROBES = 5
 # the machine the benchmark's baseline was taken on
 NOMINAL_PROBE_S = 0.06
 SIZES = (16, 32, 64, 96)
+TREE_SIZES = (300, 1000, 4000)
+ROUTE_SIZES = (12, 16, 24, 32, 64, 128)
 RUN_TARGET_S = 0.02
 LARGE_TREE = (2000, 1)
 PROBE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "probe.py"
@@ -68,6 +79,52 @@ def _summary(times: list, scale: float) -> dict:
     low, mid = min(times), statistics.median(times)
     return {"min_s": low, "median_s": mid,
             "min_scaled_s": low * scale, "median_scaled_s": mid * scale}
+
+
+def _route_graphs(graphs):
+    """(family, generator of n) for the route table, seed 0."""
+    def twins(n):
+        g = graphs.gen_random_graph(n - 1, 1, 2, 0)
+        return graphs.Graph(n, list(g.edges())
+                            + [(w, n - 1) for w in g.adjacency[0]])
+
+    return (("tree", lambda n: graphs.gen_random_tree(n, 0)),
+            ("unicyclic", lambda n: graphs.gen_random_unicyclic(n, 0)),
+            ("gnp1/2", lambda n: graphs.gen_random_graph(n, 1, 2, 0)),
+            ("gnp1/4", lambda n: graphs.gen_random_graph(n, 1, 4, 0)),
+            ("gnp4/(n-1)",
+             lambda n: graphs.gen_random_graph(n, 4, n - 1, 0)),
+            ("bipartite", lambda n: graphs.gen_random_bipartite(n, 0)),
+            ("twins", twins))
+
+
+def _route_table(graphs, linalg) -> list:
+    """One row per graph of _route_graphs at each n in ROUTE_SIZES: the
+    route _is_dense picks and the min time per call of each reduction."""
+    rows_of = graphs._adjacency_rows
+
+    def kernel_only(g):
+        rows = rows_of(g)
+        pivots, _, d = linalg._gauss_jordan_int(rows, g.n)
+        return linalg._kernel_from_reduced(rows, pivots, d, g.n)
+
+    reductions = (
+        ("elimination_s",
+         lambda g: linalg._reduce_by_elimination(rows_of(g), g.n)),
+        ("kernel_only_s", kernel_only),
+        ("bordering_s",
+         lambda g: linalg._reduce_by_bordering(rows_of(g), g.n)))
+    table = []
+    for family, gen in _route_graphs(graphs):
+        for n in ROUTE_SIZES:
+            g = gen(n)
+            dense = linalg._is_dense(rows_of(g), n)
+            table.append({"family": family, "n": n, "seed": 0,
+                          "edges": g.m,
+                          "route": "bordering" if dense else "elimination",
+                          **{name: min(_per_call(fn, g))
+                             for name, fn in reductions}})
+    return table
 
 
 def _git(src: pathlib.Path) -> dict:
@@ -108,6 +165,12 @@ def main(argv) -> int:
                      analysis.classify_vertices, g)):
                 cases.append(({"layer": layer, "family": family, "n": n,
                                "seed": 0}, _per_call(fn, arg)))
+    for n in TREE_SIZES:
+        cases.append(({"layer": "analysis.classify_vertices",
+                       "family": "tree", "n": n, "seed": 1},
+                      _per_call(analysis.classify_vertices,
+                                graphs.gen_random_tree(n, 1))))
+    routes = _route_table(graphs, linalg)
     tree = graphs.gen_random_tree(*LARGE_TREE)
     large = _per_call(analysis.classify_vertices, tree)
     tracemalloc.start()
@@ -131,13 +194,22 @@ def main(argv) -> int:
             "n": LARGE_TREE[0], "seed": LARGE_TREE[1],
             **_summary(large, scale),
             "tracemalloc_peak_mb": peak / 1e6},
+        "routes": routes,
     }
     out = pathlib.Path("BENCH_%s.json" % argv[2])
     out.write_text(json.dumps(record, indent=1) + "\n")
     for key, times in cases:
-        print("%-28s %-7s n=%-3d min %.6f s  median %.6f s"
+        print("%-28s %-7s n=%-4d min %.6f s  median %.6f s"
               % (key["layer"], key["family"], key["n"], min(times),
                  statistics.median(times)))
+    print("%-10s %4s %5s %-11s %12s %12s %12s" % (
+        "family", "n", "edges", "route", "elim ms", "kernel ms",
+        "border ms"))
+    for row in routes:
+        print("%-10s %4d %5d %-11s %12.3f %12.3f %12.3f" % (
+            row["family"], row["n"], row["edges"], row["route"],
+            1e3 * row["elimination_s"], 1e3 * row["kernel_only_s"],
+            1e3 * row["bordering_s"]))
     print("classify_vertices tree n=%d: min %.3f s, peak %.1f MB"
           % (LARGE_TREE[0], min(large), peak / 1e6))
     print("wrote %s (scale %.3f)" % (out, scale))
