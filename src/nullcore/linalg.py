@@ -397,7 +397,9 @@ def _kernel_from_reduced(data, pivots, d: int, n_cols: int) -> KernelBasis:
         for f, x in row.items():
             if f < n_cols:
                 vectors[f][p] = -x
-    return KernelBasis(n_cols, tuple(map(_primitive, vectors.values())))
+    # each list is dropped as its tuple is made, so one copy is live
+    return KernelBasis(n_cols, tuple(_primitive(vectors.pop(f))
+                                     for f in list(vectors)))
 
 
 def _canonical_basis(vectors: list, n: int) -> KernelBasis:
