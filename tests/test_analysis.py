@@ -218,7 +218,7 @@ def large_graphs(draw):
     """(graph, routes) with n from 64 to 200: a random tree, G(n, 4/n),
     G(n, 4/n) with a planted twin, or G(n, 1/2) with n up to 128, and the
     values of linalg._is_dense to classify it under.  Both routes, but
-    G(n, 1/2) above n = 96 only bordered, to keep the test near 10 s."""
+    G(n, 1/2) above n = 96 only bordered, to keep the test under 10 s."""
     kind = draw(st.sampled_from(("tree", "sparse", "twin", "half")))
     n = draw(st.integers(64, 128 if kind == "half" else 200))
     seed = draw(st.integers(0, 2**32))

@@ -81,27 +81,24 @@ def _summary(times: list, scale: float) -> dict:
             "min_scaled_s": low * scale, "median_scaled_s": mid * scale}
 
 
-def _route_graphs(graphs):
-    """(family, generator of n) for the route table, seed 0."""
+def _route_table(graphs, linalg) -> list:
+    """One row per family at each n in ROUTE_SIZES, seed 0: the route
+    _is_dense picks and the min time per call of each reduction."""
+    rows_of = graphs._adjacency_rows
+
     def twins(n):
         g = graphs.gen_random_graph(n - 1, 1, 2, 0)
         return graphs.Graph(n, list(g.edges())
                             + [(w, n - 1) for w in g.adjacency[0]])
 
-    return (("tree", lambda n: graphs.gen_random_tree(n, 0)),
-            ("unicyclic", lambda n: graphs.gen_random_unicyclic(n, 0)),
-            ("gnp1/2", lambda n: graphs.gen_random_graph(n, 1, 2, 0)),
-            ("gnp1/4", lambda n: graphs.gen_random_graph(n, 1, 4, 0)),
-            ("gnp4/(n-1)",
-             lambda n: graphs.gen_random_graph(n, 4, n - 1, 0)),
-            ("bipartite", lambda n: graphs.gen_random_bipartite(n, 0)),
-            ("twins", twins))
-
-
-def _route_table(graphs, linalg) -> list:
-    """One row per graph of _route_graphs at each n in ROUTE_SIZES: the
-    route _is_dense picks and the min time per call of each reduction."""
-    rows_of = graphs._adjacency_rows
+    families = (
+        ("tree", lambda n: graphs.gen_random_tree(n, 0)),
+        ("unicyclic", lambda n: graphs.gen_random_unicyclic(n, 0)),
+        ("gnp1/2", lambda n: graphs.gen_random_graph(n, 1, 2, 0)),
+        ("gnp1/4", lambda n: graphs.gen_random_graph(n, 1, 4, 0)),
+        ("gnp4/(n-1)", lambda n: graphs.gen_random_graph(n, 4, n - 1, 0)),
+        ("bipartite", lambda n: graphs.gen_random_bipartite(n, 0)),
+        ("twins", twins))
 
     def kernel_only(g):
         rows = rows_of(g)
@@ -115,7 +112,7 @@ def _route_table(graphs, linalg) -> list:
         ("bordering_s",
          lambda g: linalg._reduce_by_bordering(rows_of(g), g.n)))
     table = []
-    for family, gen in _route_graphs(graphs):
+    for family, gen in families:
         for n in ROUTE_SIZES:
             g = gen(n)
             dense = linalg._is_dense(rows_of(g), n)
