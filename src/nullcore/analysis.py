@@ -33,6 +33,7 @@ from .linalg import (
     IntMatrix,
     KernelBasis,
     Record,
+    _canonical_basis,
     _reduce_symmetric,
     _reduced,
     det,
@@ -156,13 +157,15 @@ def classify_vertices(g: Graph, basis: KernelBasis | None = None) -> VertexParti
     (_labelling_parts), and then deleting it drops the nullity by one.
     Otherwise A y = e_v is solvable, and deleting v keeps the nullity
     when the solutions have y_v != 0 (cfv_mid) and raises it by one when
-    y_v = 0 (cfv_upp).  A given basis is a claim, checked against that
-    reduction and never stored: unless it is a basis of ker A,
-    TheoremViolationError is raised with a replayable report.
+    y_v = 0 (cfv_upp).  A given basis is a claim, checked against the
+    canonical basis of that reduction and never stored: unless its
+    ambient size is n, it has nullity vectors and their canonical basis
+    is the reduction's (_check_claimed_basis), TheoremViolationError is
+    raised with a replayable report.
     """
     part = _classified(g)[0]
     if basis is not None:
-        _check_claimed_basis(g, basis, part.nullity, part.class_of)
+        _check_claimed_basis(g, basis, part.kernel)
     return part
 
 
@@ -204,59 +207,31 @@ def _labelling_parts(g: Graph, kernel: KernelBasis) -> tuple:
     return cv, ncv, cfvr, _first_adjacent_pair(g, cv) is None
 
 
-def _check_claimed_basis(g: Graph, basis: KernelBasis, eta: int, class_of):
+def _check_claimed_basis(g: Graph, basis: KernelBasis, kernel: KernelBasis):
     """Raise TheoremViolationError unless basis is a basis of ker A(g),
-    given the nullity and classes of g.  The ambient size, the supports
-    and the dimension are checked first, for the reports they give."""
-    n = g.n
-    replay = {"edges": g.edges(), "n": n}
+    given the canonical basis kernel of ker A(g).
+
+    The canonical form is unique per subspace and is reached from any
+    spanning set (linalg._canonical_basis), so vectors of length n span
+    ker A exactly when their canonical basis is kernel, and then they
+    are a basis exactly when there are kernel.dimension of them.  The
+    report names the first of the ambient size, the dimension and the
+    span that is wrong.
+    """
+    n, claimed, eta = g.n, basis.dimension, kernel.dimension
+    report = {"edges": g.edges(), "n": n, "basis": basis.vectors}
     if basis.ambient != n:
-        raise TheoremViolationError(
-            f"basis of ambient dimension {basis.ambient} does not fit "
-            f"{n} vertices",
-            replay | {"basis": basis.vectors},
-        )
-    claimed = basis.dimension
-    support = basis.supports()
-    for v, cls in enumerate(class_of):
-        after = eta - (cls is VertexClass.CV) + (cls is VertexClass.CFV_UPP)
-        if v in support:
-            ok = cls is VertexClass.CV
-        else:
-            ok = after in (claimed, claimed + 1)
-        if not ok:
-            # a support vertex where A y = e_v is solvable, or a deletion
-            # that moves the nullity outside the supports the wrong way
-            raise TheoremViolationError(
-                f"vertex {v}: nullity {claimed} -> {after} contradicts supports",
-                replay | {
-                    "vertex": v,
-                    "nullity": claimed,
-                    "nullity_after_deletion": after,
-                    "basis": basis.vectors,
-                },
-            )
-    if claimed != eta:
-        # supports that pass the test above can still miss a core vertex
-        raise TheoremViolationError(
-            f"basis of dimension {claimed} contradicts nullity {eta}",
-            replay | {
-                "nullity": eta,
-                "basis_dimension": claimed,
-                "basis": basis.vectors,
-            },
-        )
-    for k, x in enumerate(basis.vectors):
-        if len(x) != n or not _in_kernel(g, x):
-            raise TheoremViolationError(
-                f"basis vector {k} is not in the kernel",
-                replay | {"vector": k, "basis": basis.vectors},
-            )
-    if rank(IntMatrix(basis.vectors, cols=n)) != eta:
-        raise TheoremViolationError(
-            "basis vectors are linearly dependent",
-            replay | {"basis": basis.vectors},
-        )
+        message = (f"basis of ambient dimension {basis.ambient} does not "
+                   f"fit {n} vertices")
+    elif claimed != eta:
+        message = f"basis of dimension {claimed} contradicts nullity {eta}"
+        report |= {"nullity": eta, "basis_dimension": claimed}
+    elif (any(len(x) != n for x in basis.vectors)
+          or _canonical_basis(basis.vectors, n) != kernel):
+        message = "basis does not span the kernel"
+    else:
+        return
+    raise TheoremViolationError(message, report)
 
 
 def _in_kernel(g: Graph, x: tuple) -> bool:

@@ -151,8 +151,10 @@ class IntMatrix:
             if cols is not None and cols != width:
                 raise ValueError("cols does not match row width")
             cols = width
-        else:
-            cols = 0 if cols is None else cols
+        elif cols is None:
+            cols = 0
+        elif cols < 0:
+            raise ValueError("negative column count")
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", rows)
@@ -403,16 +405,18 @@ def _kernel_from_reduced(data, pivots, d: int, n_cols: int) -> KernelBasis:
 
 
 def _canonical_basis(vectors: list, n: int) -> KernelBasis:
-    """The canonical basis of a kernel from any basis of it, as lists.
+    """The canonical basis of the span of any vectors of length n.
 
     Column f is free exactly when f is the largest support index of
-    some kernel vector, and the canonical vector for f is the kernel
-    vector that is non-zero at f and zero at every other free column.
-    So a Gauss-Jordan reduction of the basis, its columns taken from
+    some vector of the span, and the canonical vector for f is the one
+    that is non-zero at f and zero at every other free column.  So a
+    Gauss-Jordan reduction of the vectors, their columns taken from
     right to left, leaves the canonical vectors up to scale, one row per
-    free column: O(eta^2 n) steps for eta vectors.  Each combined row is
-    made primitive at once, which keeps the entries small and leaves a
-    row with nothing to eliminate as it is.
+    free column: O(k eta n) steps for k vectors spanning eta dimensions.
+    Each combined row is made primitive at once, which keeps the entries
+    small and leaves a row with nothing to eliminate as it is.  A row
+    that cancels to zero, or is zero to begin with, never becomes a
+    pivot row and is dropped.
     """
     rest = [list(vec) for vec in vectors]
     done = []
@@ -425,8 +429,9 @@ def _canonical_basis(vectors: list, n: int) -> KernelBasis:
         for row in rest + done:
             f = row[col]
             if f:
-                row[:] = _primitive([p * a - f * b
-                                     for a, b in zip(row, pivot_row)])
+                row[:] = [p * a - f * b for a, b in zip(row, pivot_row)]
+                if any(row):
+                    row[:] = _primitive(row)
         done.append(pivot_row)
     return KernelBasis(n, tuple(map(_primitive, reversed(done))))
 

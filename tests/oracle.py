@@ -249,6 +249,20 @@ def in_span(basis_rows, vec):
     return gauss_rank(basis_rows) == gauss_rank(list(basis_rows) + [list(vec)])
 
 
+def is_kernel_basis(n, edges, ambient, vectors):
+    """Whether vectors, claimed in dimension ambient, are a basis of the
+    kernel of the adjacency matrix: each has n entries and is killed by
+    it, and they are independent and as many as the nullity."""
+    rows = adjacency_rows(n, edges)
+    if ambient != n or any(len(vec) != n for vec in vectors):
+        return False
+    if any(sum(a * x for a, x in zip(row, vec)) for row in rows
+           for vec in vectors):
+        return False
+    vectors = [list(vec) for vec in vectors]
+    return len(vectors) == n - gauss_rank(rows) == gauss_rank(vectors)
+
+
 def kernel_members_box(rows, bound):
     """All integer vectors with entries in [-bound, bound] killed by rows."""
     n = len(rows)

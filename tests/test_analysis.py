@@ -124,11 +124,11 @@ def test_core_support_equals_core_deletion():
 
 
 @st.composite
-def drawn_graphs(draw):
-    """A tree, a planted-twin graph or a G(n, p) graph on at most 14
+def drawn_graphs(draw, max_n=14):
+    """A tree, a planted-twin graph or a G(n, p) graph on at most max_n
     vertices, relabelled by a random permutation."""
     kind = draw(st.sampled_from(("tree", "twin", "gnp")))
-    n = draw(st.integers(1 if kind != "twin" else 2, 14))
+    n = draw(st.integers(1 if kind != "twin" else 2, max_n))
     if kind == "tree":
         edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     else:
@@ -258,14 +258,17 @@ def test_certificate_proves_large_classifications(drawn):
 
 def test_forged_basis_trips_solvability_guard():
     # The right dimension but the wrong support: no y solves A y = e_0 on
-    # P3, so vertex 0 is core whatever the basis claims.  The guard
-    # raises rather than asserts, so it also holds under python -O.
+    # P3, so vertex 0 is core whatever the basis claims, and the claim
+    # spans another line.  The guard raises rather than asserts, so it
+    # also holds under python -O.
+    g = gen_path(3)
     forged = KernelBasis(3, ((0, 1, 0),))
-    with pytest.raises(TheoremViolationError, match="contradicts supports") as info:
-        classify_vertices(gen_path(3), forged)
-    assert info.value.report["vertex"] == 0
-    assert info.value.report["nullity"] == 1
-    assert info.value.report["nullity_after_deletion"] == 0
+    with pytest.raises(TheoremViolationError,
+                       match="basis does not span the kernel") as info:
+        classify_vertices(g, forged)
+    report = info.value.report
+    assert report["basis"] == forged.vectors
+    assert Graph(report["n"], report["edges"]) == g
 
 
 def test_short_basis_trips_dimension_guard():
@@ -289,12 +292,15 @@ def test_short_basis_trips_dimension_guard():
 
 def test_extra_support_trips_solvability_guard():
     # The right dimension, but the support claims the middle of P3, where
-    # A y = e_1 is solvable; the deletion would raise the nullity.
+    # A y = e_1 is solvable, so the claim is off the kernel.
+    g = gen_path(3)
+    claim = KernelBasis(3, ((1, 1, -1),))
     with pytest.raises(TheoremViolationError,
-                       match="1 -> 2 contradicts supports") as info:
-        classify_vertices(gen_path(3), KernelBasis(3, ((1, 1, -1),)))
-    assert info.value.report["vertex"] == 1
-    assert info.value.report["nullity_after_deletion"] == 2
+                       match="basis does not span the kernel") as info:
+        classify_vertices(g, claim)
+    report = info.value.report
+    assert report["basis"] == claim.vectors
+    assert Graph(report["n"], report["edges"]) == g
 
 
 def test_basis_of_another_order_is_rejected_before_indexing():
@@ -316,10 +322,10 @@ def test_off_kernel_claims_are_rejected_at_classification():
                       (gen_path(7), (1, 0, -1, 0, 1, 0, 5))):
         claim = KernelBasis(g.n, (vector,))
         with pytest.raises(TheoremViolationError,
-                           match="basis vector 0 is not in the kernel") as info:
+                           match="basis does not span the kernel") as info:
             classify_vertices(g, claim)
         report = info.value.report
-        assert report["vector"] == 0 and report["basis"] == claim.vectors
+        assert report["basis"] == claim.vectors
         assert Graph(report["n"], report["edges"]) == g
 
 
@@ -328,7 +334,8 @@ def test_dependent_claim_is_rejected():
     # span a line, not the kernel
     g = gen_cycle(4)
     claim = KernelBasis(4, ((1, 1, -1, -1), (2, 2, -2, -2)))
-    with pytest.raises(TheoremViolationError, match="dependent") as info:
+    with pytest.raises(TheoremViolationError,
+                       match="basis does not span the kernel") as info:
         classify_vertices(g, claim)
     assert info.value.report["basis"] == claim.vectors
     assert Graph(info.value.report["n"], info.value.report["edges"]) == g
@@ -369,6 +376,61 @@ def test_claim_is_checked_and_never_stored(g, data):
         classify_vertices(g, off)
     report = info.value.report
     assert report["basis"] == off.vectors
+    assert Graph(report["n"], report["edges"]) == g
+
+
+CLAIMS = ("combine", "drop", "duplicate", "zero", "perturb", "random",
+          "ambient", "length")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(drawn_graphs(max_n=9), st.sampled_from(CLAIMS), st.data())
+def test_claims_are_accepted_exactly_when_the_oracle_finds_a_basis(
+        g, kind, data):
+    # each claim starts from the canonical basis and is mutated once;
+    # the oracle's elimination over Fraction decides whether it is a
+    # basis of ker A, and classify_vertices must agree either way
+    part = classify_vertices(g)
+    n = g.n
+    vectors = [list(v) for v in part.kernel.vectors]
+    k = len(vectors)
+    ambient = n
+    small = st.integers(-2, 2)
+    if kind == "combine":
+        # reordered, scaled or mixed; invertible or not
+        matrix = data.draw(st.lists(st.lists(small, min_size=k, max_size=k),
+                                    min_size=k, max_size=k))
+        vectors = [[sum(c * v[j] for c, v in zip(row, vectors))
+                    for j in range(n)] for row in matrix]
+    elif kind == "drop" and k:
+        vectors.pop(data.draw(st.integers(0, k - 1)))
+    elif kind == "duplicate" and k:
+        vectors.append(list(data.draw(st.sampled_from(vectors))))
+    elif kind == "zero":
+        vectors.append([0] * n)
+    elif kind == "perturb" and k:
+        vector = vectors[data.draw(st.integers(0, k - 1))]
+        vector[data.draw(st.integers(0, n - 1))] += data.draw(
+            st.sampled_from((-2, -1, 1, 2)))
+    elif kind == "random":
+        vectors = data.draw(st.lists(
+            st.lists(small, min_size=n, max_size=n), max_size=3))
+    elif kind == "ambient":
+        ambient += data.draw(st.sampled_from((-1, 1)))
+    elif kind == "length" and k:
+        vector = vectors[data.draw(st.integers(0, k - 1))]
+        if data.draw(st.booleans()):
+            vector.append(0)
+        else:
+            vector.pop()
+    claim = KernelBasis(ambient, tuple(map(tuple, vectors)))
+    if oracle.is_kernel_basis(n, g.edges(), ambient, claim.vectors):
+        assert classify_vertices(g, claim) == part
+        return
+    with pytest.raises(TheoremViolationError) as info:
+        classify_vertices(g, claim)
+    report = info.value.report
+    assert report["basis"] == claim.vectors
     assert Graph(report["n"], report["edges"]) == g
 
 
@@ -424,12 +486,14 @@ def test_core_labelling_rejects_adjacent_cores():
 
 
 def test_wrong_inputs_trip_explicit_guards():
-    # An empty basis for P3 hides its core; deleting the middle vertex
-    # then raises the nullity by 2, which no correct basis allows.
-    with pytest.raises(TheoremViolationError, match="contradicts supports") as info:
+    # An empty basis for P3 hides its core and misses the nullity.
+    with pytest.raises(TheoremViolationError,
+                       match="basis of dimension 0 contradicts nullity 1"
+                       ) as info:
         classify_vertices(gen_path(3), KernelBasis(3, ()))
-    assert info.value.report["vertex"] == 1
-    assert info.value.report["nullity_after_deletion"] == 2
+    report = info.value.report
+    assert report["nullity"] == 1 and report["basis_dimension"] == 0
+    assert Graph(report["n"], report["edges"]) == gen_path(3)
     # A partition that puts the neighbour of a core vertex in the remote
     # part leaves an edge in a zero block.
     part = classify_vertices(gen_path(2))._replace(
@@ -471,6 +535,17 @@ def test_no_single_core_neighbour_everywhere():
         n = 1 + rng.below(8)
         g = gen_random_graph(n, 1 + rng.below(3), 4, rng.next_u64())
         assert no_single_core_neighbour_check(g).holds
+
+
+def test_single_core_neighbour_is_reported_on_a_forged_partition():
+    # no graph breaks the exclusion, so a forged partition of P3 that
+    # makes only vertex 0 core reaches the failing branch: vertex 1 then
+    # has exactly one core neighbour
+    part = classify_vertices(gen_path(3))._replace(
+        cv_set=(0,), ncv_set=(1,), cfvr_set=(2,))
+    check = no_single_core_neighbour_check(gen_path(3), part)
+    assert not check.holds
+    assert check.witness == {"vertex": 1, "core_neighbours": 1}
 
 
 def test_remote_singular_counterexample_pinned():

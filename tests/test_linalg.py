@@ -11,6 +11,7 @@ from nullcore import linalg
 from nullcore.analysis import classify_vertices, core_labelling, nullity
 from nullcore.linalg import (
     IntMatrix,
+    _canonical_basis,
     _gauss_jordan_int,
     _kernel_from_reduced,
     _reduce_symmetric,
@@ -72,6 +73,12 @@ def test_intmatrix_empty_needs_explicit_cols():
     m = IntMatrix([], cols=3)
     assert m.rows == 0 and m.cols == 3
     assert rank(m) == 0
+
+
+def test_intmatrix_rejects_negative_column_count():
+    # a 0 x -2 matrix used to be built, with a kernel of ambient -2
+    with pytest.raises(ValueError, match="negative column count"):
+        IntMatrix([], cols=-2)
 
 
 def test_matmul_identity():
@@ -258,6 +265,25 @@ def test_nullspace_matches_oracle_on_planted_twins(rows):
     basis = nullspace_basis(IntMatrix(rows))
     assert basis.dimension >= 1
     assert basis.vectors == oracle.kernel_basis(rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(int_matrices(), st.data())
+def test_canonical_basis_of_a_dependent_spanning_set(case, data):
+    # a repeat, integer combinations and a zero vector cancel to zero
+    # rows in the reduction, which drops them: the span's canonical
+    # basis is the kernel's, whatever spans it
+    rows, n_cols = case
+    kernel = nullspace_basis(IntMatrix(rows, cols=n_cols))
+    vectors = [list(v) for v in kernel.vectors]
+    spanning = vectors + vectors[:1] + [[0] * n_cols]
+    for _ in range(data.draw(st.integers(0, 3))):
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(vectors),
+                                    max_size=len(vectors)))
+        spanning.append([sum(c * v[j] for c, v in zip(coeffs, vectors))
+                         for j in range(n_cols)])
+    spanning = data.draw(st.permutations(spanning))
+    assert _canonical_basis(spanning, n_cols) == kernel
 
 
 @st.composite

@@ -141,6 +141,13 @@ def test_cfvr_perfect_matching_fixtures():
     assert cfvr_perfect_matching(T9) == ((7, 8),)
 
 
+def test_cfvr_perfect_matching_reports_none_on_a_forged_partition():
+    # the remote forest of a tree's own partition always has a perfect
+    # matching, so a forged partition of P4 makes it P3, which has none
+    forged = classify_vertices(gen_path(4))._replace(cfvr_set=(0, 1, 2))
+    assert cfvr_perfect_matching(gen_path(4), forged) is None
+
+
 def test_cfvr_perfect_matching_is_valid_on_random_singular_trees():
     rng = SplitMix64(77)
     seen = 0
