@@ -151,11 +151,12 @@ def nullity(g: Graph) -> int:
 
 def classify_vertices(g: Graph, basis: KernelBasis | None = None) -> VertexPartition:
     """Core vertices and the split of the rest, all read off one
-    reduction of A (_classified).
+    reduction of A (_classified), the one every consumer of a partition
+    reads, both sides of a perturbation report included.
 
-    v is a core vertex exactly when some kernel vector is non-zero at v
-    (_labelling_parts), and then deleting it drops the nullity by one.
-    Otherwise A y = e_v is solvable, and deleting v keeps the nullity
+    v is a core vertex exactly when some kernel vector is non-zero at v,
+    and then deleting it drops the nullity by one.  Otherwise
+    A y = e_v is solvable, and deleting v keeps the nullity
     when the solutions have y_v != 0 (cfv_mid) and raises it by one when
     y_v = 0 (cfv_upp).  A given basis is a claim, checked against the
     canonical basis of that reduction and never stored: unless its
@@ -173,38 +174,30 @@ def _classified(g: Graph) -> tuple:
     """(partition, d, entry) from one reduction of A
     (linalg._reduce_symmetric): the partition classify_vertices returns,
     and the reduction's d and T, read by entry(u, w), which the addition
-    screen reads (perturb._keeps).  The classes come from T's diagonal:
-    for v outside the kernel supports T_vv = d y_v, with y_v shared by
-    every solution of A y = e_v, so only its zero pattern matters, and
-    that is the same on both routes."""
+    screen reads (perturb._keeps).
+
+    The core vertices are the union of the kernel supports, in
+    ascending order: the one rule that decides them.  Then come the
+    core-forbidden vertices with a core neighbour, the other
+    core-forbidden vertices, and whether no two core vertices are
+    adjacent.  The classes come from T's diagonal: for v outside the
+    kernel supports T_vv = d y_v, with y_v shared by every solution of
+    A y = e_v, so only its zero pattern matters, and that is the same
+    on both routes."""
     kernel, d, entry = _reduce_symmetric(_adjacency_rows(g), g.n)
-    cv, ncv, cfvr, independent = _labelling_parts(g, kernel)
-    class_of = [VertexClass.CV] * g.n
-    for v in ncv + cfvr:
-        class_of[v] = (VertexClass.CFV_MID if entry(v, v)
-                       else VertexClass.CFV_UPP)
-    return VertexPartition(kernel.dimension, tuple(class_of), cv, ncv, cfvr,
-                           independent, kernel), d, entry
-
-
-def _labelling_parts(g: Graph, kernel: KernelBasis) -> tuple:
-    """(cv_set, ncv_set, cfvr_set, independent_cv) of g, given the
-    canonical basis of ker A(g).  The core vertices are the union of the
-    kernel supports, in ascending order: the one rule that decides them.
-    Then come the core-forbidden vertices with a core neighbour, the
-    other core-forbidden vertices, and whether no two core vertices are
-    adjacent."""
     core = kernel.supports()
     cv = tuple(sorted(core))
-    ncv = tuple(
-        v
-        for v in range(g.n)
-        if v not in core and any(w in core for w in g.adjacency[v])
-    )
-    ncv_set = set(ncv)
-    cfvr = tuple(
-        v for v in range(g.n) if v not in core and v not in ncv_set)
-    return cv, ncv, cfvr, _first_adjacent_pair(g, cv) is None
+    class_of = [VertexClass.CV] * g.n
+    ncv, cfvr = [], []
+    for v in range(g.n):
+        if v not in core:
+            class_of[v] = (VertexClass.CFV_MID if entry(v, v)
+                           else VertexClass.CFV_UPP)
+            near = any(w in core for w in g.adjacency[v])
+            (ncv if near else cfvr).append(v)
+    return VertexPartition(kernel.dimension, tuple(class_of), cv, tuple(ncv),
+                           tuple(cfvr), _first_adjacent_pair(g, cv) is None,
+                           kernel), d, entry
 
 
 def _check_claimed_basis(g: Graph, basis: KernelBasis, kernel: KernelBasis):

@@ -289,8 +289,13 @@ class _Args:
 
 
 def _is_option(token: str) -> bool:
-    # like argparse: "-" alone and negative numbers are values
-    return token[:1] == "-" and token != "-" and not token[1:].isdigit()
+    # like argparse: "-" alone, negative numbers (-1, -1.5 and -.5, not
+    # -1.) and tokens with a space before any "=" are values
+    whole, dot, frac = token[1:].partition(".")
+    number = (whole.isdecimal() or dot and not whole) and (
+        frac.isdecimal() or not dot)
+    return (token[:1] == "-" and token != "-" and not number
+            and " " not in token.partition("=")[0])
 
 
 def _shown(name: str, kind) -> str:

@@ -439,8 +439,7 @@ def _canonical_basis(vectors: list, n: int) -> KernelBasis:
 def _reduced(rows: list, n_cols: int, want_basis: bool) -> tuple:
     """(rank, det, basis) of the matrix with the given dict rows, which
     it rewrites, from its one reduction: the one place where rank, det,
-    nullspace_basis, analysis.nullity and the perturbation recheck
-    choose their kernel.
+    nullspace_basis and analysis.nullity choose their kernel.
 
     A dense symmetric matrix whose non-zero entries are all 1
     (_is_dense, _is_symmetric) is bordered

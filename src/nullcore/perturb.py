@@ -4,11 +4,9 @@ Candidate edges are tagged by the classes of their endpoints (core, core
 neighbour, remote).  Applying a candidate produces a before/after report
 with exact preservation flags; additions inside the core-forbidden part
 carry hard structural guarantees that are re-checked on every call.
-Each report reads the changed graph through one reduction of its own,
-for the kernel alone (linalg._reduced): the flags need the kernel, the
-core set and the labelling parts, never the split of the core-forbidden
-vertices, and the core set is the union of the kernel supports, the
-rule classify_vertices uses (analysis._labelling_parts).
+Each report reads the changed graph through the one reduction that
+classifies it (analysis._classified), so both sides of a report are
+VertexPartitions.
 The safe-addition screen and greedy densification classify no candidate
 graph: one rule (_keeps) decides every screened addition from the base
 graph's kernel and the d and T of the reduction that classified it
@@ -21,13 +19,12 @@ from .analysis import (
     VertexPartition,
     _classified,
     _in_kernel,
-    _labelling_parts,
     classify_vertices,
     require_independent_cv,
 )
 from .errors import PreconditionError, TheoremViolationError
-from .graphs import Graph, _adjacency_rows, add_edge, delete_edge
-from .linalg import KernelBasis, Record, _reduced
+from .graphs import Graph, add_edge, delete_edge
+from .linalg import KernelBasis, Record
 
 _PARTS = ("cv", "ncv", "cfvr")
 # _TAGS[i][j] tags an edge between the parts _PARTS[i] and _PARTS[j]:
@@ -125,37 +122,6 @@ def _tagged_non_edges(g: Graph, part: VertexPartition):
                 yield u, w, tags[index[w]]
 
 
-class _KernelState(Record):
-    """What a report reads of the changed graph, from one elimination
-    of its adjacency matrix for the kernel alone (_kernel_state): the
-    fields of the same name of its VertexPartition."""
-
-    nullity: int
-    cv_set: tuple
-    ncv_set: tuple
-    independent_cv: bool
-    kernel: KernelBasis
-
-
-def _kernel_state(h: Graph) -> _KernelState:
-    """The kernel of A(h), reduced from scratch by the route nullity and
-    nullspace_basis take (linalg._reduced), and the labelling parts its
-    supports give (_labelling_parts)."""
-    kernel = _reduced(_adjacency_rows(h), h.n, True)[2]
-    cv, ncv, _, independent = _labelling_parts(h, kernel)
-    return _KernelState(kernel.dimension, cv, ncv, independent, kernel)
-
-
-def _labelling_preserved(
-    before: VertexPartition, after: _KernelState
-) -> bool:
-    return (
-        before.cv_set == after.cv_set
-        and after.independent_cv
-        and before.ncv_set == after.ncv_set
-    )
-
-
 def _replay(report: PerturbationReport, g: Graph, **extra) -> dict:
     """TheoremViolationError payload: the report plus the base graph."""
     return report.to_json() | {"edges": list(g.edges()), "n": g.n} | extra
@@ -168,12 +134,16 @@ def _build_report(
     operation: str,
     part_before: VertexPartition,
 ) -> PerturbationReport:
-    part_after = _kernel_state(h)
+    part_after = _classified(h)[0]
     preserved = {
         mode: read(part_before) == read(part_after)
         for mode, read in _PRESERVED.items()
     }
-    preserved["core_labelling"] = _labelling_preserved(part_before, part_after)
+    preserved["core_labelling"] = (
+        preserved["cv_set"]
+        and part_after.independent_cv
+        and part_before.ncv_set == part_after.ncv_set
+    )
     report = PerturbationReport(
         edge, operation, part_before.nullity, part_after.nullity,
         part_before.cv_set, part_after.cv_set,

@@ -332,6 +332,11 @@ def test_usage_error_is_exit_1():
     (["gen", "cycle"], "required: n"),
     (["mc", "p7.g", "extra"], "unrecognized arguments: extra"),
     (["gen", "cycle", "4", "0", "9"], "unrecognized arguments: 9"),
+    # negative decimals and spaced tokens are values, as in argparse
+    (["gen", "path", "-1.5"], "n: invalid int value: '-1.5'"),
+    (["verify", "--seed", "-1.5"], "--seed: invalid int value: '-1.5'"),
+    (["gen", "tree", "5", "-.5"], "seed: invalid int value: '-.5'"),
+    (["verify", "--seed", "-x y"], "--seed: invalid int value: '-x y'"),
 ])
 def test_usage_errors_name_the_problem(capsys, argv, message):
     with pytest.raises(SystemExit) as info:

@@ -3,12 +3,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nullcore.analysis import _classified, classify_vertices
+from nullcore.analysis import (
+    VertexClass,
+    VertexPartition,
+    _classified,
+    classify_vertices,
+)
 from nullcore.errors import PreconditionError, TheoremViolationError
 from nullcore.graphs import (
     Graph,
     _adjacency_rows,
     add_edge,
+    delete_edge,
     gen_cycle,
     gen_path,
     gen_random_graph,
@@ -360,19 +366,19 @@ def _unit_basis(n):
 
 
 def _all_core(g):
-    """The kernel state _unit_basis claims: nullity n, every vertex
-    core.  The edited graph gets it in place of its true state."""
+    """The classification _unit_basis claims: nullity n, every vertex
+    core.  The edited graph gets it in place of its true one."""
     n = g.n
-    return nullcore.perturb._KernelState(
-        nullity=n, cv_set=tuple(range(n)), ncv_set=(),
-        independent_cv=g.m == 0, kernel=_unit_basis(n))
+    part = VertexPartition(n, (VertexClass.CV,) * n, tuple(range(n)), (),
+                           (), g.m == 0, _unit_basis(n))
+    return part, 1, lambda u, w: 0
 
 
 def test_build_report_guards_raise_theorem_violation(monkeypatch):
     p3, p4 = gen_path(3), gen_path(4)
     # The base graphs keep their true partition; every edited graph gets
-    # the wrong all-core state.
-    monkeypatch.setattr(nullcore.perturb, "_kernel_state", _all_core)
+    # the wrong all-core classification.
+    monkeypatch.setattr(nullcore.perturb, "_classified", _all_core)
     # P4 is non-singular, so the fake nullity 4 is a jump of 4.
     with pytest.raises(TheoremViolationError, match="moved the nullity") as info:
         remove_and_report(p4, 0, 1)
@@ -402,12 +408,13 @@ def test_greedy_densify_guards_raise_theorem_violation(monkeypatch):
 
 
 def _forge_after(monkeypatch, g, e, **fields):
-    """The report's recheck gives g + e its true kernel state with
-    fields replaced; every other graph gets its true state."""
+    """The report's recheck gives g + e its true partition with fields
+    replaced; every other graph gets its true classification."""
     h = add_edge(g, e.u, e.w)
-    real = nullcore.perturb._kernel_state
-    forged = real(h)._replace(**fields)
-    monkeypatch.setattr(nullcore.perturb, "_kernel_state",
+    real = nullcore.perturb._classified
+    part, d, entry = real(h)
+    forged = part._replace(**fields), d, entry
+    monkeypatch.setattr(nullcore.perturb, "_classified",
                         lambda x: forged if x == h else real(x))
 
 
@@ -602,51 +609,43 @@ def test_screen_matches_full_report_on_bordered_graphs():
     assert seen == _OUTCOMES, seen
 
 
-_STATE_FIELDS = ("nullity", "cv_set", "ncv_set", "independent_cv", "kernel")
-
-
-def _kernel_state_matches_classification(g):
-    """The report's recheck of g + e against classify_vertices(g + e),
-    for every candidate e, and for n <= 8 against the oracle."""
-    for cand in candidate_edges(g):
-        h = add_edge(g, cand.u, cand.w)
-        state = nullcore.perturb._kernel_state(h)
-        part = classify_vertices(h)
-        for field in _STATE_FIELDS:
-            assert getattr(state, field) == getattr(part, field), (cand, field)
-        if h.n <= 8:
-            rows = oracle.adjacency_rows(h.n, list(h.edges()))
-            assert state.kernel.vectors == oracle.kernel_basis(rows, h.n)
-            assert list(state.cv_set) == oracle.core_vertices(
-                h.n, list(h.edges()))
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(small_graphs())
-def test_kernel_state_matches_classify_vertices(g):
-    _kernel_state_matches_classification(g)
-
-
 def _dense(g):
     return nullcore.linalg._is_dense(_adjacency_rows(g), g.n)
 
 
-def test_kernel_state_matches_classify_vertices_on_bordered_graphs():
-    # For each n, the first seed whose planted-twin graph lies above the
-    # _is_dense line (below n = 18 most fall under it); adding an edge
-    # keeps it there, so both sides border every new graph.
-    for n in range(16, 25):
-        copies = 1 + n % 2
-        g = next(g for seed in range(n, 100 * n)
-                 if _dense(g := _planted_twins(n, copies, seed)))
-        _kernel_state_matches_classification(g)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_graphs().filter(lambda g: g.n <= 8))
+def test_reports_match_oracle(g):
+    # apply_and_report on every candidate of g and remove_and_report on
+    # every edge of g, against the oracle's nullity, core set and kernel
+    # basis of g and of the edited graph
+    def expected(graph):
+        edges = list(graph.edges())
+        rows = oracle.adjacency_rows(graph.n, edges)
+        return (oracle.nullity_of(graph.n, edges),
+                oracle.core_vertices(graph.n, edges),
+                oracle.kernel_basis(rows, graph.n))
+
+    part = classify_vertices(g)
+    reports = [apply_and_report(g, cand, part)
+               for cand in candidate_edges(g, part)]
+    reports += [remove_and_report(g, u, w) for u, w in g.edges()]
+    before = expected(g)
+    for report in reports:
+        e = report.edge
+        edit = add_edge if report.operation == "add" else delete_edge
+        assert (report.eta_before, list(report.cv_before),
+                report.kernel_before.vectors) == before
+        assert (report.eta_after, list(report.cv_after),
+                report.kernel_after.vectors) == expected(
+                    edit(g, e.u, e.w)), report
 
 
 def test_apply_and_report_eliminates_once(monkeypatch):
-    # With the base partition handed in, each report eliminates the new
-    # graph once, for its kernel alone: bordered when dense, and on dict
-    # rows without the identity beside A otherwise, so no row handed to
-    # the elimination has a key from n on (the keys of T).
+    # With the base partition handed in, each report reduces the new
+    # graph once, by the route that classifies it: bordered when dense,
+    # and otherwise eliminated beside the identity, so the rows handed
+    # to the elimination carry the keys of T, from n on.
     assert _dense(_TWINS_17)
     graphs = [T9, MET_TREE, gen_random_graph(9, 1, 2, 3), _TWINS_17]
     parts = {g: classify_vertices(g) for g in graphs}
@@ -663,7 +662,7 @@ def test_apply_and_report_eliminates_once(monkeypatch):
         for cand in candidate_edges(g, parts[g]):
             calls.clear()
             apply_and_report(g, cand, parts[g])
-            assert calls == [(route, False)], cand
+            assert calls == [(route, route == "_gauss_jordan_int")], cand
 
 
 def _densify_one_report_per_candidate(g, preserve):

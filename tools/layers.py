@@ -10,6 +10,11 @@ Times, on fixed seeded inputs:
 - classify_vertices on gen_random_tree(n, 1) at n = 300, 1000 and
   4000, and on gen_random_tree(2000, 1), whose tracemalloc peak is
   recorded too, after the timed cases;
+- verify.run_suite on each of the five suites at max_n = 12, with the
+  trials per command of bench/workloads.py's verify commands (trees 6,
+  bipartite 12, subdivisions 4, perturbations 4, unicyclic 12), one
+  call running the suite once at each seed in VERIFY_SEEDS, after one
+  untimed run of every suite has imported the modules of its checks;
 - the route table: on random trees, random unicyclic graphs, G(n, 1/2),
   G(n, 1/4), G(n, 4/(n - 1)), random bipartite graphs and planted twins
   (G(n - 1, 1/2) plus a twin of vertex 0), seed 0, at n = 12, 16, 24,
@@ -63,6 +68,11 @@ ROUTE_SIZES = (12, 16, 24, 32, 64, 128)
 RUN_TARGET_S = 0.02
 LARGE_TREE = (2000, 1)
 REDUCTIONS = ("elimination_s", "kernel_only_s", "bordering_s")
+# (suite, trials per command) of the benchmark's verify commands
+SUITES = (("trees", 6), ("bipartite", 12), ("subdivisions", 4),
+          ("perturbations", 4), ("unicyclic", 12))
+VERIFY_MAX_N = 12
+VERIFY_SEEDS = tuple(range(8))
 PROBE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "probe.py"
 
 
@@ -145,7 +155,7 @@ def _git(src: pathlib.Path) -> dict:
 def _child(src: str) -> dict:
     """One run over every case, with nullcore imported from src."""
     sys.path.insert(0, src)
-    from nullcore import analysis, graphs, linalg
+    from nullcore import analysis, graphs, linalg, verify
 
     cases = []
     for family, gen in (("tree", graphs.gen_random_tree),
@@ -168,6 +178,16 @@ def _child(src: str) -> dict:
                        "family": "tree", "n": n, "seed": 1},
                       _per_call(analysis.classify_vertices,
                                 graphs.gen_random_tree(n, 1))))
+    # A suite's first run imports the modules of its checks; time warm runs.
+    verify.run_suite(verify.VerifySuiteConfig("all", VERIFY_MAX_N, 1, 0))
+    for suite, trials in SUITES:
+        configs = [verify.VerifySuiteConfig(suite, VERIFY_MAX_N, trials, seed)
+                   for seed in VERIFY_SEEDS]
+        cases.append(({"layer": "verify.run_suite", "family": suite,
+                       "n": VERIFY_MAX_N, "trials": trials,
+                       "seeds": list(VERIFY_SEEDS)},
+                      _per_call(lambda c: [verify.run_suite(x) for x in c],
+                                configs)))
     routes = _route_table(graphs, linalg)
     tree = graphs.gen_random_tree(*LARGE_TREE)
     large = _per_call(analysis.classify_vertices, tree)

@@ -8,8 +8,7 @@ one SHA-256 over the library's exact results on:
   classify_vertices (the classes and the kernel basis), the d and T of
   the reduction that classified the graph (analysis._classified), T as
   its non-zero rows, which are the rows of B, each read through the
-  reduction's entry and tagged with its vertex, nullity, and the
-  kernel state a perturbation report rechecks;
+  reduction's entry and tagged with its vertex, and nullity;
 - seeded signed rectangular matrices: rank, nullspace_basis and, when
   square, det.
 
@@ -48,7 +47,7 @@ def _families(graphs):
 
 def _graph_results(rng):
     """Yield (label, results) for every graph of the sweep."""
-    from nullcore import analysis, graphs, perturb
+    from nullcore import analysis, graphs
 
     for name, least, gen in _families(graphs):
         for n in _SIZES:
@@ -64,8 +63,7 @@ def _graph_results(rng):
                 yield ("%s n=%d seed=%d" % (name, n, seed),
                        (h.edges(), tuple(part), d,
                         tuple((u, row) for u, row in enumerate(t) if any(row)),
-                        analysis.nullity(h),
-                        tuple(perturb._kernel_state(h))))
+                        analysis.nullity(h)))
 
 
 def _matrix_results(rng):
