@@ -288,14 +288,20 @@ class _Args:
             setattr(self, name.lstrip("-").replace("-", "_"), value)
 
 
-def _is_option(token: str) -> bool:
-    # like argparse: "-" alone, negative numbers (-1, -1.5 and -.5, not
-    # -1.) and tokens with a space before any "=" are values
+def _is_option(token: str, options=()) -> bool:
+    # like argparse: a token whose part before any "=" is -h, or is or
+    # abbreviates --help or one of options, is an option; of the rest,
+    # "-" alone, negative numbers (-1, -1.5 and -.5, not -1.) and tokens
+    # with a space are values
+    flag = token.partition("=")[0]
+    if flag == "-h" or flag[:2] == "--" and len(flag) > 2 and any(
+            name.startswith(flag) for name in (*options, "--help")):
+        return True
     whole, dot, frac = token[1:].partition(".")
     number = (whole.isdecimal() or dot and not whole) and (
         frac.isdecimal() or not dot)
     return (token[:1] == "-" and token != "-" and not number
-            and " " not in token.partition("=")[0])
+            and " " not in token)
 
 
 def _shown(name: str, kind) -> str:
@@ -411,7 +417,7 @@ def _parse(argv):
     for token in tokens:
         if token == "--":
             given.extend(tokens)
-        elif not _is_option(token):
+        elif not _is_option(token, options):
             given.append(token)
         else:
             flag, eq, value = token.partition("=")
@@ -427,7 +433,7 @@ def _parse(argv):
             else:
                 if not eq:
                     value = next(tokens, None)
-                    if value is None or _is_option(value):
+                    if value is None or _is_option(value, options):
                         _fail(command,
                               "argument %s: expected one argument" % name)
                 value = _convert(command, name, kind, value)

@@ -259,8 +259,8 @@ def _is_dense(rows, n: int) -> bool:
     bordering sees only adjacency matrices and their principal blocks.
     The counts are checked first, so a sparse matrix is not scanned.
     The size and count clauses were fitted on an earlier elimination
-    loop; the route table of BENCH_pr28.json (tools/layers.py, README)
-    times each reduction on both sides of them."""
+    loop; tools/ab.py (README) times each reduction on both sides of
+    them, keyed by the route this picks."""
     return (n >= 16 and sum(map(len, rows)) >= 4 * (n + 16)
             and all(a == 1 for row in rows for a in row.values()))
 

@@ -156,6 +156,14 @@ def test_analyze_missing_file_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_spaced_unknown_option_is_a_path(capsys, tmp_path, monkeypatch):
+    # as in argparse, "--bogus=a b" names no option, so it is the path
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "analyze", "--bogus=a b")
+    assert (code, out) == (2, "")
+    assert "--bogus=a b" in err
+
+
 def test_reduce_pendant(capsys, p7_file):
     code, out, _ = run_cli(capsys, "reduce", p7_file, "--pendant")
     assert code == 0
@@ -337,6 +345,10 @@ def test_usage_error_is_exit_1():
     (["verify", "--seed", "-1.5"], "--seed: invalid int value: '-1.5'"),
     (["gen", "tree", "5", "-.5"], "seed: invalid int value: '-.5'"),
     (["verify", "--seed", "-x y"], "--seed: invalid int value: '-x y'"),
+    # a spaced token is an option only when its flag is a known option
+    (["verify", "--seed", "--bogus=a b"],
+     "--seed: invalid int value: '--bogus=a b'"),
+    (["analyze", "p7.g", "--do=a b"], "--dot: ignored explicit argument 'a b'"),
 ])
 def test_usage_errors_name_the_problem(capsys, argv, message):
     with pytest.raises(SystemExit) as info:
