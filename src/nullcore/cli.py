@@ -288,22 +288,6 @@ class _Args:
             setattr(self, name.lstrip("-").replace("-", "_"), value)
 
 
-def _is_option(token: str, options=()) -> bool:
-    # like argparse: a token whose part before any "=" is -h, or is or
-    # abbreviates --help or one of options, is an option; of the rest,
-    # "-" alone, negative numbers (-1, -1.5 and -.5, not -1.) and tokens
-    # with a space are values
-    flag = token.partition("=")[0]
-    if flag == "-h" or flag[:2] == "--" and len(flag) > 2 and any(
-            name.startswith(flag) for name in (*options, "--help")):
-        return True
-    whole, dot, frac = token[1:].partition(".")
-    number = (whole.isdecimal() or dot and not whole) and (
-        frac.isdecimal() or not dot)
-    return (token[:1] == "-" and token != "-" and not number
-            and " " not in token)
-
-
 def _shown(name: str, kind) -> str:
     """An argument as usage and help write it: --dot, path, {a,b} or
     --max-n MAX_N."""
@@ -380,20 +364,44 @@ def _convert(command, name, kind, token):
     return token
 
 
-def _option(command, flag, options):
-    """The full name of the option (or of --help) that flag is or
-    abbreviates; exits when there is none or more than one."""
-    names = (*options, "--help")
-    if flag in names or flag == "-h":
-        return "--help" if flag == "-h" else flag
-    if flag[:2] == "--" and len(flag) > 2:
-        hits = [name for name in names if name.startswith(flag)]
-        if len(hits) == 1:
-            return hits[0]
-        if hits:
-            _fail(command, "ambiguous option: %s could match %s"
-                  % (flag, ", ".join(hits)))
-    _fail(command, "unrecognized arguments: %s" % flag)
+def _option(command, token, options):
+    """What argparse reads token as: None for a value; for an option,
+    the full name of the option (or of --help) that the token names, or
+    the token itself when it names none.  A token names --help when it
+    starts with -h, and an option when its part before any "=" is that
+    option or abbreviates it.  Exits when it abbreviates more than one
+    option, naming the whole token and the options in parser order, as
+    argparse does."""
+    flag = token.partition("=")[0]
+    names = ("--help", *options)
+    if token[:2] == "-h" or flag in names:
+        return "--help" if token[:2] == "-h" else flag
+    long = flag[:2] == "--" and len(flag) > 2
+    hits = [name for name in names if long and name.startswith(flag)]
+    if len(hits) > 1:
+        _fail(command, "ambiguous option: %s could match %s"
+              % (token, ", ".join(hits)))
+    # of the other tokens, "-" alone, negative numbers (-1, -1.5 and -.5,
+    # not -1.) and tokens with a space are values
+    whole, dot, frac = token[1:].partition(".")
+    number = (whole.isdecimal() or dot and not whole) and (
+        frac.isdecimal() or not dot)
+    value = token[:1] != "-" or token == "-" or number or " " in token
+    return hits[0] if hits else (None if value else token)
+
+
+def _help_option(command, token):
+    """Show the help for a token that _option reads as --help, or exit
+    as argparse does when the token gives it an argument: after "="
+    (--help=x, -h=x, and the empty one in -h=), or straight after -h
+    (-hx), where each h that follows is -h again (-hh is -h)."""
+    flag, eq, value = token.partition("=")
+    if token[:2] == "-h" and token != "-h=":
+        eq = value = token[2 + (flag == "-h"):].lstrip("h")
+    if eq:
+        _fail(command, "argument -h/--help: ignored explicit argument %r"
+              % value)
+    _show_help(command)
 
 
 def _parse(argv):
@@ -402,28 +410,35 @@ def _parse(argv):
     if not argv:
         _fail(None, "the following arguments are required: command")
     command = argv[0]
-    if command not in _COMMANDS:
-        if _is_option(command) and _option(None, command, ()) == "--help":
-            _show_help()
-        _fail(None, "argument command: invalid choice: %r (choose from %s)"
-              % (command, ", ".join(repr(c) for c in _COMMANDS)))
+    name = _option(None, command, ())
+    if name == "--help":
+        _help_option(None, command)
+    if name:
+        _fail(None, "unrecognized arguments: %s" % command)
+    _convert(None, "command", tuple(_COMMANDS), command)
     handler, _, arguments, pair = _COMMANDS[command]
     options = {name: kind for name, kind, _, _ in arguments
                if name[:1] == "-"}
     positionals = [a for a in arguments if a[0][:1] != "-"]
+    # argparse reads every token before "--" first, so an ambiguous
+    # abbreviation is the error even where a value is due
+    names = {token: _option(command, token, options)
+             for token in argv[1:argv.index("--") if "--" in argv else None]}
     values = {}
     given = []
     tokens = iter(argv[1:])
     for token in tokens:
+        name = names.get(token)
         if token == "--":
             given.extend(tokens)
-        elif not _is_option(token, options):
+        elif name is None:
             given.append(token)
+        elif name == "--help":
+            _help_option(command, token)
+        elif name not in options:
+            _fail(command, "unrecognized arguments: %s" % token)
         else:
-            flag, eq, value = token.partition("=")
-            name = _option(command, flag, options)
-            if name == "--help":
-                _show_help(command)
+            _, eq, value = token.partition("=")
             kind = options[name]
             if kind is bool:
                 if eq:
@@ -433,7 +448,7 @@ def _parse(argv):
             else:
                 if not eq:
                     value = next(tokens, None)
-                    if value is None or _is_option(value, options):
+                    if value is None or _option(command, value, options):
                         _fail(command,
                               "argument %s: expected one argument" % name)
                 value = _convert(command, name, kind, value)

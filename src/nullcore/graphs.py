@@ -39,7 +39,6 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         adj = [set() for _ in range(n)]
-        count = 0
         for u, w in edges:
             if not (0 <= u < n and 0 <= w < n):
                 raise ValueError(f"edge ({u},{w}) out of range for n={n}")
@@ -49,12 +48,11 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u},{w})")
             adj[u].add(w)
             adj[w].add(u)
-            count += 1
         object.__setattr__(self, "n", n)
         object.__setattr__(
             self, "adjacency", tuple(tuple(sorted(s)) for s in adj)
         )
-        object.__setattr__(self, "_edge_count", count)
+        object.__setattr__(self, "_edge_count", sum(map(len, adj)) // 2)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -144,6 +142,18 @@ class BipartiteDecomposition(Record):
     cross: IntMatrix
 
 
+def _graph(n: int, adjacency, m: int) -> Graph:
+    """The Graph with n vertices, m edges and these neighbour lists,
+    frozen without checks: each list must be a sorted tuple of distinct
+    vertices other than its own, and the lists symmetric.  The package
+    builds them from a graph or an input it has checked already."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adjacency", tuple(adjacency))
+    object.__setattr__(g, "_edge_count", m)
+    return g
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the "n m" edge-list format; '#' lines are comments.
 
@@ -162,13 +172,14 @@ def parse_edge_list(text: str) -> Graph:
         meaningful.append((idx, line, plain))
     if not meaningful:
         raise MalformedHeaderError(1, "missing 'n m' header")
+    # unpacking two ints raises ValueError on a line with another count
+    # of fields, as int() does on a field that is not a number
     head_no, head, plain = meaningful[0]
-    parts = head.split()
-    if len(parts) != 2 or not plain:
-        raise MalformedHeaderError(head_no, f"expected 'n m', got {head!r}")
     try:
-        n, m = int(parts[0]), int(parts[1])
+        n, m = map(int, head.split())
     except ValueError:
+        plain = False
+    if not plain:
         raise MalformedHeaderError(head_no, f"expected 'n m', got {head!r}")
     if n < 0 or m < 0:
         raise MalformedHeaderError(head_no, "counts must be non-negative")
@@ -182,17 +193,13 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListParseError(
             where, f"header promises {m} edges, found {len(body)}"
         )
-    edges = []
-    seen = set()
+    adjacency = [set() for _ in range(n)]
     for line_no, line, plain in body:
-        fields = line.split()
-        ok = plain and len(fields) == 2
-        if ok:
-            try:
-                u, w = int(fields[0]), int(fields[1])
-            except ValueError:
-                ok = False
-        if not ok:
+        try:
+            u, w = map(int, line.split())
+        except ValueError:
+            plain = False
+        if not plain:
             raise EdgeListParseError(line_no, f"expected 'u w', got {line!r}")
         if not (0 <= u < n and 0 <= w < n):
             raise VertexRangeError(
@@ -200,12 +207,12 @@ def parse_edge_list(text: str) -> Graph:
             )
         if u == w:
             raise SelfLoopError(line_no, f"self-loop at vertex {u}")
-        key = (min(u, w), max(u, w))
-        if key in seen:
-            raise DuplicateEdgeError(line_no, f"duplicate edge {key}")
-        seen.add(key)
-        edges.append(key)
-    return Graph(n, edges)
+        if w in adjacency[u]:
+            raise DuplicateEdgeError(line_no, "duplicate edge (%d, %d)"
+                                     % (min(u, w), max(u, w)))
+        adjacency[u].add(w)
+        adjacency[w].add(u)
+    return _graph(n, [tuple(sorted(s)) for s in adjacency], m)
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -225,11 +232,7 @@ def _flipped(g: Graph, u: int, w: int) -> Graph:
         row = adjacency[a]
         adjacency[a] = (tuple(x for x in row if x != b) if present
                         else tuple(sorted(row + (b,))))
-    h = object.__new__(Graph)
-    object.__setattr__(h, "n", g.n)
-    object.__setattr__(h, "adjacency", tuple(adjacency))
-    object.__setattr__(h, "_edge_count", g.m - 1 if present else g.m + 1)
-    return h
+    return _graph(g.n, adjacency, g.m - 1 if present else g.m + 1)
 
 
 def add_edge(g: Graph, u: int, w: int) -> Graph:
@@ -259,15 +262,14 @@ def induced_subgraph(g: Graph, keep) -> tuple:
     for v in kept:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
+    # relabelling keeps the order, so every filtered list stays sorted
     new_label = {old: i for i, old in enumerate(kept)}
-    keep_set = set(kept)
-    edges = [
-        (new_label[u], new_label[w])
-        for u, w in g.edges()
-        if u in keep_set and w in keep_set
+    adjacency = [
+        tuple(new_label[w] for w in g.adjacency[v] if w in new_label)
+        for v in kept
     ]
     prov = VertexProvenance(tuple(("vertex", old) for old in kept))
-    return Graph(len(kept), edges), prov
+    return _graph(len(kept), adjacency, sum(map(len, adjacency)) // 2), prov
 
 
 def delete_vertex(g: Graph, v: int) -> tuple:
@@ -285,15 +287,17 @@ def subdivision(g: Graph) -> tuple:
     """
     if not is_connected(g):
         raise PreconditionError("subdivision requires a connected graph")
+    # each vertex meets the inserted vertices in edge order, ascending,
+    # and each inserted vertex is adjacent to the ends u < w of its edge
     edges = g.edges()
-    new_edges = []
-    tags = [("vertex", v) for v in range(g.n)]
-    for k, (u, w) in enumerate(edges):
-        mid = g.n + k
-        tags.append(("edge", (u, w)))
-        new_edges.append((u, mid))
-        new_edges.append((w, mid))
-    return Graph(g.n + len(edges), new_edges), VertexProvenance(tuple(tags))
+    adjacency = [[] for _ in range(g.n)]
+    for mid, (u, w) in enumerate(edges, start=g.n):
+        adjacency[u].append(mid)
+        adjacency[w].append(mid)
+    h = _graph(g.n + len(edges), [*map(tuple, adjacency), *edges],
+               2 * len(edges))
+    tags = [("vertex", v) for v in range(g.n)] + [("edge", e) for e in edges]
+    return h, VertexProvenance(tuple(tags))
 
 
 def is_connected(g: Graph) -> bool:

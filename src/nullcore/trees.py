@@ -25,7 +25,6 @@ from .graphs import (
     subdivision,
 )
 from .linalg import Record, char_poly, rank
-from . import minimal
 
 
 def _require_tree(g: Graph):
@@ -199,9 +198,13 @@ def is_mc_tree(
 ) -> McTreeReport:
     """Decide whether a tree is a minimal configuration, via the definition
     and via subdivision recognition; the two must agree."""
+    # imported here, as the verify trials import their checks, so that
+    # the commands that never call this do not load nullcore.minimal
+    from .minimal import is_minimal_configuration
+
     _require_tree(g)
     part = classify_vertices(g) if partition is None else partition
-    mc = minimal.is_minimal_configuration(g, part)
+    mc = is_minimal_configuration(g, part)
     inv = inverse_subdivision(g)
     t = pendant_reduction(g).t
     ncv_count = len(part.ncv_set)

@@ -349,6 +349,13 @@ def test_usage_error_is_exit_1():
     (["verify", "--seed", "--bogus=a b"],
      "--seed: invalid int value: '--bogus=a b'"),
     (["analyze", "p7.g", "--do=a b"], "--dot: ignored explicit argument 'a b'"),
+    # -h takes an argument straight after it, and any ambiguous
+    # abbreviation is the error, even in the place of a value
+    (["analyze", "-hx"], "argument -h/--help: ignored explicit argument 'x'"),
+    (["analyze", "p7.g", "--help=x"],
+     "argument -h/--help: ignored explicit argument 'x'"),
+    (["verify", "--seed", "--s=a b"],
+     "ambiguous option: --s=a b could match --suite, --seed"),
 ])
 def test_usage_errors_name_the_problem(capsys, argv, message):
     with pytest.raises(SystemExit) as info:
@@ -402,6 +409,7 @@ def test_accepted_int_forms(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["-h"], ["--help"], ["--he"],
     ["analyze", "-h"], ["reduce", "--help"], ["perturb", "p7.g", "--h"],
+    ["analyze", "-hh"],
     ["mc", "-h"], ["gen", "cycle", "-h"], ["verify", "--help"],
 ])
 def test_help_exits_0_with_usage_on_stdout(capsys, argv):

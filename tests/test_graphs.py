@@ -3,6 +3,7 @@
 import heapq
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nullcore.errors import (
     DuplicateEdgeError,
@@ -13,6 +14,7 @@ from nullcore.errors import (
 )
 from nullcore.graphs import (
     Graph,
+    VertexProvenance,
     add_edge,
     adjacency_matrix,
     delete_edge,
@@ -40,6 +42,7 @@ from nullcore.rng import SplitMix64
 import nullcore.graphs
 
 import oracle
+from test_analysis import drawn_graphs
 
 
 def test_graph_basic_invariants():
@@ -179,6 +182,40 @@ def test_delete_vertex_and_induced_subgraph():
         induced_subgraph(p4, [0, 9])
     with pytest.raises(ValueError):
         delete_vertex(p4, 9)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(drawn_graphs(max_n=20), st.data())
+def test_derived_graphs_equal_the_checked_constructor(g, data):
+    # parse_edge_list, induced_subgraph, delete_vertex and subdivision
+    # freeze their adjacency lists unchecked; each must equal Graph() on
+    # the same edges, edge count included
+    lines = ["%d %d" % (e if data.draw(st.booleans()) else e[::-1])
+             for e in data.draw(st.permutations(g.edges()))]
+    for text in (serialize_edge_list(g),
+                 "\n".join(["%d %d" % (g.n, g.m)] + lines)):
+        parsed = parse_edge_list(text)
+        assert parsed == g and parsed.m == g.m and hash(parsed) == hash(g)
+    keep = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n))
+    kept = sorted(set(keep))
+    label = {old: new for new, old in enumerate(kept)}
+    expected = Graph(len(kept), [(label[u], label[w]) for u, w in g.edges()
+                                 if u in label and w in label])
+    h, prov = induced_subgraph(g, keep)
+    assert h == expected and h.m == expected.m
+    assert prov == VertexProvenance(tuple(("vertex", v) for v in kept))
+    v = data.draw(st.integers(0, g.n - 1))
+    assert delete_vertex(g, v) == induced_subgraph(
+        g, [u for u in range(g.n) if u != v])
+    if is_connected(g):
+        edges = g.edges()
+        expected = Graph(g.n + len(edges), [
+            (end, g.n + k) for k, edge in enumerate(edges) for end in edge])
+        s, prov = subdivision(g)
+        assert s == expected and s.m == expected.m
+        assert prov == VertexProvenance(tuple(
+            [("vertex", v) for v in range(g.n)]
+            + [("edge", edge) for edge in edges]))
 
 
 def test_subdivision_structure():

@@ -147,6 +147,21 @@ def test_analyze_loads_only_the_modules_it_runs(tmp_path):
         assert "nullcore." + name not in loaded
 
 
+def test_pendant_reduction_skips_minimal(tmp_path):
+    # only is_mc_tree decides a minimal configuration, and it imports
+    # nullcore.minimal itself
+    (tmp_path / "p7.g").write_text(
+        "7 6\n" + "".join("%d %d\n" % (i, i + 1) for i in range(6)))
+    loaded = _child_modules(
+        tmp_path,
+        "import io; sys.stdout = io.StringIO()\n"
+        "from nullcore.cli import main\n"
+        "assert main(['reduce', 'p7.g', '--pendant']) == 0",
+    )
+    assert "nullcore.trees" in loaded
+    assert "nullcore.minimal" not in loaded
+
+
 def test_lazy_package_attributes():
     assert set(nullcore.__all__) <= set(dir(nullcore))
     assert {"linalg", "verify", "cli"} <= set(dir(nullcore))

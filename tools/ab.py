@@ -118,6 +118,10 @@ SIZES = (16, 32, 64, 96)
 CLASSIFY_SIZES = (("tree", (300, 1000, 4000)), ("gnp2/n", (300, 1000)))
 DENSIFY_TREE = (32, 11)
 DENSIFY_MODES = ("nullity", "cv_set", "nullspace")
+# (family, n) at seed 0 for parse_edge_list on the graph's edge-list
+# text, induced_subgraph on every vertex but 0 and subdivision: the
+# sizes of the benchmark's largest G(n, 1/2), planted twin and tree
+BUILD_GRAPHS = (("gnp1/2", 48), ("twins", 64), ("tree", 96))
 ROUTE_FAMILIES = ("tree", "unicyclic", "gnp1/2", "gnp1/4", "gnp4/(n-1)",
                   "bipartite", "twins")
 ROUTE_SIZES = (12, 16, 24, 32, 64, 128)
@@ -301,6 +305,24 @@ def _cases(analysis, graphs, linalg, perturb, verify):
                      analysis.classify_vertices, g)):
                 yield ({"layer": layer, "family": family, "n": n, "seed": 0},
                        fn, arg)
+    for family, n in BUILD_GRAPHS:
+        g = families[family](n, 0)
+        for layer, fn, arg in (
+                ("graphs.parse_edge_list", graphs.parse_edge_list,
+                 graphs.serialize_edge_list(g)),
+                ("graphs.induced_subgraph",
+                 lambda g: graphs.induced_subgraph(g, range(1, g.n)), g),
+                ("graphs.subdivision", graphs.subdivision, g)):
+            yield ({"layer": layer, "family": family, "n": n, "seed": 0},
+                   fn, arg)
+    # the labelling and the block checks of analyze, on a partition
+    # computed once; every tree of SIZES at seed 0 is singular
+    for n in SIZES:
+        g = families["tree"](n, 0)
+        yield ({"layer": "analysis.verify_block_theorems", "family": "tree",
+                "n": n, "seed": 0},
+               lambda g, p=analysis.classify_vertices(g):
+               analysis.verify_block_theorems(g, p), g)
     for family, sizes in CLASSIFY_SIZES:
         for n in sizes:
             yield ({"layer": "analysis.classify_vertices", "family": family,
@@ -312,6 +334,11 @@ def _cases(analysis, graphs, linalg, perturb, verify):
                 "n": DENSIFY_TREE[0], "seed": DENSIFY_TREE[1],
                 "preserve": preserve},
                lambda g, p=preserve: perturb.greedy_densify(g, p), tree)
+    for preserve in DENSIFY_MODES:
+        yield ({"layer": "perturb.safe_additions", "family": "tree",
+                "n": DENSIFY_TREE[0], "seed": DENSIFY_TREE[1],
+                "preserve": preserve},
+               lambda g, p=preserve: perturb.safe_additions(g, p), tree)
     for suite, trials in SUITES:
         yield ({"layer": "verify.run_suite", "family": suite,
                 "n": VERIFY_MAX_N, "trials": trials,
