@@ -376,7 +376,7 @@ def _option(command, token, options):
     names = ("--help", *options)
     if token[:2] == "-h" or flag in names:
         return "--help" if token[:2] == "-h" else flag
-    long = flag[:2] == "--" and len(flag) > 2
+    long = flag[:2] == "--" and token != "--"
     hits = [name for name in names if long and name.startswith(flag)]
     if len(hits) > 1:
         _fail(command, "ambiguous option: %s could match %s"
@@ -425,18 +425,21 @@ def _parse(argv):
     names = {token: _option(command, token, options)
              for token in argv[1:argv.index("--") if "--" in argv else None]}
     values = {}
+    # (argv index, token) of the values and of the unknown options, which
+    # argparse reports with the surplus values, in argv order, last
     given = []
-    tokens = iter(argv[1:])
-    for token in tokens:
+    unknown = []
+    tokens = enumerate(argv[1:])
+    for i, token in tokens:
         name = names.get(token)
         if token == "--":
             given.extend(tokens)
         elif name is None:
-            given.append(token)
+            given.append((i, token))
         elif name == "--help":
             _help_option(command, token)
         elif name not in options:
-            _fail(command, "unrecognized arguments: %s" % token)
+            unknown.append((i, token))
         else:
             _, eq, value = token.partition("=")
             kind = options[name]
@@ -447,16 +450,13 @@ def _parse(argv):
                 value = True
             else:
                 if not eq:
-                    value = next(tokens, None)
+                    value = next(tokens, (i, None))[1]
                     if value is None or _option(command, value, options):
                         _fail(command,
                               "argument %s: expected one argument" % name)
                 value = _convert(command, name, kind, value)
             values[name] = value
-    if len(given) > len(positionals):
-        _fail(command, "unrecognized arguments: %s"
-              % " ".join(given[len(positionals):]))
-    for (name, kind, _, _), token in zip(positionals, given):
+    for (name, kind, _, _), (_, token) in zip(positionals, given):
         values[name] = _convert(command, name, kind, token)
     missing = [name for name, _, default, _ in arguments
                if default is None and name not in values]
@@ -468,6 +468,10 @@ def _parse(argv):
               % (pair[1], pair[0]))
     if pair and pair[0] not in values and pair[1] not in values:
         _fail(command, "one of the arguments %s %s is required" % pair)
+    extras = sorted(unknown + given[len(positionals):])
+    if extras:
+        _fail(command, "unrecognized arguments: %s"
+              % " ".join(token for _, token in extras))
     for name, _, default, _ in arguments:
         values.setdefault(name, default)
     return handler, _Args(values)

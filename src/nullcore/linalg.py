@@ -34,7 +34,6 @@ every library path imports this module, and a module of its own would
 cost each command another import.
 """
 
-from itertools import chain
 from math import gcd, isqrt, prod
 from operator import index, itemgetter
 
@@ -551,38 +550,37 @@ def _reduce_by_bordering(rows: list, n: int) -> tuple:
     T = adj A[B, B].  A is a symmetric {0, 1} matrix (_is_dense), so
     every a below is 0 or 1.
 
-    For v outside B let b_v = A[B, v] and W = T b_v; then
-    sigma = d a_vv - b_v' W is d times the Schur complement of v.  If
-    sigma != 0, v joins B (a 1 x 1 step): the bordered block has
-    determinant sigma and adjugate [[(sigma T + W W') / d, -W], [-W', d]].
-    If sigma = 0, as it always is on a bipartite graph, v joins together
-    with a partner u outside B for which tau = d a_uv - b_u' W != 0 (a
-    2 x 2 step, Bunch and Parlett 1971).  With s = sigma_u, the pair's
-    Schur complement is [[s, tau], [tau, 0]] / d, the new determinant
-    is -tau^2 / d, and the new adjugate is spelled out where the step
-    is taken.  Every value stored is an adjugate entry, a minor of A,
-    so every division is exact (Sylvester's identity).  The partner is
-    sought among v's neighbours not yet met, then among the pending
-    vertices, those for which no step was found.  The vertices are
-    taken in index order; then each pending one is retried, in order,
-    if B has grown since its last try, until none is left to retry.
-    Every vertex outside B then has sigma = 0 and every pair of them
-    tau = 0 with the final B (tau is symmetric, and the later of the
-    two tried the earlier), so the Schur complement of A[B, B] is zero:
-    |B| is the rank of A, and eta vertices pend.
+    The vertices are taken once, in index order.  For v outside B let
+    b_v = A[B, v] and W = T b_v; then sigma = d a_vv - b_v' W is d times
+    the Schur complement of v.  If sigma != 0, v joins B (a 1 x 1 step):
+    the bordered block has determinant sigma and adjugate
+    [[(sigma T + W W') / d, -W], [-W', d]].  If sigma = 0, as it always
+    is on a bipartite graph, v joins together with the first later
+    vertex u outside B for which tau = d a_uv - b_u' W != 0 (a 2 x 2
+    step, Bunch and Parlett 1971).  With s = sigma_u, the pair's Schur
+    complement is [[s, tau], [tau, 0]] / d, the new determinant is
+    -tau^2 / d, and the new adjugate is spelled out where the step is
+    taken.  Every value stored is an adjugate entry, a minor of A, so
+    every division is exact (Sylvester's identity).  If no such u
+    exists, v's column of the Schur complement S of A[B, B] is zero: at
+    every later u by the search, and at every earlier vertex outside B
+    because its own column was zero at its turn and S is symmetric.  A
+    later step turns S into S_RR - S_RJ S_JJ^-1 S_JR with S_Jv = 0, so
+    the column stays zero and v never joins B.  Then d e_v - W (on B) is
+    in the kernel for good, and is taken at once; at the end the Schur
+    complement is zero, |B| is the rank of A, and eta vectors were
+    taken, which _canonical_basis makes canonical.
 
     T sits on packed rows, one int per vertex of B: slot j holds the
     j-th vertex of B from the low end, in signed slots of _slot_bytes.
     So T b_v is a plain sum of the rows at the 1s of row v in B, b_u' W
     a sum of W's entries at the 1s of row u, and a row update a few
     big-integer operations, about n^3 / 3 slot operations against n^3
-    for the elimination of [A | I].  Each pending w gives the kernel vector
-    d e_w - T b_w (on B), which _canonical_basis makes canonical.  A
-    vertex v outside every kernel support is in B, and its row of T,
-    zero off B, is d times the solution of A y = e_v that is supported
-    on B.  entry(u, w) decodes one slot of u's packed row, and is 0 when
-    u or w is outside B, so rank, det and nullspace_basis, which read
-    none, pay for none.
+    for the elimination of [A | I].  A vertex v outside every kernel
+    support is in B, and its row of T, zero off B, is d times the
+    solution of A y = e_v that is supported on B.  entry(u, w) decodes
+    one slot of u's packed row, and is 0 when u or w is outside B, so
+    rank, det and nullspace_basis, which read none, pay for none.
     """
     width = _slot_bytes(rows, n)
     k = 8 * width
@@ -592,22 +590,18 @@ def _reduce_by_bordering(rows: list, n: int) -> tuple:
     t = []  # the packed rows of T, by slot
     d = 1
     bias = 0  # half in every slot of B, to decode the signed slots
-    pending = {}  # vertex with no step yet -> |B| at its last try
-
-    def decode(x):
-        """The slot values of a packed row over B."""
-        raw = (x + bias).to_bytes(width * len(t), "little")
-        return [int.from_bytes(raw[i:i + width], "little") - half
-                for i in range(0, len(raw), width)]
+    kernel = []
 
     def product(v):
-        """T b_v, packed and decoded."""
+        """T b_v, packed and as the slot values over B."""
         x = 0
         for j in rows[v]:
             i = slot[j]
             if i is not None:
                 x += t[i]
-        return x, decode(x)
+        raw = (x + bias).to_bytes(width * len(t), "little")
+        return x, [int.from_bytes(raw[i:i + width], "little") - half
+                   for i in range(0, len(raw), width)]
 
     def schur(u, v, support):
         """d a_uv - b_u' W, for W = T b_v given as the (vertex, entry)
@@ -615,10 +609,9 @@ def _reduce_by_bordering(rows: list, n: int) -> tuple:
         row = rows[u]
         return d * (v in row) - sum(x for j, x in support if j in row)
 
-    def take(v):
-        """Border A[B, B] by v, or by v and a partner, or else mark v
-        pending with the size of B it was tried with."""
-        nonlocal d, bias
+    for v in range(n):
+        if slot[v] is not None:
+            continue
         x_v, w_v = product(v)
         support = [(j, x) for j, x in zip(order, w_v) if x]
         sigma = schur(v, v, support)
@@ -631,16 +624,16 @@ def _reduce_by_bordering(rows: list, n: int) -> tuple:
             bias += half * top
             d = sigma
         else:
-            tau = 0
-            met = [j for j in rows[v] if slot[j] is None and j not in pending]
-            for u in chain(met, pending):
-                if u != v:
-                    tau = schur(u, v, support)
-                    if tau:
-                        break
-            if not tau:
-                pending[v] = len(order)
-                return
+            for u in range(v + 1, n):
+                if slot[u] is None and (tau := schur(u, v, support)):
+                    break
+            else:  # v's Schur column is zero: a kernel vector
+                vec = [0] * n
+                vec[v] = d
+                for j, x in support:
+                    vec[j] = -x
+                kernel.append(vec)
+                continue
             x_u, w_u = product(u)
             s = schur(u, u, [(j, x) for j, x in zip(order, w_u) if x])
             after = top << k  # the unit of the slot after that
@@ -664,22 +657,6 @@ def _reduce_by_bordering(rows: list, n: int) -> tuple:
         for w in joined:
             slot[w] = len(order)
             order.append(w)
-            pending.pop(w, None)
-
-    for v in range(n):
-        if slot[v] is None:
-            take(v)
-    while stale := [v for v, size in pending.items() if size < len(order)]:
-        for v in stale:
-            if slot[v] is None:
-                take(v)
-    kernel = []
-    for w in pending:
-        vec = [0] * n
-        vec[w] = d
-        for j, x in zip(order, product(w)[1]):
-            vec[j] = -x
-        kernel.append(vec)
 
     mask = (1 << k) - 1
 

@@ -34,6 +34,7 @@ from nullcore.graphs import (
     adjacency_matrix,
     gen_cycle,
     gen_path,
+    gen_random_bipartite,
     gen_random_graph,
     gen_random_tree,
     gen_star,
@@ -216,26 +217,40 @@ def test_partition_keeps_the_reduction(g):
 @st.composite
 def large_graphs(draw):
     """(graph, routes) with n from 64 to 200: a random tree, G(n, 4/n),
-    G(n, 4/n) with a planted twin, or G(n, 1/2) with n up to 128, and the
-    values of linalg._is_dense to classify it under.  Both routes, but
-    G(n, 1/2) above n = 96 only bordered, to keep the test under 10 s."""
-    kind = draw(st.sampled_from(("tree", "sparse", "twin", "half")))
-    n = draw(st.integers(64, 128 if kind == "half" else 200))
+    G(n, 4/n) with a planted twin, or, with n up to 128, G(n, 1/2), a
+    random bipartite graph (every bordering step 2 x 2) or G(n/2, 1/2)
+    with n/2 planted twins, two of each of its first n/4 vertices (eta
+    >= n/2, kernel vectors that bordering takes at once), and the values
+    of linalg._is_dense to classify it under.  Both routes, but G(n, 1/2) above n = 96 only
+    bordered, to keep the test under 10 s."""
+    kind = draw(st.sampled_from(("tree", "sparse", "twin", "half",
+                                 "bipartite", "twins")))
+    dense = kind in ("half", "bipartite", "twins")
+    n = draw(st.integers(64, 128 if dense else 200))
     seed = draw(st.integers(0, 2**32))
+    sources = ()
     if kind == "tree":
         g = gen_random_tree(n, seed)
     elif kind == "half":
         g = gen_random_graph(n, 1, 2, seed)
+    elif kind == "bipartite":
+        g = gen_random_bipartite(n, seed)
+    elif kind == "twins":
+        g = gen_random_graph(n - n // 2, 1, 2, seed)
+        sources = [i // 2 for i in range(n // 2)]
     else:
         g = gen_random_graph(n - (kind == "twin"), 4, n, seed)
         if kind == "twin":
-            source = draw(st.integers(0, n - 2))
-            g = Graph(n, list(g.edges())
-                      + [(w, n - 1) for w in g.adjacency[source]])
+            sources = (draw(st.integers(0, n - 2)),)
+    for source in sources:
+        # a new last vertex with source's neighbours, so every twin
+        # planted before stays a twin
+        g = Graph(g.n + 1, list(g.edges())
+                  + [(w, g.n) for w in g.adjacency[source]])
     return g, (True,) if kind == "half" and n > 96 else (False, True)
 
 
-@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(large_graphs())
 def test_certificate_proves_large_classifications(drawn):
     # far above the oracle's reach (n <= 28), each route's own d and T

@@ -356,6 +356,18 @@ def test_usage_error_is_exit_1():
      "argument -h/--help: ignored explicit argument 'x'"),
     (["verify", "--seed", "--s=a b"],
      "ambiguous option: --s=a b could match --suite, --seed"),
+    # unknown options are reported with the surplus values, in argv
+    # order, after every other check
+    (["verify", "--bogus", "--trials", "x"],
+     "argument --trials: invalid int value: 'x'"),
+    (["analyze", "--bogus"], "the following arguments are required: path"),
+    (["mc", "p7.g", "x", "--bogus"], "unrecognized arguments: x --bogus"),
+    (["mc", "p7.g", "--bogus", "x"], "unrecognized arguments: --bogus x"),
+    (["analyze", "p7.g", "--bogus", "--dot=1"],
+     "argument --dot: ignored explicit argument '1'"),
+    # "--=x" abbreviates every long option
+    (["verify", "--=x"], "ambiguous option: --=x could match --help, "
+     "--suite, --max-n, --trials, --seed"),
 ])
 def test_usage_errors_name_the_problem(capsys, argv, message):
     with pytest.raises(SystemExit) as info:

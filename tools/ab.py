@@ -26,7 +26,10 @@ Usage (standard library only; writes into the current directory):
    bench/run.py scales: bench/probe.py is timed PROBES times before and
    after the runs, and every time is multiplied by bench/run.py's
    NOMINAL_PROBE_S over the median probe.  The printout gives the ratio
-   of LABEL's min to PARENT_LABEL's for every case; compare mins.
+   of LABEL's min to PARENT_LABEL's for every case; compare mins.  Next
+   to it, a case reads faster or slower when every run of LABEL is
+   faster or slower than every run of PARENT_LABEL, and overlap
+   otherwise; the summary counts the resolved cases.
 
 Every child runs in a fixed environment (PATH, PYTHONPATH=src,
 PYTHONHASHSEED=0, LC_ALL=C, PYTHONUTF8=1, PYTHONDONTWRITEBYTECODE=1), so
@@ -123,7 +126,7 @@ DENSIFY_MODES = ("nullity", "cv_set", "nullspace")
 # sizes of the benchmark's largest G(n, 1/2), planted twin and tree
 BUILD_GRAPHS = (("gnp1/2", 48), ("twins", 64), ("tree", 96))
 ROUTE_FAMILIES = ("tree", "unicyclic", "gnp1/2", "gnp1/4", "gnp4/(n-1)",
-                  "bipartite", "twins")
+                  "bipartite", "twins", "twin-rich")
 ROUTE_SIZES = (12, 16, 24, 32, 64, 128)
 # (suite, trials per command) of the benchmark's verify commands
 SUITES = (("trees", 6), ("bipartite", 12), ("subdivisions", 4),
@@ -134,17 +137,27 @@ VERIFY_SEEDS = tuple(range(8))
 LARGE_TREE = (2000, 1)
 
 
-def _with_twin(n, edges):
-    """(n + 1, edges plus a twin of vertex 0): a new last vertex with the
-    same neighbours and no edge to vertex 0."""
+def _with_twin(n, edges, source=0):
+    """(n + 1, edges plus a twin of vertex source): a new last vertex
+    with the same neighbours and no edge to source."""
     edges = list(edges)
-    return n + 1, edges + [(u if w == 0 else w, n)
-                           for u, w in edges if 0 in (u, w)]
+    return n + 1, edges + [(u if w == source else w, n)
+                           for u, w in edges if source in (u, w)]
 
 
 def _families(graphs) -> dict:
     """Family name -> generator (n, seed) -> Graph."""
     gnp = graphs.gen_random_graph
+
+    def twin_rich(n, seed):
+        """G(n - n // 2, 1/2) and n // 2 twins, two of each of its first
+        n // 4 vertices: every twin planted before stays a twin."""
+        size = n - n // 2
+        edges = gnp(size, 1, 2, seed).edges()
+        for i in range(n // 2):
+            size, edges = _with_twin(size, edges, i // 2)
+        return graphs.Graph(size, edges)
+
     return {
         "tree": graphs.gen_random_tree,
         "unicyclic": graphs.gen_random_unicyclic,
@@ -156,6 +169,7 @@ def _families(graphs) -> dict:
         "gnp4/(n-1)": lambda n, seed: gnp(n, 4, n - 1, seed),
         "twins": lambda n, seed: graphs.Graph(
             *_with_twin(n - 1, gnp(n - 1, 1, 2, seed).edges())),
+        "twin-rich": twin_rich,
     }
 
 
@@ -498,7 +512,9 @@ def main(argv) -> int:
                 run["peak"] for run in tree_runs) / 1e6,
             "cases": cases})
     ratios = []
-    for case, parent in zip(records[0]["cases"], records[1]["cases"]):
+    verdicts = []
+    for k, (case, parent) in enumerate(zip(records[0]["cases"],
+                                           records[1]["cases"])):
         name = "%-46s %s" % (case["layer"], " ".join(
             "%s=%s" % item for item in case.items()
             if item[0] in ("family", "n", "route", "preserve")))
@@ -506,11 +522,17 @@ def main(argv) -> int:
             print("%s  %s" % (name, case.get("error") or parent["error"]))
             continue
         ratios.append(case["min_s"] / parent["min_s"])
-        print("%s  min %.6f s  median %.6f s  ratio %.3f" % (
-            name, case["min_s"], case["median_s"], ratios[-1]))
-    print("%d min ratios %s / %s: median %.3f, range %.3f to %.3f" % (
-        len(ratios), argv[2], argv[4], statistics.median(ratios),
-        min(ratios), max(ratios)))
+        ours, theirs = ([run["cases"][k][1] for run in tree_runs]
+                        for tree_runs in runs)
+        verdicts.append("faster" if max(ours) < min(theirs) else
+                        "slower" if min(ours) > max(theirs) else "overlap")
+        print("%s  min %.6f s  median %.6f s  ratio %.3f  %s" % (
+            name, case["min_s"], case["median_s"], ratios[-1], verdicts[-1]))
+    print("%d min ratios %s / %s: median %.3f, range %.3f to %.3f; "
+          "%d resolved (%d faster, %d slower)" % (
+              len(ratios), argv[2], argv[4], statistics.median(ratios),
+              min(ratios), max(ratios), len(ratios) - verdicts.count("overlap"),
+              verdicts.count("faster"), verdicts.count("slower")))
     for record in records:
         out = pathlib.Path("BENCH_%s.json" % record["label"])
         out.write_text(json.dumps(record, indent=1) + "\n")
