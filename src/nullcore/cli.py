@@ -223,8 +223,10 @@ def _cmd_verify(args) -> int:
 
 _PATH = ("path", str, None, "edge-list file ('n m' header)")
 
-# The command table drives the parsing, the usage errors and the help.
-# Each command maps to (handler, summary, arguments, either_or).  An
+# The command table drives both parsers, the usage errors and the help:
+# _plain reads an argument list in the plain spelling without importing
+# argparse, and _argparse builds argparse's parser from the table for
+# every other list, with the table's usage and help.  Each command maps to (handler, summary, arguments, either_or).  An
 # argument is (name, kind, default, help): a name that starts with "--"
 # is an option, any other a positional, in the order given.  kind is
 # str, int, bool (a switch, False unless given) or a tuple of choices;
@@ -284,8 +286,7 @@ class _Args:
     """Parsed arguments as attributes: --max-n is read as args.max_n."""
 
     def __init__(self, values):
-        for name, value in values.items():
-            setattr(self, name.lstrip("-").replace("-", "_"), value)
+        self.__dict__.update(values)
 
 
 def _shown(name: str, kind) -> str:
@@ -346,134 +347,96 @@ def _fail(command, message):
     sys.exit(1)
 
 
-def _show_help(command=None):
-    sys.stdout.write(_help(command))
-    sys.exit(0)
+def _plain(arguments, pair, tokens):
+    """The values of tokens, by attribute name, when they use the plain
+    spelling: every option spelt in full, a value in the token after its
+    option, and no value that starts with "-".  None for every other
+    list, and for a plain one with a usage error; argparse reads those."""
+    kinds = {name: kind for name, kind, _, _ in arguments}
+    positionals = [name for name in kinds if name[:1] != "-"][::-1]
+    given = {}
+    tokens = iter(tokens)
+    for token in tokens:
+        name = token
+        if token[:1] != "-":
+            if not positionals:
+                return None
+            name = positionals.pop()
+        elif token not in kinds:
+            return None
+        elif kinds[name] is bool:
+            given[name] = True
+            continue
+        else:
+            token = next(tokens, "-")
+            if token[:1] == "-":
+                return None
+        kind = kinds[name]
+        if kind is int:
+            try:
+                token = int(token)
+            except ValueError:
+                return None
+        elif isinstance(kind, tuple) and token not in kind:
+            return None
+        given[name] = token
+    if pair and (pair[0] in given) == (pair[1] in given):
+        return None
+    values = {}
+    for name, _, default, _ in arguments:
+        values[name.lstrip("-").replace("-", "_")] = given.get(name, default)
+    return None if None in values.values() else values
 
 
-def _convert(command, name, kind, token):
-    if kind is int:
-        try:
-            return int(token)
-        except ValueError:
-            _fail(command, "argument %s: invalid int value: %r"
-                  % (name, token))
-    if isinstance(kind, tuple) and token not in kind:
-        _fail(command, "argument %s: invalid choice: %r (choose from %s)"
-              % (name, token, ", ".join(repr(c) for c in kind)))
-    return token
+def _argparse(command, tokens):
+    """The values of tokens, by attribute name, as argparse reads them
+    for command; exits 0 after printing the help and 1 on a usage error,
+    with the usage and help of the command table.  With command None it
+    reads the command itself, and exits unless none is given."""
+    import argparse
 
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            _fail(command, message)
 
-def _option(command, token, options):
-    """What argparse reads token as: None for a value; for an option,
-    the full name of the option (or of --help) that the token names, or
-    the token itself when it names none.  A token names --help when it
-    starts with -h, and an option when its part before any "=" is that
-    option or abbreviates it.  Exits when it abbreviates more than one
-    option, naming the whole token and the options in parser order, as
-    argparse does."""
-    flag = token.partition("=")[0]
-    names = ("--help", *options)
-    if token[:2] == "-h" or flag in names:
-        return "--help" if token[:2] == "-h" else flag
-    long = flag[:2] == "--" and token != "--"
-    hits = [name for name in names if long and name.startswith(flag)]
-    if len(hits) > 1:
-        _fail(command, "ambiguous option: %s could match %s"
-              % (token, ", ".join(hits)))
-    # of the other tokens, "-" alone, negative numbers (-1, -1.5 and -.5,
-    # not -1.) and tokens with a space are values
-    whole, dot, frac = token[1:].partition(".")
-    number = (whole.isdecimal() or dot and not whole) and (
-        frac.isdecimal() or not dot)
-    value = token[:1] != "-" or token == "-" or number or " " in token
-    return hits[0] if hits else (None if value else token)
+        def format_help(self):
+            return _help(command)
 
-
-def _help_option(command, token):
-    """Show the help for a token that _option reads as --help, or exit
-    as argparse does when the token gives it an argument: after "="
-    (--help=x, -h=x, and the empty one in -h=), or straight after -h
-    (-hx), where each h that follows is -h again (-hh is -h)."""
-    flag, eq, value = token.partition("=")
-    if token[:2] == "-h" and token != "-h=":
-        eq = value = token[2 + (flag == "-h"):].lstrip("h")
-    if eq:
-        _fail(command, "argument -h/--help: ignored explicit argument %r"
-              % value)
-    _show_help(command)
+    parser = Parser(prog="nullcore", usage=_usage(command))
+    if command is None:
+        parser.add_argument("command", nargs="?", choices=tuple(_COMMANDS))
+        return vars(parser.parse_args(tokens))
+    _, _, arguments, pair = _COMMANDS[command]
+    group = parser.add_mutually_exclusive_group(required=bool(pair))
+    for name, kind, default, _ in arguments:
+        add = group.add_argument if name in pair else parser.add_argument
+        if kind is bool:
+            add(name, action="store_true")
+            continue
+        extra = {"default": default}
+        if kind is int:
+            extra["type"] = int
+        elif kind is not str:
+            extra["choices"] = kind
+        if name[:1] == "-":
+            extra["required"] = default is None
+        elif default is not None:
+            extra["nargs"] = "?"
+        add(name, **extra)
+    return vars(parser.parse_args(tokens))
 
 
 def _parse(argv):
     """(handler, args) for argv; exits 0 after printing help and 1 on a
     usage error."""
-    if not argv:
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        _argparse(None, argv[:1])
         _fail(None, "the following arguments are required: command")
-    command = argv[0]
-    name = _option(None, command, ())
-    if name == "--help":
-        _help_option(None, command)
-    if name:
-        _fail(None, "unrecognized arguments: %s" % command)
-    _convert(None, "command", tuple(_COMMANDS), command)
     handler, _, arguments, pair = _COMMANDS[command]
-    options = {name: kind for name, kind, _, _ in arguments
-               if name[:1] == "-"}
-    positionals = [a for a in arguments if a[0][:1] != "-"]
-    # argparse reads every token before "--" first, so an ambiguous
-    # abbreviation is the error even where a value is due
-    names = {token: _option(command, token, options)
-             for token in argv[1:argv.index("--") if "--" in argv else None]}
-    values = {}
-    # (argv index, token) of the values and of the unknown options, which
-    # argparse reports with the surplus values, in argv order, last
-    given = []
-    unknown = []
-    tokens = enumerate(argv[1:])
-    for i, token in tokens:
-        name = names.get(token)
-        if token == "--":
-            given.extend(tokens)
-        elif name is None:
-            given.append((i, token))
-        elif name == "--help":
-            _help_option(command, token)
-        elif name not in options:
-            unknown.append((i, token))
-        else:
-            _, eq, value = token.partition("=")
-            kind = options[name]
-            if kind is bool:
-                if eq:
-                    _fail(command, "argument %s: ignored explicit argument %r"
-                          % (name, value))
-                value = True
-            else:
-                if not eq:
-                    value = next(tokens, (i, None))[1]
-                    if value is None or _option(command, value, options):
-                        _fail(command,
-                              "argument %s: expected one argument" % name)
-                value = _convert(command, name, kind, value)
-            values[name] = value
-    for (name, kind, _, _), (_, token) in zip(positionals, given):
-        values[name] = _convert(command, name, kind, token)
-    missing = [name for name, _, default, _ in arguments
-               if default is None and name not in values]
-    if missing:
-        _fail(command, "the following arguments are required: %s"
-              % ", ".join(missing))
-    if pair and pair[0] in values and pair[1] in values:
-        _fail(command, "argument %s: not allowed with argument %s"
-              % (pair[1], pair[0]))
-    if pair and pair[0] not in values and pair[1] not in values:
-        _fail(command, "one of the arguments %s %s is required" % pair)
-    extras = sorted(unknown + given[len(positionals):])
-    if extras:
-        _fail(command, "unrecognized arguments: %s"
-              % " ".join(token for _, token in extras))
-    for name, _, default, _ in arguments:
-        values.setdefault(name, default)
+    values = _plain(arguments, pair, argv[1:])
+    if values is None:
+        values = _argparse(command, argv[1:])
     return handler, _Args(values)
 
 

@@ -368,6 +368,12 @@ def test_usage_error_is_exit_1():
     # "--=x" abbreviates every long option
     (["verify", "--=x"], "ambiguous option: --=x could match --help, "
      "--suite, --max-n, --trials, --seed"),
+    # each positional is converted at its turn, a conflict is reported
+    # at once, and a "--" that no positional takes is unrecognized
+    (["gen", "x", "-h="], "argument kind: invalid choice: 'x'"),
+    (["reduce", "--slim", "--pendant"],
+     "argument --pendant: not allowed with argument --slim"),
+    (["verify", "3", "--"], "unrecognized arguments: 3 --"),
 ])
 def test_usage_errors_name_the_problem(capsys, argv, message):
     with pytest.raises(SystemExit) as info:
@@ -379,6 +385,64 @@ def test_usage_errors_name_the_problem(capsys, argv, message):
     assert usage.startswith("usage: nullcore ")
     assert error.startswith("nullcore: error: ")
     assert message in error
+
+
+def _runs(arguments):
+    """(plain, other): runs of tokens for the given arguments.  Plain
+    runs are each value an argument accepts, each positional's own name
+    as a value, and each option alone and before each value; the other
+    runs abbreviate an option or give it "=value"."""
+    plain, other = [], []
+    for name, kind, _, _ in arguments:
+        values = (kind if isinstance(kind, tuple) else ("0", "3")
+                  if kind is int else () if kind is bool else ("p7.g",))
+        if name[:1] != "-":
+            plain += [(name,)] + [(value,) for value in values]
+            continue
+        plain += [(name,)] + [(name, value) for value in values]
+        other += [(name[:4],)] + [(name + "=" + value,)
+                                   for value in values or ("x",)]
+    return plain, other
+
+
+_RUNS = {command: _runs(entry[2]) for command, entry in cli._COMMANDS.items()}
+# help, "--", negative numbers, a spaced token, abbreviations, "=value"
+# and the arguments of every other command
+_OTHER_RUNS = [("-h",), ("-hx",), ("--",), ("-3",), ("-1.5",), ("a b",),
+               ("x",)] + sorted({run for pair in _RUNS.values()
+                                 for runs in pair for run in runs})
+
+
+@st.composite
+def argument_lists(draw):
+    """(command, tokens): plain runs of the command, and in about half
+    the lists one other run among them."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    runs = draw(st.lists(st.sampled_from(_RUNS[command][0]), max_size=6))
+    if draw(st.booleans()):
+        runs.insert(draw(st.integers(0, len(runs))),
+                    draw(st.sampled_from(_OTHER_RUNS)))
+    return command, [token for run in runs for token in run]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(argument_lists())
+@example(("mc", ["path", "12"]))
+@example(("gen", ["kind", "n"]))
+@example(("gen", ["tree", "8"]))
+@example(("gen", ["graph", "3", "0"]))
+@example(("verify", ["--trials", "x", "--trials", "3"]))
+@example(("perturb", ["--list", "p7.g", "--preserve", "cv", "--list"]))
+def test_plain_lists_read_as_argparse_reads_them(argument_list):
+    # the fast path accepts only what argparse reads to the same values
+    command, tokens = argument_list
+    _, _, arguments, pair = cli._COMMANDS[command]
+    values = cli._plain(arguments, pair, tokens)
+    if values is not None:
+        def typed(parsed):
+            return {name: (type(v), v) for name, v in parsed.items()}
+
+        assert typed(cli._argparse(command, tokens)) == typed(values)
 
 
 @pytest.mark.parametrize("argv, canonical", [

@@ -61,35 +61,40 @@ def _child_modules(tmp_path, statements):
 def test_cli_start_up_skips_argparse_and_json(tmp_path):
     # argparse (with gettext and locale) and json cost every command
     # milliseconds of start-up; json is loaded only to print JSON
+    startup = {"argparse", "gettext", "locale", "json"}
     loaded = _child_modules(tmp_path, "import nullcore.cli")
-    assert not loaded & {"argparse", "gettext", "locale", "json"}
+    assert not loaded & startup
     loaded = _child_modules(
         tmp_path,
         "import io; sys.stdout = io.StringIO()\n"
         "from nullcore.cli import main\n"
         "assert main(['verify', '--suite', 'trees', '--trials', '2', "
-        "'--max-n', '6']) == 0",
+        "'--max-n', '6', '--seed', '3']) == 0",
     )
     assert "nullcore.verify" in loaded
-    assert "json" not in loaded
-    # the JSON commands write their output without json, and no record
-    # is built through typing.NamedTuple
+    assert not loaded & startup
+    # every command form of the benchmark takes the plain path, and the
+    # JSON commands write their output without json; no record is built
+    # through typing.NamedTuple
     (tmp_path / "p7.g").write_text(
         "7 6\n" + "".join("%d %d\n" % (i, i + 1) for i in range(6)))
     loaded = _child_modules(
         tmp_path,
         "import io; sys.stdout = io.StringIO()\n"
         "from nullcore.cli import main\n"
-        "for argv in (['analyze', 'p7.g'], ['reduce', 'p7.g', '--slim'],\n"
-        "             ['reduce', 'p7.g', '--pendant'],\n"
+        "for argv in (['analyze', 'p7.g'], ['analyze', 'p7.g', '--dot'],\n"
+        "             ['reduce', 'p7.g', '--slim'],\n"
+        "             ['reduce', 'p7.g', '--pendant'], ['mc', 'p7.g'],\n"
         "             ['perturb', 'p7.g', '--preserve', 'cv', '--list'],\n"
-        "             ['mc', 'p7.g']):\n"
+        "             ['perturb', 'p7.g', '--preserve', 'nullspace',\n"
+        "              '--densify'],\n"
+        "             ['gen', 'tree', '8', '3']):\n"
         "    assert main(argv) == 0, argv\n"
         "assert sys.stdout.getvalue().count('{') >= 5",
     )
     assert {"nullcore.perturb", "nullcore.trees", "nullcore.minimal"} \
         <= loaded
-    assert not loaded & {"json", "typing"}
+    assert not loaded & (startup | {"typing"})
     loaded = _child_modules(
         tmp_path, "import nullcore\n"
         "for name in sorted(nullcore._SUBMODULES):\n"

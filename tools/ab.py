@@ -88,6 +88,8 @@ _PER_GRAPH = (("analyze",), ("analyze", "--dot"), ("mc",),
               ("reduce", "--slim"), ("reduce", "--pendant"))
 _MODES = ("nullity", "cv", "nullspace")
 _VERIFY_SEEDS = (0, 5, 9)
+# usage errors, help, and valid lists that are not in the plain spelling
+# (abbreviations, "=value", a negative value, "--"), which argparse reads
 _FORMS = (
     (),
     ("--help",),
@@ -100,6 +102,10 @@ _FORMS = (
     ("gen", "path", "-3"),
     ("verify", "--max-n", "0"),
     ("verify", "--suite", "trees", "--trials", "2", "--max-n", "65"),
+    ("perturb", "path-7.g", "--pres", "cv", "--dens"),
+    ("verify", "--su=trees", "--tr", "2", "--m", "6", "--se=-5"),
+    ("gen", "tree", "8", "-3"),
+    ("analyze", "--", "path-7.g"),
 )
 
 # The digest's sweep: each family at every size, relabelled, with
