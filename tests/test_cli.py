@@ -394,8 +394,7 @@ def _runs(arguments):
     runs abbreviate an option or give it "=value"."""
     plain, other = [], []
     for name, kind, _, _ in arguments:
-        values = (kind if isinstance(kind, tuple) else ("0", "3")
-                  if kind is int else () if kind is bool else ("p7.g",))
+        values = {int: ("0", "3"), bool: (), str: ("p7.g",)}.get(kind, kind)
         if name[:1] != "-":
             plain += [(name,)] + [(value,) for value in values]
             continue
