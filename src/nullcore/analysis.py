@@ -212,19 +212,19 @@ def _check_claimed_basis(g: Graph, basis: KernelBasis, kernel: KernelBasis):
     span that is wrong.
     """
     n, claimed, eta = g.n, basis.dimension, kernel.dimension
-    report = {"edges": g.edges(), "n": n, "basis": basis.vectors}
+    context = {"basis": basis.vectors}
     if basis.ambient != n:
         message = (f"basis of ambient dimension {basis.ambient} does not "
                    f"fit {n} vertices")
     elif claimed != eta:
         message = f"basis of dimension {claimed} contradicts nullity {eta}"
-        report |= {"nullity": eta, "basis_dimension": claimed}
+        context |= {"nullity": eta, "basis_dimension": claimed}
     elif (any(len(x) != n for x in basis.vectors)
           or _canonical_basis(basis.vectors, n) != kernel):
         message = "basis does not span the kernel"
     else:
         return
-    raise TheoremViolationError(message, report)
+    raise TheoremViolationError(message, g, **context)
 
 
 def _in_kernel(g: Graph, x: tuple) -> bool:
@@ -273,15 +273,8 @@ def core_labelling(
     ncv = set(part.ncv_set)
     if any(w not in ncv for u in part.cv_set for w in g.adjacency[u]):
         raise TheoremViolationError(
-            "an edge of G falls in a zero block of the core labelling",
-            {
-                "edges": g.edges(),
-                "n": g.n,
-                "cv": part.cv_set,
-                "ncv": part.ncv_set,
-                "cfvr": part.cfvr_set,
-            },
-        )
+            "an edge of G falls in a zero block of the core labelling", g,
+            cv=part.cv_set, ncv=part.ncv_set, cfvr=part.cfvr_set)
     return lab
 
 
@@ -377,14 +370,8 @@ def slim_reduce(
     if eta != part.nullity or changed:
         raise TheoremViolationError(
             "remote-vertex removal changed the nullity or a survivor's class",
-            {
-                "edges": g.edges(),
-                "n": g.n,
-                "nullity_before": part.nullity,
-                "nullity_after": eta,
-                "class_changes": changed,
-            },
-        )
+            g, nullity_before=part.nullity, nullity_after=eta,
+            class_changes=changed)
     return reduced, prov
 
 

@@ -226,12 +226,13 @@ _PATH = ("path", str, None, "edge-list file ('n m' header)")
 # The command table drives both parsers, the usage errors and the help:
 # _plain reads an argument list in the plain spelling without importing
 # argparse, and _argparse builds argparse's parser from the table for
-# every other list, with the table's usage and help.  Each command maps to (handler, summary, arguments, either_or).  An
-# argument is (name, kind, default, help): a name that starts with "--"
-# is an option, any other a positional, in the order given.  kind is
-# str, int, bool (a switch, False unless given) or a tuple of choices;
-# a default of None makes the argument required.  either_or names two
-# switches of which exactly one must be given.
+# every other list, with the table's usage and help.  Each command maps
+# to (handler, summary, arguments, either_or).  An argument is (name,
+# kind, default, help): a name that starts with "--" is an option, any
+# other a positional, in the order given.  kind is str, int, bool (a
+# switch, False unless given) or a tuple of choices; a default of None
+# makes the argument required.  either_or names two switches of which
+# exactly one must be given.
 _COMMANDS = {
     "analyze": (
         _cmd_analyze,

@@ -43,9 +43,14 @@ class TheoremViolationError(RuntimeError):
     """An exactly-checked structural claim failed on the given input.
 
     Either the implementation is wrong, or the claim does not hold as widely
-    as advertised; the offending data is kept for replay either way.
+    as advertised; the offending data is kept for replay either way.  Given
+    the graph, report is {"edges": its edges as a list of (u, w) pairs,
+    "n": its order} followed by the context keywords in the order given,
+    so Graph(report["n"], report["edges"]) replays it; without a graph,
+    report is None.
     """
 
-    def __init__(self, message, report=None):
-        self.report = report
+    def __init__(self, message, graph=None, **context):
+        self.report = (None if graph is None else
+                       {"edges": list(graph.edges()), "n": graph.n, **context})
         super().__init__(message)

@@ -317,8 +317,9 @@ def _gauss_jordan_int(rows: list, n_cols: int):
     (pivots, sign, d) are those of Bareiss steps that skip nothing.  On
     the random trees measured every pivot was +-1, so each step cost
     the pivot search, one pass over the pivot row and the rows it
-    changes (README).  A dense symmetric matrix is not eliminated at
-    all: _reduced and _reduce_symmetric border it.
+    changes (README).  Only a dense symmetric {0, 1} matrix (_is_dense)
+    is not eliminated: _reduced and _reduce_symmetric border it, and
+    eliminate every other matrix, dense symmetric ones included.
     """
     n_rows = len(rows)
     pivots = []

@@ -122,11 +122,6 @@ def _tagged_non_edges(g: Graph, part: VertexPartition):
                 yield u, w, tags[index[w]]
 
 
-def _replay(report: PerturbationReport, g: Graph, **extra) -> dict:
-    """TheoremViolationError payload: the report plus the base graph."""
-    return report.to_json() | {"edges": list(g.edges()), "n": g.n} | extra
-
-
 def _build_report(
     g: Graph,
     h: Graph,
@@ -154,8 +149,7 @@ def _build_report(
         raise TheoremViolationError(
             "edge flip (%d, %d) moved the nullity from %d to %d"
             % (edge.u, edge.w, report.eta_before, report.eta_after),
-            report=_replay(report, g, operation=operation),
-        )
+            g, **report.to_json(), operation=operation)
     # Identical bases force identical supports and dimensions.
     if preserved["nullspace"] and not (
         preserved["cv_set"] and preserved["nullity"]
@@ -163,8 +157,7 @@ def _build_report(
         raise TheoremViolationError(
             "edge flip (%d, %d) kept the kernel basis but not its core "
             "set or dimension" % (edge.u, edge.w),
-            report=_replay(report, g, operation=operation),
-        )
+            g, **report.to_json(), operation=operation)
     return report
 
 
@@ -205,8 +198,7 @@ def apply_and_report(
             raise TheoremViolationError(
                 "core-forbidden edge addition broke the nullity/core "
                 "biconditional on (%d, %d)" % (e.u, e.w),
-                report=_replay(report, g),
-            )
+                g, **report.to_json())
         if flags["nullity"] and not (
             flags["nullspace"] and flags["core_labelling"]
         ):
@@ -214,8 +206,7 @@ def apply_and_report(
                 "nullity-preserving core-forbidden addition (%d, %d) "
                 "failed to preserve the nullspace and labelling"
                 % (e.u, e.w),
-                report=_replay(report, g),
-            )
+                g, **report.to_json())
     return report
 
 
@@ -271,8 +262,8 @@ def verify_cv_ncv_theorem(
         return CvNcvReport(report, False, None, None)
 
     def violation(message, **extra):
-        return TheoremViolationError(
-            message, report=_replay(report, g, **extra))
+        return TheoremViolationError(message, g, **report.to_json(),
+                                     **extra)
 
     if not report.preserved["nullity"]:
         raise violation(
@@ -424,13 +415,6 @@ def greedy_densify(g: Graph, preserve: str, reduced: tuple | None = None):
             raise TheoremViolationError(
                 "densification step (%d, %d) lost the %s property"
                 % (first.u, first.w, preserve),
-                report={
-                    "edges": list(g.edges()),
-                    "n": g.n,
-                    "preserve": preserve,
-                    "added": added,
-                    "before": before,
-                    "after": after,
-                },
-            )
+                g, preserve=preserve, added=added, before=before,
+                after=after)
     return current, tuple(added)

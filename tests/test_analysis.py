@@ -516,7 +516,7 @@ def test_wrong_inputs_trip_explicit_guards():
         cv_set=(0,), ncv_set=(), cfvr_set=(1,), independent_cv=True)
     with pytest.raises(TheoremViolationError, match="zero block") as info:
         core_labelling(gen_path(2), part)
-    assert info.value.report["edges"] == ((0, 1),)
+    assert info.value.report["edges"] == [(0, 1)]
 
 
 def test_block_identities_on_singular_trees():

@@ -112,7 +112,13 @@ def test_analyze_dot_without_independent_core(capsys, tmp_path):
 def test_guarantee_violation_is_exit_4(capsys, slim6_file):
     code, out, err = run_cli(capsys, "reduce", slim6_file, "--slim")
     assert code == 4 and out == ""
-    assert err.startswith("guarantee violated: ")
+    # the report's bytes: its keys in this order, the edges as lists
+    assert err == (
+        "guarantee violated: remote-vertex removal changed the nullity or "
+        "a survivor's class\n"
+        '{"edges": [[0, 1], [0, 2], [0, 3], [0, 5], [1, 5], [2, 4], '
+        '[3, 4]], "n": 6, "nullity_before": 1, "nullity_after": 2, '
+        '"class_changes": [[0, "cfv_mid", "cv"], [4, "cfv_mid", "cv"]]}\n')
     report = json.loads(err.splitlines()[-1])
     replay = Graph(report["n"], [tuple(e) for e in report["edges"]])
     with open(slim6_file) as f:

@@ -1,20 +1,27 @@
-"""Guard the fingerprint rows of tools/ab.py, the A/B check of two src
-trees: a command, generator kind or --preserve alias that the command
-line gains without a row would go unchecked by it."""
+"""Guard tools/ab.py, the A/B check of two src trees: a command,
+generator kind or --preserve alias that the command line gains without
+a fingerprint row would go unchecked by it, and its library digest must
+read what the reduction decides, not the reduction's own d and T."""
 
 import importlib.util
+import json
 from pathlib import Path
 
+import nullcore.analysis
 from nullcore import cli
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "ab.py"
 
 
-def _rows():
+def _ab():
     spec = importlib.util.spec_from_file_location("ab", _PATH)
     ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ab)
-    return [argv for argv, _ in ab.plan()]
+    return ab
+
+
+def _rows():
+    return [argv for argv, _ in _ab().plan()]
 
 
 def test_fingerprint_rows_cover_the_command_line():
@@ -27,3 +34,30 @@ def test_fingerprint_rows_cover_the_command_line():
     for alias in cli._PRESERVE_ALIASES:
         assert {(alias, "--list"), (alias, "--densify")} <= perturbs
     assert any(argv[:3] == ("verify", "--suite", "all") for argv in rows)
+
+
+def test_digest_reads_what_d_and_t_decide(monkeypatch, capsys):
+    ab = _ab()
+    monkeypatch.setattr(ab, "_DIGEST_SIZES", tuple(range(2, 13)))
+    monkeypatch.setattr(ab, "_SMALL_COUNT", 2)
+    monkeypatch.setattr(ab, "_LARGE_COUNT", 1)
+    monkeypatch.setattr(ab, "_MATRICES", 10)
+    classified = nullcore.analysis._classified
+
+    def digest(d_sign=None):
+        """The digest, with T negated and d times d_sign when given."""
+        def mutant(g):
+            part, d, entry = classified(g)
+            return part, d_sign * d, lambda u, w: -entry(u, w)
+
+        with monkeypatch.context() as patch:
+            if d_sign is not None:
+                patch.setattr(nullcore.analysis, "_classified", mutant)
+            ab._digest()
+        return json.loads(capsys.readouterr().out)["digest"]
+
+    head = digest()
+    # (-d, -T) is another reduction of the same graph: T / d is unchanged
+    assert digest(-1) == head
+    # T alone negated flips T / d, and with it screen decisions
+    assert digest(1) != head

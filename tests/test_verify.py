@@ -140,7 +140,7 @@ def test_failing_checks_are_tallied_and_capped(monkeypatch):
 
 def test_raising_slim_reduction_counts_as_fail(monkeypatch):
     def broken(g, partition=None):
-        raise TheoremViolationError("forced", {"n": g.n, "edges": g.edges()})
+        raise TheoremViolationError("forced", g)
 
     monkeypatch.setattr(nullcore.verify, "slim_reduce", broken)
     result = run_suite(VerifySuiteConfig("trees", 10, 30, 4))

@@ -9,11 +9,12 @@ Usage (standard library only; writes into the current directory):
    tree in a temporary directory.  A row's fingerprint hashes the exit
    code, stdout, stderr and every file the command wrote.  The graphs
    are written by `gen` rows of the same tree; a planted twin is a gen
-   graph plus a twin of vertex 0 (_with_twin).  The CLI prints neither d
-   nor T, so a child of each tree also takes one SHA-256 over the
-   library's exact results on a fixed sweep (_digest).  The verdict is
-   equal when the rows and the digests are; otherwise every differing
-   row is printed.
+   graph plus a twin of vertex 0 (_with_twin).  A child of each tree
+   also takes one SHA-256 over the library's exact results on a fixed
+   sweep (_digest), among them what the reduction's d and T decide:
+   the classes and the addition screen, not d and T themselves, which
+   differ by route.  The verdict is equal when the rows and the digests
+   are; otherwise every differing row is printed.
 2. Timing.  There are RUNS runs, an even number.  A run times every case
    of _cases once in a child process per tree, and each tree goes first
    in half of the runs, so both trees see the same drift in the host's
@@ -29,7 +30,10 @@ Usage (standard library only; writes into the current directory):
    of LABEL's min to PARENT_LABEL's for every case; compare mins.  Next
    to it, a case reads faster or slower when every run of LABEL is
    faster or slower than every run of PARENT_LABEL, and overlap
-   otherwise; the summary counts the resolved cases.
+   otherwise; the summary counts the resolved cases.  Each run times
+   both trees back to back, so a case also reads its paired wins: in
+   how many of the RUNS runs LABEL was faster than PARENT_LABEL
+   ("wins" in each record, counted for its own tree).
 
 Every child runs in a fixed environment (PATH, PYTHONPATH=src,
 PYTHONHASHSEED=0, LC_ALL=C, PYTHONUTF8=1, PYTHONDONTWRITEBYTECODE=1), so
@@ -266,12 +270,14 @@ def _fingerprints(src) -> list:
 
 
 def _digest() -> None:
-    """Print one SHA-256 over: every field of classify_vertices, the d
-    and the non-zero rows of T (the rows of B, read through the entry of
-    analysis._classified and tagged with their vertex) and nullity on
-    the relabelled graphs of the sweep; rank, nullspace_basis and, when
-    square, det of seeded signed rectangular matrices."""
-    from nullcore import analysis, graphs, linalg
+    """Print one SHA-256 over: every field of the partition of
+    analysis._classified, nullity and safe_additions in each of
+    DENSIFY_MODES, screened with that reduction, on the relabelled
+    graphs of the sweep; rank, nullspace_basis and, when square, det of
+    seeded signed rectangular matrices.  d and T reach outputs only
+    through the classes and the screen, so a route that changes them
+    and nothing else reads equal."""
+    from nullcore import analysis, graphs, linalg, perturb
 
     digest = hashlib.sha256()
     families = _families(graphs)
@@ -284,12 +290,10 @@ def _digest() -> None:
                 order = rng.sample(range(n), n)
                 h = graphs.Graph(n, [(order[u], order[w])
                                      for u, w in g.edges()])
-                part, d, entry = analysis._classified(h)
-                t = [tuple(entry(u, w) for w in range(n)) for u in range(n)]
-                value = (h.edges(), tuple(part), d,
-                         tuple((u, row) for u, row in enumerate(t)
-                               if any(row)),
-                         analysis.nullity(h))
+                reduced = analysis._classified(h)
+                value = (h.edges(), tuple(reduced[0]), analysis.nullity(h),
+                         tuple(tuple(map(tuple, perturb.safe_additions(
+                             h, mode, reduced))) for mode in DENSIFY_MODES))
                 digest.update(("%s n=%d seed=%d %r\n"
                                % (name, n, seed, value)).encode())
                 count += 1
@@ -519,6 +523,7 @@ def main(argv) -> int:
             "cases": cases})
     ratios = []
     verdicts = []
+    wins = []
     for k, (case, parent) in enumerate(zip(records[0]["cases"],
                                            records[1]["cases"])):
         name = "%-46s %s" % (case["layer"], " ".join(
@@ -532,13 +537,20 @@ def main(argv) -> int:
                         for tree_runs in runs)
         verdicts.append("faster" if max(ours) < min(theirs) else
                         "slower" if min(ours) > max(theirs) else "overlap")
-        print("%s  min %.6f s  median %.6f s  ratio %.3f  %s" % (
-            name, case["min_s"], case["median_s"], ratios[-1], verdicts[-1]))
+        # run r timed both trees back to back
+        case["wins"] = sum(a < b for a, b in zip(ours, theirs))
+        parent["wins"] = sum(b < a for a, b in zip(ours, theirs))
+        wins.append(case["wins"])
+        print("%s  min %.6f s  median %.6f s  ratio %.3f  %s  wins %d/%d" % (
+            name, case["min_s"], case["median_s"], ratios[-1], verdicts[-1],
+            wins[-1], RUNS))
     print("%d min ratios %s / %s: median %.3f, range %.3f to %.3f; "
-          "%d resolved (%d faster, %d slower)" % (
+          "%d resolved (%d faster, %d slower); %s faster in all %d paired "
+          "runs on %d, in none on %d" % (
               len(ratios), argv[2], argv[4], statistics.median(ratios),
               min(ratios), max(ratios), len(ratios) - verdicts.count("overlap"),
-              verdicts.count("faster"), verdicts.count("slower")))
+              verdicts.count("faster"), verdicts.count("slower"), argv[2],
+              RUNS, wins.count(RUNS), wins.count(0)))
     for record in records:
         out = pathlib.Path("BENCH_%s.json" % record["label"])
         out.write_text(json.dumps(record, indent=1) + "\n")
