@@ -20,12 +20,8 @@ def _ab():
     return ab
 
 
-def _rows():
-    return [argv for argv, _ in _ab().plan()]
-
-
 def test_fingerprint_rows_cover_the_command_line():
-    rows = _rows()
+    rows = [argv for argv, _ in _ab().plan()]
     assert set(cli._COMMANDS) <= {argv[0] for argv in rows if argv}
     assert set(cli._GEN_KINDS) <= {argv[1] for argv in rows
                                    if argv[:1] == ("gen",) and len(argv) > 1}
