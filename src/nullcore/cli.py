@@ -24,7 +24,8 @@ _SUITES = ("trees", "bipartite", "subdivisions", "perturbations",
 
 
 class _UnreadableInput(Exception):
-    """The input file could not be opened or read; carries the OSError."""
+    """The input file could not be opened, read or decoded as UTF-8;
+    carries the OSError or the UnicodeDecodeError."""
 
 
 def _load(path: str):
@@ -33,9 +34,10 @@ def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         # only this OSError is an input error; one from writing the
-        # output leaves main
+        # output leaves main.  A UnicodeDecodeError is a ValueError,
+        # which main would read as an invalid request
         raise _UnreadableInput(exc) from exc
     return parse_edge_list(text)
 

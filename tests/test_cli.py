@@ -162,6 +162,14 @@ def test_analyze_missing_file_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_analyze_non_utf8_file_exit_2(capsys, tmp_path):
+    bad = tmp_path / "bad.g"
+    bad.write_bytes(b"\xff\xfe 1\n")
+    code, out, err = run_cli(capsys, "analyze", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_spaced_unknown_option_is_a_path(capsys, tmp_path, monkeypatch):
     # as in argparse, "--bogus=a b" names no option, so it is the path
     monkeypatch.chdir(tmp_path)

@@ -1,11 +1,14 @@
 """Guard tools/ab.py, the A/B check of two src trees: a command,
 generator kind or --preserve alias that the command line gains without
-a fingerprint row would go unchecked by it, and its library digest must
-read what the reduction decides, not the reduction's own d and T."""
+a fingerprint row would go unchecked by it, its library digest must
+read what the reduction decides, not the reduction's own d and T, and
+its verdict on a timed case must follow the 9-of-10 paired rule."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 import nullcore.analysis
 from nullcore import cli
@@ -57,3 +60,28 @@ def test_digest_reads_what_d_and_t_decide(monkeypatch, capsys):
     assert digest(-1) == head
     # T alone negated flips T / d, and with it screen decisions
     assert digest(1) != head
+
+
+# the parent's runs: median 145, quartiles 127.5 and 172.5, spread 45
+_THEIRS = [100 + 10 * i for i in range(10)]
+
+
+@pytest.mark.parametrize("shifts, wins, verdict", [
+    ([-100] * 10, 10, "faster"),
+    ([-100] * 9 + [50], 9, "faster"),
+    # 9 wins, but the medians differ by 10, inside the spread
+    ([-10] * 9 + [50], 9, "overlap"),
+    ([-100] * 8 + [50] * 2, 8, "overlap"),
+    # a tie is neither a loss nor a win
+    ([-100] * 9 + [0], 9, "faster"),
+    ([-100] * 8 + [0] * 2, 8, "overlap"),
+    ([100] * 10, 0, "slower"),
+    ([100] * 9 + [-50], 1, "slower"),
+    ([10] * 9 + [-50], 1, "overlap"),
+    ([100] * 8 + [-50] * 2, 2, "overlap"),
+    ([100] * 9 + [0], 0, "slower"),
+    ([100] * 8 + [0] * 2, 0, "overlap"),
+])
+def test_verdict_is_the_paired_nine_of_ten_rule(shifts, wins, verdict):
+    ours = [t + shift for t, shift in zip(_THEIRS, shifts)]
+    assert _ab()._verdict(ours, _THEIRS) == (wins, verdict)

@@ -22,27 +22,24 @@ Usage (standard library only; writes into the current directory):
    number of calls chosen from its first call so that the run lasts
    about RUN_TARGET_S, or by that first call alone when it takes longer.
 3. Records.  BENCH_<LABEL>.json and BENCH_<PARENT_LABEL>.json hold the
-   verdict and, per case, the min and the median over the runs of the
-   time per call, also scaled to the machine's nominal speed the way
-   bench/run.py scales: bench/probe.py is timed PROBES times before and
-   after the runs, and every time is multiplied by bench/run.py's
-   NOMINAL_PROBE_S over the median probe.  The printout gives the ratio
-   of LABEL's min to PARENT_LABEL's for every case; compare mins.  Next
-   to it, a case reads faster or slower when every run of LABEL is
-   faster or slower than every run of PARENT_LABEL, and overlap
-   otherwise; the summary counts the resolved cases.  Each run times
-   both trees back to back, so a case also reads its paired wins: in
-   how many of the RUNS runs LABEL was faster than PARENT_LABEL
-   ("wins" in each record, counted for its own tree).
+   verdict and, per case, the raw time per call of every run in run
+   order (runs_s), with their min and median; run r of one record was
+   timed back to back with run r of the other.  The printout gives the
+   ratio of LABEL's min to PARENT_LABEL's for every case; compare mins.
+   Next to it, _verdict reads the paired runs: a case is faster (slower)
+   when LABEL wins (loses) at least 9 of every 10 runs and the medians
+   differ by more than the distance between PARENT_LABEL's quartiles,
+   and overlap otherwise.  The summary counts the flagged cases.  Each
+   record keeps its own tree's paired wins as "wins".
 
 Every child runs in a fixed environment (PATH, PYTHONPATH=src,
-PYTHONHASHSEED=0, LC_ALL=C, PYTHONUTF8=1, PYTHONDONTWRITEBYTECODE=1), so
-nothing is written into either checkout.  The exit code is 1 when the
-outputs differ, after both records are written, or when a child process
-fails, and 2 on a usage error.
+PYTHONHASHSEED=0, LC_ALL=C, PYTHONUTF8=1, and PYTHONPYCACHEPREFIX in a
+temporary directory that the run removes), so nothing is written into
+either checkout and no child but the first compiles a module.  The exit
+code is 1 when the outputs differ, after both records are written, or
+when a child process fails, and 2 on a usage error.
 """
 
-import ast
 import difflib
 import hashlib
 import json
@@ -54,12 +51,10 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 import timeit
 import tracemalloc
 
 TOOLS = pathlib.Path(__file__).resolve().parent
-BENCH = TOOLS.parent / "bench"
 
 # Fingerprint rows.  (kind, sizes) for the random generators, each at
 # every seed in _SEEDS
@@ -122,8 +117,7 @@ _LARGE_COUNT = 2
 _MATRICES = 1500
 
 # Timing.  Each tree goes first in RUNS / 2 runs
-RUNS = 6
-PROBES = 5
+RUNS = 10
 RUN_TARGET_S = 0.02
 SIZES = (16, 32, 64, 96)
 # classify_vertices at seed 1; gen_random_graph refuses n > 2000
@@ -212,15 +206,16 @@ def plan() -> list:
     return rows + [(form, None) for form in _FORMS]
 
 
-def _child(src, args, cwd) -> subprocess.CompletedProcess:
-    """`python ARGS` in cwd, with nullcore imported from src."""
+def _child(src, args, cwd, cache) -> subprocess.CompletedProcess:
+    """`python ARGS` in cwd, with nullcore imported from src and its
+    bytecode kept under cache."""
     env = {
         "PATH": os.environ.get("PATH", os.defpath),
         "PYTHONPATH": str(src),
         "PYTHONHASHSEED": "0",
         "LC_ALL": "C",
         "PYTHONUTF8": "1",
-        "PYTHONDONTWRITEBYTECODE": "1",
+        "PYTHONPYCACHEPREFIX": str(cache),
     }
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, check=False)
@@ -228,23 +223,25 @@ def _child(src, args, cwd) -> subprocess.CompletedProcess:
 
 def _call(src, function, cwd):
     """What function() of this module prints as JSON, run in a child
-    with nullcore imported from src."""
+    in cwd, which also keeps the bytecode, with nullcore imported from
+    src."""
     proc = _child(src, ("-c", "import sys; sys.path.insert(0, %r); import ab; "
-                        "ab.%s()" % (str(TOOLS), function)), cwd)
+                        "ab.%s()" % (str(TOOLS), function)), cwd, cwd)
     if proc.returncode:
         sys.exit("%s failed on %s:\n%s" % (function, src,
                                             proc.stderr.decode()))
     return json.loads(proc.stdout)
 
 
-def _fingerprints(src) -> list:
-    """'<sha256 prefix>  <exit code>  <argv>' for every row of plan()."""
+def _fingerprints(src, cache) -> list:
+    """'<sha256 prefix>  <exit code>  <argv>' for every row of plan(),
+    with the bytecode kept under cache."""
     rows = []
     with tempfile.TemporaryDirectory() as cwd:
         pathlib.Path(cwd, "loop.g").write_text("2 1\n0 0\n")
         for argv, name in plan():
             before = set(os.listdir(cwd))
-            proc = _child(src, ("-m", "nullcore.cli", *argv), cwd)
+            proc = _child(src, ("-m", "nullcore.cli", *argv), cwd, cache)
             digest = hashlib.sha256()
             for part in (str(proc.returncode).encode(), proc.stdout,
                          proc.stderr):
@@ -449,20 +446,22 @@ def _git(src) -> dict:
             "git_dirty": bool(git("status", "--porcelain", "--", "."))}
 
 
-def _probe() -> float:
-    start = time.perf_counter()
-    subprocess.run([sys.executable, str(BENCH / "probe.py")], check=True,
-                   cwd=BENCH, stdout=subprocess.DEVNULL)
-    return time.perf_counter() - start
-
-
-def _nominal_probe_s() -> float:
-    """bench/run.py's NOMINAL_PROBE_S, read without running bench/run.py."""
-    for node in ast.parse((BENCH / "run.py").read_text()).body:
-        if (isinstance(node, ast.Assign)
-                and getattr(node.targets[0], "id", None) == "NOMINAL_PROBE_S"):
-            return ast.literal_eval(node.value)
-    raise LookupError("no NOMINAL_PROBE_S in bench/run.py")
+def _verdict(ours, theirs):
+    """(wins, verdict) of the per-run times ours against theirs, paired
+    by run: wins counts the runs where ours is lower, ties counting for
+    neither side.  The verdict is faster (slower) when ours wins (loses)
+    at least 9 of every 10 runs and its median is lower (higher) by more
+    than the distance between the quartiles of theirs, and overlap
+    otherwise: the gain rule for paired runs of two commits."""
+    wins = sum(a < b for a, b in zip(ours, theirs))
+    losses = sum(a > b for a, b in zip(ours, theirs))
+    low, _, high = statistics.quantiles(theirs)
+    gap = statistics.median(ours) - statistics.median(theirs)
+    if 10 * wins >= 9 * len(ours) and -gap > high - low:
+        return wins, "faster"
+    if 10 * losses >= 9 * len(ours) and gap > high - low:
+        return wins, "slower"
+    return wins, "overlap"
 
 
 def main(argv) -> int:
@@ -474,7 +473,7 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory() as cwd:
         outputs = []
         for src, label in trees:
-            rows = _fingerprints(src)
+            rows = _fingerprints(src, cwd)
             outputs.append((rows, _call(src, "_digest", cwd)))
             print("%s: %d rows, digest %s" % (
                 label, len(rows), outputs[-1][1]["digest"]), flush=True)
@@ -484,16 +483,12 @@ def main(argv) -> int:
         for line in difflib.unified_diff(parent_rows, rows, argv[4], argv[2],
                                          n=0, lineterm=""):
             print(line)
-        probes = [_probe() for _ in range(PROBES)]
         runs = ([], [])
         for r in range(RUNS):
             for i in (1, 0) if r % 2 else (0, 1):
                 print("run %d of %d: %s" % (r + 1, RUNS, trees[i][1]),
                       flush=True)
                 runs[i].append(_call(trees[i][0], "_timing", cwd))
-        probes += [_probe() for _ in range(PROBES)]
-    nominal = _nominal_probe_s()
-    scale = nominal / statistics.median(probes)
     records = []
     for i, ((src, label), tree_runs) in enumerate(zip(trees, runs)):
         cases = []
@@ -503,10 +498,9 @@ def main(argv) -> int:
             if errors:
                 cases.append(key | {"error": errors[0]})
                 continue
-            low, mid = min(times), statistics.median(times)
-            cases.append(key | {"min_s": low, "median_s": mid,
-                                "min_scaled_s": low * scale,
-                                "median_scaled_s": mid * scale})
+            cases.append(key | {"min_s": min(times),
+                                "median_s": statistics.median(times),
+                                "runs_s": times})
         records.append({
             "label": label, **_git(src),
             "python": platform.python_version(), "nproc": os.cpu_count(),
@@ -516,16 +510,13 @@ def main(argv) -> int:
                 "cli_rows_sha256": hashlib.sha256(
                     "\n".join(outputs[i][0]).encode()).hexdigest(),
                 "library": outputs[i][1]},
-            "runs": RUNS, "nominal_probe_s": nominal, "probes_s": probes,
-            "scale": scale,
+            "runs": RUNS,
             "classify_large_tree_tracemalloc_peak_mb": min(
                 run["peak"] for run in tree_runs) / 1e6,
             "cases": cases})
     ratios = []
     verdicts = []
-    wins = []
-    for k, (case, parent) in enumerate(zip(records[0]["cases"],
-                                           records[1]["cases"])):
+    for case, parent in zip(records[0]["cases"], records[1]["cases"]):
         name = "%-46s %s" % (case["layer"], " ".join(
             "%s=%s" % item for item in case.items()
             if item[0] in ("family", "n", "route", "preserve")))
@@ -533,28 +524,21 @@ def main(argv) -> int:
             print("%s  %s" % (name, case.get("error") or parent["error"]))
             continue
         ratios.append(case["min_s"] / parent["min_s"])
-        ours, theirs = ([run["cases"][k][1] for run in tree_runs]
-                        for tree_runs in runs)
-        verdicts.append("faster" if max(ours) < min(theirs) else
-                        "slower" if min(ours) > max(theirs) else "overlap")
-        # run r timed both trees back to back
-        case["wins"] = sum(a < b for a, b in zip(ours, theirs))
-        parent["wins"] = sum(b < a for a, b in zip(ours, theirs))
-        wins.append(case["wins"])
-        print("%s  min %.6f s  median %.6f s  ratio %.3f  %s  wins %d/%d" % (
-            name, case["min_s"], case["median_s"], ratios[-1], verdicts[-1],
-            wins[-1], RUNS))
+        case["wins"], verdict = _verdict(case["runs_s"], parent["runs_s"])
+        parent["wins"] = _verdict(parent["runs_s"], case["runs_s"])[0]
+        verdicts.append(verdict)
+        print("%s  min %.6f s  median %.6f s  ratio %.3f  wins %d/%d  %s" % (
+            name, case["min_s"], case["median_s"], ratios[-1], case["wins"],
+            RUNS, verdict))
     print("%d min ratios %s / %s: median %.3f, range %.3f to %.3f; "
-          "%d resolved (%d faster, %d slower); %s faster in all %d paired "
-          "runs on %d, in none on %d" % (
+          "%d flagged (%d faster, %d slower)" % (
               len(ratios), argv[2], argv[4], statistics.median(ratios),
               min(ratios), max(ratios), len(ratios) - verdicts.count("overlap"),
-              verdicts.count("faster"), verdicts.count("slower"), argv[2],
-              RUNS, wins.count(RUNS), wins.count(0)))
+              verdicts.count("faster"), verdicts.count("slower")))
     for record in records:
         out = pathlib.Path("BENCH_%s.json" % record["label"])
         out.write_text(json.dumps(record, indent=1) + "\n")
-        print("wrote %s (scale %.3f)" % (out, scale))
+        print("wrote %s" % out)
     print("outputs: %s" % ("equal" if equal else "DIFFER"))
     return 0 if equal else 1
 
